@@ -16,7 +16,6 @@ from .digraph import (
 )
 from .dsep import (
     SeparationQuery,
-    active_backend,
     brute_force_d_connected,
     d_connected,
     d_separated,
@@ -81,7 +80,6 @@ __all__ = [
     "SingularModelError",
     "UnknownVertexError",
     "UnstableModelWarning",
-    "active_backend",
     "all_graphs",
     "brute_force_d_connected",
     "d_connected",

@@ -1,123 +1,64 @@
-"""Reachability kernels deciding d-connection.
+"""The reachability kernel deciding d-connection.
 
 The state space is (vertex, arrival direction): ``in`` means the walk
 reached the vertex along an edge pointing into it, ``out`` along an edge
 pointing away from it. A vertex lets the walk continue as a non-collider
 only while it is outside the conditioning set, and as a collider only
-while some descendant of it (itself included) is conditioned on; a vertex
-reached against its edge can never be a collider. The transition fixpoint
-touches a target vertex exactly when the endpoints are d-connected.
+while some descendant of it (itself included) is conditioned on, that is
+while it is an ancestor of the conditioning set; a vertex reached against
+its edge can never be a collider.
 
-Two interchangeable implementations: a pure-Python one on arbitrary-width
-int bitmasks, and a numba-compiled one on int64 bitmasks (at most 63
-vertices). Selection honours the CCDKIT_NO_NUMBA environment variable and
-falls back automatically when numba is unavailable or the graph is too
-wide.
+One fixpoint from a source set yields every vertex the walk touches, so a
+single call answers the query for all targets at once: y is d-connected
+to x given z exactly when y's bit is set in ``reach_set(g, x, z)``. Vertex
+sets are Python ints used as bitmasks over the graph's sorted vertex
+order, so graphs of any width are supported.
 """
 from __future__ import annotations
 
-import os
-from typing import Sequence
-
-import numpy as np
-
-ENV_DISABLE = "CCDKIT_NO_NUMBA"
-MAX_KERNEL_VERTICES = 63
-
-_NUMBA_KERNEL = None
-_NUMBA_BROKEN = False
+from .digraph import DirectedGraph
 
 
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(ENV_DISABLE, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def python_reach(
-    n: int,
-    parent_masks: Sequence[int],
-    child_masks: Sequence[int],
-    desc_masks: Sequence[int],
-    x_mask: int,
-    y_mask: int,
-    z_mask: int,
-) -> bool:
-    """Reference kernel on Python ints; works for any vertex count."""
-    seen_in = 0
-    seen_out = 0
-    for i in range(n):
-        if x_mask >> i & 1:
-            seen_in |= child_masks[i]
-            seen_out |= parent_masks[i]
-    while True:
-        if (seen_in | seen_out) & y_mask:
-            return True
-        new_in, new_out = seen_in, seen_out
-        for i in range(n):
-            bit = 1 << i
-            if seen_in & bit:
-                if not z_mask & bit:
-                    new_in |= child_masks[i]
-                if desc_masks[i] & z_mask:
-                    new_out |= parent_masks[i]
-            if seen_out & bit and not z_mask & bit:
-                new_in |= child_masks[i]
-                new_out |= parent_masks[i]
-        if new_in == seen_in and new_out == seen_out:
-            return False
-        seen_in, seen_out = new_in, new_out
-
-
-def numba_kernel():
-    """The compiled kernel, or None when numba cannot be imported.
-
-    Import and compilation are deferred to first use so that disabling the
-    JIT path keeps start-up free of numba entirely.
-    """
-    global _NUMBA_KERNEL, _NUMBA_BROKEN
-    if _NUMBA_KERNEL is None and not _NUMBA_BROKEN:
-        try:
-            from numba import njit
-        except Exception:
-            _NUMBA_BROKEN = True
-            return None
-
-        @njit(cache=True, nogil=True)
-        def reach(parent_masks, child_masks, desc_masks, x_mask, y_mask, z_mask):
-            n = parent_masks.shape[0]
-            one = np.int64(1)
-            seen_in = np.int64(0)
-            seen_out = np.int64(0)
-            for i in range(n):
-                if (x_mask >> i) & one:
-                    seen_in |= child_masks[i]
-                    seen_out |= parent_masks[i]
-            while True:
-                if (seen_in | seen_out) & y_mask:
-                    return True
-                new_in = seen_in
-                new_out = seen_out
-                for i in range(n):
-                    bit = one << i
-                    if seen_in & bit:
-                        if not z_mask & bit:
-                            new_in |= child_masks[i]
-                        if desc_masks[i] & z_mask:
-                            new_out |= parent_masks[i]
-                    if (seen_out & bit) and not z_mask & bit:
-                        new_in |= child_masks[i]
-                        new_out |= parent_masks[i]
-                if new_in == seen_in and new_out == seen_out:
-                    return False
-                seen_in = new_in
-                seen_out = new_out
-
-        _NUMBA_KERNEL = reach
-    return _NUMBA_KERNEL
-
-
-def selected_backend(n_vertices: int) -> str:
-    """Which kernel a query on a graph of this width would use right now."""
-    if n_vertices <= MAX_KERNEL_VERTICES and not numba_disabled_by_env():
-        if numba_kernel() is not None:
-            return "numba"
-    return "python"
+def reach_set(g: DirectedGraph, x_mask: int, z_mask: int) -> int:
+    """Mask of every vertex outside x and z that is d-connected to x given z."""
+    parents = g._parent_masks
+    children = g._child_masks
+    ancestors = g._ancestor_masks
+    collider_ok = 0
+    m = z_mask
+    while m:
+        low = m & -m
+        collider_ok |= ancestors[low.bit_length() - 1]
+        m ^= low
+    seen_in = seen_out = 0
+    m = x_mask
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        seen_in |= children[i]
+        seen_out |= parents[i]
+        m ^= low
+    front_in, front_out = seen_in, seen_out
+    while front_in or front_out:
+        new_in = new_out = 0
+        m = front_in
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            if not z_mask & low:
+                new_in |= children[i]
+            if collider_ok & low:
+                new_out |= parents[i]
+            m ^= low
+        m = front_out & ~z_mask
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            new_in |= children[i]
+            new_out |= parents[i]
+            m ^= low
+        front_in = new_in & ~seen_in
+        front_out = new_out & ~seen_out
+        seen_in |= front_in
+        seen_out |= front_out
+    return (seen_in | seen_out) & ~(x_mask | z_mask)

@@ -220,27 +220,39 @@ def phase_d(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     with oracle.phase("D"):
         m = 0
         while True:
+            dotted = set(psi.dotted_underlines)
             pending = [
                 (a, b, c)
                 for (a, b, c) in _collider_triples(psi)
-                if Pag.canonical_triple(a, b, c) not in psi.dotted_underlines
+                if Pag.canonical_triple(a, b, c) not in dotted
                 and len([v for v in state.local[a] if v not in (b, c)]) >= m
             ]
             if not pending:
                 break
             for a, b, c in pending:
                 key = Pag.canonical_triple(a, b, c)
-                if key in psi.dotted_underlines:
+                if key in dotted:
                     continue  # dotted earlier in this same sweep
                 candidates = [v for v in state.local[a] if v not in (b, c)]
                 for subset in combinations(candidates, m):
                     conditioning = frozenset(subset) | {b}
                     if oracle.is_independent(a, c, conditioning):
                         psi.add_dotted_underline(a, b, c)
+                        dotted.add(key)
                         state.supset[key] = conditioning
                         break
             m += 1
     return state
+
+
+def _dotted_both_ways(psi: Pag) -> list[tuple[str, str, str]]:
+    """Every dotted triple in both flank orders, lexicographically sorted.
+
+    This is the order in which a scan over all ordered vertex triples
+    meets them, so the orientation phases write marks, and record
+    conflicts, in the same sequence as that scan would.
+    """
+    return sorted(t for a, b, c in psi.dotted_underlines for t in ((a, b, c), (c, b, a)))
 
 
 def phase_e(state: CcdState) -> CcdState:
@@ -253,33 +265,22 @@ def phase_e(state: CcdState) -> CcdState:
     """
     psi = state.psi
     verts = psi.vertices
-    for a in verts:
-        for b in verts:
-            if b == a:
+    for a, b, c in _dotted_both_ways(psi):
+        supset = state.supset[Pag.canonical_triple(a, b, c)]
+        for d in verts:
+            if d in (a, b, c):
                 continue
-            for c in verts:
-                if c == a or c == b:
-                    continue
-                key = Pag.canonical_triple(a, b, c)
-                if key not in psi.dotted_underlines:
-                    continue
-                supset = state.supset[key]
-                for d in verts:
-                    if d in (a, b, c):
-                        continue
-                    if not (psi.has_edge(a, d) and psi.has_edge(c, d)):
-                        continue
-                    if not (
-                        psi.mark_at(d, a) is Mark.ARROW and psi.mark_at(d, c) is Mark.ARROW
-                    ):
-                        continue
-                    if not psi.has_edge(b, d):
-                        continue
-                    if d in supset:
-                        _orient(state, "E", d, b, Mark.TAIL)
-                    else:
-                        _orient(state, "E", b, d, Mark.TAIL)
-                        _orient(state, "E", d, b, Mark.ARROW)
+            if not (psi.has_edge(a, d) and psi.has_edge(c, d)):
+                continue
+            if not (psi.mark_at(d, a) is Mark.ARROW and psi.mark_at(d, c) is Mark.ARROW):
+                continue
+            if not psi.has_edge(b, d):
+                continue
+            if d in supset:
+                _orient(state, "E", d, b, Mark.TAIL)
+            else:
+                _orient(state, "E", b, d, Mark.TAIL)
+                _orient(state, "E", d, b, Mark.ARROW)
     return state
 
 
@@ -295,25 +296,16 @@ def phase_f(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     psi = state.psi
     verts = psi.vertices
     with oracle.phase("F"):
-        for a in verts:
-            for b in verts:
-                if b == a:
+        for a, b, c in _dotted_both_ways(psi):
+            supset = state.supset[Pag.canonical_triple(a, b, c)]
+            for d in verts:
+                if d in (a, b, c):
                     continue
-                for c in verts:
-                    if c == a or c == b:
-                        continue
-                    key = Pag.canonical_triple(a, b, c)
-                    if key not in psi.dotted_underlines:
-                        continue
-                    supset = state.supset[key]
-                    for d in verts:
-                        if d in (a, b, c):
-                            continue
-                        if not psi.has_edge(b, d):
-                            continue
-                        if psi.has_edge(d, a) and psi.has_edge(d, c):
-                            continue
-                        if not oracle.is_independent(a, c, supset | {d}):
-                            _orient(state, "F", b, d, Mark.TAIL)
-                            _orient(state, "F", d, b, Mark.ARROW)
+                if not psi.has_edge(b, d):
+                    continue
+                if psi.has_edge(d, a) and psi.has_edge(d, c):
+                    continue
+                if not oracle.is_independent(a, c, supset | {d}):
+                    _orient(state, "F", b, d, Mark.TAIL)
+                    _orient(state, "F", d, b, Mark.ARROW)
     return state

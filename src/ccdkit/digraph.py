@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 FORMAT_HEADER = "# ccd-kit format v1"
 
 __all__ = [
@@ -127,17 +125,6 @@ class DirectedGraph:
     @cached_property
     def _ancestor_masks(self) -> tuple[int, ...]:
         return _closure(self._parent_masks)
-
-    @cached_property
-    def _mask_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # int64 copies for the compiled reachability kernel
-        if len(self.vertices) > 63:
-            raise ValueError("bitmask kernels support at most 63 vertices")
-        return (
-            np.asarray(self._parent_masks, dtype=np.int64),
-            np.asarray(self._child_masks, dtype=np.int64),
-            np.asarray(self._descendant_masks, dtype=np.int64),
-        )
 
     def _require(self, label: str) -> int:
         try:

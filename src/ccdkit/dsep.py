@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from . import _reach
+from ._reach import reach_set
 from .digraph import DirectedGraph
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "d_separated",
     "brute_force_d_connected",
     "witness_separator",
-    "active_backend",
 ]
 
 
@@ -69,9 +66,20 @@ def _masks(g: DirectedGraph, q: SeparationQuery) -> tuple[int, int, int]:
     return g._mask_of(q.x), g._mask_of(q.y), g._mask_of(q.z)
 
 
-def active_backend(g: DirectedGraph) -> str:
-    """Name of the reachability kernel d_connected would use for this graph."""
-    return _reach.selected_backend(len(g.vertices))
+def _reusable(value: Iterable[str] | str) -> Iterable[str] | str:
+    """``value`` itself, or a tuple of it when iterating might consume it."""
+    if isinstance(value, (str, tuple, frozenset, list, set)):
+        return value
+    return tuple(value)
+
+
+def _label_mask(index: dict[str, int], value: Iterable[str] | str) -> int:
+    if isinstance(value, str):
+        return 1 << index[value]
+    mask = 0
+    for v in value:
+        mask |= 1 << index[v]
+    return mask
 
 
 def d_connected(
@@ -81,16 +89,18 @@ def d_connected(
     given: Iterable[str] | str = (),
 ) -> bool:
     """True iff some x-member is d-connected to some y-member given ``given``."""
-    q = SeparationQuery.of(x, y, given)
-    xm, ym, zm = _masks(g, q)
-    n = len(g.vertices)
-    if _reach.selected_backend(n) == "numba":
-        pm, cm, dm = g._mask_arrays
-        kernel = _reach.numba_kernel()
-        return bool(kernel(pm, cm, dm, np.int64(xm), np.int64(ym), np.int64(zm)))
-    return _reach.python_reach(
-        n, g._parent_masks, g._child_masks, g._descendant_masks, xm, ym, zm
-    )
+    x, y, given = _reusable(x), _reusable(y), _reusable(given)
+    index = g._index
+    try:
+        xm = _label_mask(index, x)
+        ym = _label_mask(index, y)
+        zm = _label_mask(index, given)
+    except (KeyError, TypeError):
+        xm = ym = zm = 0
+    if not xm or not ym or xm & ym or xm & zm or ym & zm:
+        # invalid input: SeparationQuery raises what it always raised
+        xm, ym, zm = _masks(g, SeparationQuery.of(x, y, given))
+    return bool(reach_set(g, xm, zm) & ym)
 
 
 def d_separated(

@@ -2,11 +2,13 @@
 
 Two concrete oracles share one interface: an exact oracle answering by
 d-separation in a known graph, and a statistical oracle running Fisher-z
-partial-correlation tests on a data matrix. Queries are memoised per
-instance, keyed on the unordered endpoint pair and the conditioning set;
-statistics count each distinct query once, attributed to the search phase
-that first asked it. Both the memo and the counters sit behind a lock, so
-an oracle instance can be shared across threads.
+partial-correlation tests on a data matrix. Labels are validated and
+mapped to vertex indices once, at the public ``is_independent`` call;
+everything behind it works on indices. Queries are memoised per instance,
+keyed on the unordered pair of endpoint indices and the bitmask of the
+conditioning set; statistics count each distinct query once, attributed
+to the search phase that first asked it. Both the memo and the counters
+sit behind a lock, so an oracle instance can be shared across threads.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .digraph import DirectedGraph, UnknownVertexError
-from .dsep import d_connected
+from ._reach import reach_set
+from .digraph import DirectedGraph, UnknownVertexError, _bits
 
 __all__ = [
     "CiQuery",
@@ -67,10 +69,6 @@ class CiQuery:
         if self.x in self.s or self.y in self.s:
             raise ValueError("endpoints cannot appear in the conditioning set")
 
-    @property
-    def key(self) -> tuple[frozenset[str], frozenset[str]]:
-        return frozenset((self.x, self.y)), self.s
-
 
 @dataclass
 class OracleStats:
@@ -99,32 +97,59 @@ class OracleStats:
 
 
 class IndependenceOracle:
-    """Base answering service; subclasses implement ``_decide``."""
+    """Base answering service; subclasses implement ``_decide``.
+
+    ``_decide(i, j, zmask)`` receives the endpoints as indices into
+    ``vertices``, in the order the caller named them, and the conditioning
+    set as a bitmask over the same indices.
+    """
 
     def __init__(self, vertices: Iterable[str]):
         self.vertices: tuple[str, ...] = tuple(sorted({str(v) for v in vertices}))
         self.stats = OracleStats()
-        self._vertex_set = frozenset(self.vertices)
-        self._memo: dict[tuple[frozenset[str], frozenset[str]], bool] = {}
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._memo: dict[tuple[int, int, int], bool] = {}
         self._lock = threading.Lock()
         self._phase: str | None = None
 
     def is_independent(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
-        query = CiQuery(str(x), str(y), frozenset(s))
-        for v in (query.x, query.y, *query.s):
-            if v not in self._vertex_set:
-                raise UnknownVertexError(v)
+        if not isinstance(s, (tuple, frozenset)):
+            s = tuple(s)
+        index = self._index
+        try:
+            i = index[x]
+            j = index[y]
+            zmask = 0
+            for v in s:
+                zmask |= 1 << index[v]
+        except (KeyError, TypeError):
+            i = j = zmask = -1
+        if i == j or zmask >> i & 1 or zmask >> j & 1:
+            i, j, zmask = self._validated(x, y, s)
+        key = (i, j, zmask) if i < j else (j, i, zmask)
         with self._lock:
             try:
-                return self._memo[query.key]
+                return self._memo[key]
             except KeyError:
                 pass
-            answer = bool(self._decide(query))
-            self._memo[query.key] = answer
-            self.stats.record(self._phase, len(query.s))
+            answer = bool(self._decide(i, j, zmask))
+            self._memo[key] = answer
+            self.stats.record(self._phase, zmask.bit_count())
             return answer
 
-    def _decide(self, query: CiQuery) -> bool:
+    def _validated(self, x: str, y: str, s: Iterable[str]) -> tuple[int, int, int]:
+        """Check a query the fast path rejected as CiQuery does; return its indices."""
+        query = CiQuery(str(x), str(y), frozenset(s))
+        index = self._index
+        for v in (query.x, query.y, *query.s):
+            if v not in index:
+                raise UnknownVertexError(v)
+        zmask = 0
+        for v in query.s:
+            zmask |= 1 << index[v]
+        return index[query.x], index[query.y], zmask
+
+    def _decide(self, i: int, j: int, zmask: int) -> bool:
         raise NotImplementedError
 
     @contextmanager
@@ -139,14 +164,27 @@ class IndependenceOracle:
 
 
 class GraphOracle(IndependenceOracle):
-    """Exact oracle: independent iff d-separated in the given graph."""
+    """Exact oracle: independent iff d-separated in the given graph.
+
+    Each kernel call yields every vertex d-connected to one endpoint given
+    the conditioning set; that reach set is cached per (endpoint,
+    conditioning set), so queries sharing either endpoint and the set are
+    answered without another fixpoint.
+    """
 
     def __init__(self, graph: DirectedGraph):
         super().__init__(graph.vertices)
         self.graph = graph
+        self._reach: dict[tuple[int, int], int] = {}
 
-    def _decide(self, query: CiQuery) -> bool:
-        return not d_connected(self.graph, query.x, query.y, query.s)
+    def _decide(self, i: int, j: int, zmask: int) -> bool:
+        reach = self._reach.get((i, zmask))
+        if reach is None:
+            other = self._reach.get((j, zmask))
+            if other is not None:  # d-connection is symmetric
+                return not other >> i & 1
+            reach = self._reach[(i, zmask)] = reach_set(self.graph, 1 << i, zmask)
+        return not reach >> j & 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,20 +395,23 @@ class FisherZOracle(IndependenceOracle):
         self.alpha = float(alpha)
         self._cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
         self._critical = NormalDist().inv_cdf(1.0 - self.alpha / 2.0)
+        self._column = tuple(data._col_index[v] for v in self.vertices)
 
-    def _decide(self, query: CiQuery) -> bool:
+    def _decide(self, i: int, j: int, zmask: int) -> bool:
+        cond = list(_bits(zmask))
+        col = self._column
+        idx = [col[i], col[j], *(col[k] for k in cond)]
         try:
-            r = partial_correlation_from_covariance(
-                self._cov, self.data.labels, query.x, query.y, query.s
-            )
+            r = _partial_from_cov(self._cov[np.ix_(idx, idx)])
         except SingularCovarianceError as exc:
+            names = self.vertices
             warnings.warn(
                 SingularCovarianceWarning(
-                    f"query ({query.x}, {query.y} | {sorted(query.s)}): {exc}; "
+                    f"query ({names[i]}, {names[j]} | {[names[k] for k in cond]}): {exc}; "
                     "treating as dependent"
                 ),
                 stacklevel=4,
             )
             return False
-        z = fisher_z_statistic(r, self.data.n_rows, len(query.s))
+        z = fisher_z_statistic(r, self.data.n_rows, len(cond))
         return abs(z) <= self._critical

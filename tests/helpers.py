@@ -43,10 +43,13 @@ class ScriptedOracle(IndependenceOracle):
 
     def __init__(self, vertices, independent):
         super().__init__(vertices)
-        self._keys = {(frozenset(pair), frozenset(s)) for pair, s in independent}
+        self._keys = set()
+        for pair, s in independent:
+            i, j = sorted(self._index[v] for v in pair)
+            self._keys.add((i, j, sum(1 << self._index[v] for v in frozenset(s))))
 
-    def _decide(self, query):
-        return query.key in self._keys
+    def _decide(self, i, j, zmask):
+        return (min(i, j), max(i, j), zmask) in self._keys
 
 
 def faithful_sem(graph, rng, low=0.4, high=0.7, min_partial=0.05):

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from ccdkit import (
     DirectedGraph,
     SeparationQuery,
+    UnknownVertexError,
     brute_force_d_connected,
     d_connected,
     d_separated,
     witness_separator,
 )
-from ccdkit import _reach
-from ccdkit.dsep import active_backend
 
 from helpers import all_queries, exhaustive_graphs, graphs, random_query
 
@@ -27,6 +26,21 @@ def test_query_rejects_overlap():
 def test_query_rejects_empty_sides():
     with pytest.raises(ValueError):
         SeparationQuery(frozenset(), frozenset({"B"}), frozenset())
+
+
+def test_d_connected_rejects_bad_queries(two_cycle):
+    with pytest.raises(ValueError):
+        d_connected(two_cycle, "A", "A")
+    with pytest.raises(ValueError):
+        d_connected(two_cycle, "A", "B", ("B",))
+    with pytest.raises(ValueError):
+        d_connected(two_cycle, (), "B")
+    with pytest.raises(UnknownVertexError):
+        d_connected(two_cycle, "A", "Q")
+    with pytest.raises(UnknownVertexError):
+        d_connected(two_cycle, "A", "B", (v for v in ("X", "Q")))
+    with pytest.raises(TypeError):
+        d_connected(two_cycle, "A", "B", (["X"],))
 
 
 def test_single_edge_always_connects():
@@ -90,41 +104,9 @@ def test_symmetry(g):
     assert d_connected(g, x, y, s) == d_connected(g, y, x, s)
 
 
-def test_python_backend_agrees_with_kernel(monkeypatch, two_cycle):
-    queries = list(all_queries(two_cycle.vertices))
-    fast = [d_connected(two_cycle, x, y, s) for x, y, s in queries]
-    monkeypatch.setenv("CCDKIT_NO_NUMBA", "1")
-    assert active_backend(two_cycle) == "python"
-    slow = [d_connected(two_cycle, x, y, s) for x, y, s in queries]
-    assert fast == slow
-
-
-def test_backend_flag_is_dynamic(monkeypatch, two_cycle):
-    # The flag is read on every call, so setting or clearing it mid-process
-    # takes effect at once. numba is optional, so this holds without it.
-    monkeypatch.delenv("CCDKIT_NO_NUMBA", raising=False)
-    assert not _reach.numba_disabled_by_env()
-    monkeypatch.setenv("CCDKIT_NO_NUMBA", "1")
-    assert _reach.numba_disabled_by_env()
-    assert active_backend(two_cycle) == "python"
-    monkeypatch.delenv("CCDKIT_NO_NUMBA")
-    assert not _reach.numba_disabled_by_env()
-
-
-def test_backend_flag_switches_numba_kernel(monkeypatch, two_cycle):
-    pytest.importorskip("numba")
-    monkeypatch.delenv("CCDKIT_NO_NUMBA", raising=False)
-    assert active_backend(two_cycle) == "numba"
-    monkeypatch.setenv("CCDKIT_NO_NUMBA", "1")
-    assert active_backend(two_cycle) == "python"
-    monkeypatch.delenv("CCDKIT_NO_NUMBA")
-    assert active_backend(two_cycle) == "numba"
-
-
 def test_large_graph_uses_python_backend():
     labels = tuple(f"v{i:02d}" for i in range(70))
     g = DirectedGraph(labels, {(labels[i], labels[i + 1]) for i in range(69)})
-    assert active_backend(g) == "python"
     assert d_connected(g, labels[0], labels[-1])
     assert not d_connected(g, labels[0], labels[-1], (labels[30],))
 

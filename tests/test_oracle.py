@@ -1,10 +1,14 @@
+import random
 import threading
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ccdkit import (
     DataMatrix,
+    brute_force_d_connected,
     DirectedGraph,
     FisherZOracle,
     GraphOracle,
@@ -18,7 +22,7 @@ from ccdkit import (
     partial_correlation_recursive,
 )
 
-from helpers import all_queries, two_cycle_graph
+from helpers import all_queries, graphs, two_cycle_graph
 
 
 def test_graph_oracle_matches_separation(two_cycle):
@@ -39,6 +43,48 @@ def test_oracle_rejects_unknown_vertices(two_cycle):
         oracle.is_independent("A", "Q")
     with pytest.raises(UnknownVertexError):
         oracle.is_independent("A", "B", ("Q",))
+
+
+@settings(deadline=None)
+@given(graphs(max_vertices=5))
+def test_cached_graph_oracle_equals_brute_force(g):
+    # one fresh oracle per graph, so later answers come from cached reach sets
+    # filled by earlier queries with either endpoint first
+    queries = [q for x, y, s in all_queries(g.vertices) for q in ((x, y, s), (y, x, s))]
+    random.Random(len(g.edges)).shuffle(queries)
+    oracle = GraphOracle(g)
+    for x, y, s in queries:
+        assert oracle.is_independent(x, y, s) == (not brute_force_d_connected(g, x, y, s))
+
+
+def test_swapped_endpoints_and_duplicates_share_one_memo_entry(two_cycle):
+    oracle = GraphOracle(two_cycle)
+    assert not oracle.is_independent("A", "B", ("X",))
+    assert not oracle.is_independent("B", "A", ("X",))
+    assert not oracle.is_independent("A", "B", ["X", "X"])
+    assert not oracle.is_independent("B", "A", frozenset({"X"}))
+    assert oracle.stats.total() == 1
+
+
+def test_oracle_rejects_bad_queries(two_cycle):
+    oracle = GraphOracle(two_cycle)
+    with pytest.raises(ValueError):
+        oracle.is_independent("A", "A")
+    with pytest.raises(ValueError):
+        oracle.is_independent("A", "B", ("A",))
+    with pytest.raises(ValueError):
+        oracle.is_independent("A", "B", ("X", "B"))
+    # endpoint checks come before the unknown-label check
+    with pytest.raises(ValueError) as caught:
+        oracle.is_independent("Q", "Q")
+    assert not isinstance(caught.value, UnknownVertexError)
+    with pytest.raises(UnknownVertexError):
+        oracle.is_independent("Q", "A")
+    with pytest.raises(UnknownVertexError):
+        oracle.is_independent("A", "B", (v for v in ("X", "Q")))
+    with pytest.raises(TypeError):
+        oracle.is_independent("A", "B", (["X"],))
+    assert oracle.stats.total() == 0
 
 
 def test_memoization_counts_distinct_queries_once(two_cycle):
@@ -176,6 +222,19 @@ def test_fisher_z_oracle_agrees_with_direct_function():
         assert oracle.is_independent(x, y, s) == fisher_z_is_independent(
             data, x, y, s, alpha=0.05
         )
+
+
+def test_fisher_z_oracle_follows_column_labels_not_order():
+    # columns out of label order: the oracle maps each label to its column
+    data = rng_data(n=2000, cols=4, seed=12)
+    shuffled = DataMatrix(("W", "Y", "X", "Z"), data.columns(("W", "Y", "X", "Z")))
+    oracle = FisherZOracle(shuffled, alpha=0.05)
+    cov = np.cov(shuffled.values, rowvar=False, ddof=1)
+    critical = NormalDist().inv_cdf(1.0 - 0.05 / 2.0)
+    for x, y, s in all_queries(shuffled.labels):
+        r = partial_correlation_from_covariance(cov, shuffled.labels, x, y, s)
+        z = fisher_z_statistic(r, shuffled.n_rows, len(s))
+        assert oracle.is_independent(x, y, s) == (abs(z) <= critical)
 
 
 def test_data_matrix_validation():
