@@ -107,7 +107,9 @@ def phase_a(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     For growing subset sizes n, each ordered pair (x, y) still adjacent is
     tested against every size-n subset of x's current neighbours other
     than y; an independent answer deletes the edge and records the subset
-    for the pair. Neighbour sets reflect deletions immediately.
+    for the pair. Neighbour sets reflect deletions immediately. y walks
+    x's neighbour list, read once per x (only x-y is deleted meanwhile):
+    a sweep costs O(sum of squared degrees) plus its queries.
     """
     psi = state.psi
     verts = psi.vertices
@@ -115,9 +117,7 @@ def phase_a(state: CcdState, oracle: IndependenceOracle) -> CcdState:
         n = 0
         while any(len(psi.adjacent(v)) >= n + 1 for v in verts):
             for x in verts:
-                for y in verts:
-                    if x == y or not psi.has_edge(x, y):
-                        continue
+                for y in psi.adjacent(x):
                     candidates = [v for v in psi.adjacent(x) if v != y]
                     if len(candidates) < n:
                         continue
@@ -158,21 +158,21 @@ def phase_c(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     For each ordered triple (a, x, y) with a adjacent to neither x nor y,
     x and y adjacent, and x outside the recorded separator of a and y: if
     a and x stay dependent given that separator, the x end of the x-y edge
-    gets an arrow and the y end a tail.
+    gets an arrow and the y end a tail. The skeleton is fixed here, so for
+    each a, x walks the vertices outside a's closed neighbourhood and y
+    walks x's neighbours outside it, in label order: O(n * (n + |E|)).
     """
     psi = state.psi
     verts = psi.vertices
+    adjacent = {v: psi.adjacent(v) for v in verts}
     with oracle.phase("C"):
         for a in verts:
+            near = {a, *adjacent[a]}
             for x in verts:
-                if x == a:
+                if x in near:
                     continue
-                for y in verts:
-                    if y == a or y == x:
-                        continue
-                    if psi.has_edge(a, x) or psi.has_edge(a, y):
-                        continue
-                    if not psi.has_edge(x, y):
+                for y in adjacent[x]:
+                    if y in near:
                         continue
                     separator = state.sepset.get(_pair(a, y))
                     if separator is None or x in separator:
@@ -261,20 +261,17 @@ def phase_e(state: CcdState) -> CcdState:
     For a dotted triple (a, b, c) and a fourth vertex d that is also a
     collider between a and c and adjacent to b: membership of d in the
     recorded separator puts a tail at d on the b-d edge, non-membership
-    orients b-d as b into d.
+    orients b-d as b into d. d walks b's neighbours adjacent to both
+    flanks, in label order: O(deg a + deg b + deg c) per dotted triple.
     """
     psi = state.psi
-    verts = psi.vertices
     for a, b, c in _dotted_both_ways(psi):
         supset = state.supset[Pag.canonical_triple(a, b, c)]
-        for d in verts:
-            if d in (a, b, c):
-                continue
-            if not (psi.has_edge(a, d) and psi.has_edge(c, d)):
+        shared = set(psi.adjacent(a)).intersection(psi.adjacent(c))
+        for d in psi.adjacent(b):
+            if d not in shared:
                 continue
             if not (psi.mark_at(d, a) is Mark.ARROW and psi.mark_at(d, c) is Mark.ARROW):
-                continue
-            if not psi.has_edge(b, d):
                 continue
             if d in supset:
                 _orient(state, "E", d, b, Mark.TAIL)
@@ -292,18 +289,16 @@ def phase_f(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     both flanks: if adding d to the recorded separator leaves a and c
     dependent, the b-d edge is oriented b into d. A d already inside the
     separator repeats the recorded independent answer, so nothing fires.
+    d walks b's neighbours in label order: O(deg a + deg b + deg c) per
+    dotted triple plus its queries.
     """
     psi = state.psi
-    verts = psi.vertices
     with oracle.phase("F"):
         for a, b, c in _dotted_both_ways(psi):
             supset = state.supset[Pag.canonical_triple(a, b, c)]
-            for d in verts:
-                if d in (a, b, c):
-                    continue
-                if not psi.has_edge(b, d):
-                    continue
-                if psi.has_edge(d, a) and psi.has_edge(d, c):
+            shared = set(psi.adjacent(a)).intersection(psi.adjacent(c))
+            for d in psi.adjacent(b):
+                if d == a or d == c or d in shared:
                     continue
                 if not oracle.is_independent(a, c, supset | {d}):
                     _orient(state, "F", b, d, Mark.TAIL)

@@ -8,7 +8,8 @@ everything behind it works on indices. Queries are memoised per instance,
 keyed on the unordered pair of endpoint indices and the bitmask of the
 conditioning set; statistics count each distinct query once, attributed
 to the search phase that first asked it. Both the memo and the counters
-sit behind a lock, so an oracle instance can be shared across threads.
+sit behind a lock, and the phase label belongs to the thread that set it,
+so an oracle instance can be shared across threads.
 """
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ class SingularCovarianceError(ValueError):
 
 
 class SingularCovarianceWarning(UserWarning):
-    """A statistical query met a degenerate covariance and counted as dependent."""
+    """A statistical query met a degenerate covariance or too few rows and
+    counted as dependent."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,12 @@ class OracleStats:
         )
 
 
+class _PhaseLabel(threading.local):
+    """The phase label of one thread; unattributed until that thread sets one."""
+
+    label: str | None = None
+
+
 class IndependenceOracle:
     """Base answering service; subclasses implement ``_decide``.
 
@@ -110,7 +118,7 @@ class IndependenceOracle:
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._memo: dict[tuple[int, int, int], bool] = {}
         self._lock = threading.Lock()
-        self._phase: str | None = None
+        self._phase = _PhaseLabel()
 
     def is_independent(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
         if not isinstance(s, (tuple, frozenset)):
@@ -134,7 +142,7 @@ class IndependenceOracle:
                 pass
             answer = bool(self._decide(i, j, zmask))
             self._memo[key] = answer
-            self.stats.record(self._phase, zmask.bit_count())
+            self.stats.record(self._phase.label, zmask.bit_count())
             return answer
 
     def _validated(self, x: str, y: str, s: Iterable[str]) -> tuple[int, int, int]:
@@ -154,13 +162,13 @@ class IndependenceOracle:
 
     @contextmanager
     def phase(self, label: str) -> Iterator["IndependenceOracle"]:
-        """Attribute queries first asked inside the block to this label."""
-        previous = self._phase
-        self._phase = label
+        """Attribute queries this thread first asks inside the block to this label."""
+        previous = self._phase.label
+        self._phase.label = label
         try:
             yield self
         finally:
-            self._phase = previous
+            self._phase.label = previous
 
 
 class GraphOracle(IndependenceOracle):
@@ -381,10 +389,10 @@ class FisherZOracle(IndependenceOracle):
     """Statistical oracle testing partial correlations on one data matrix.
 
     The covariance of all columns is computed once up front; each query
-    reduces the block it needs. A degenerate block makes the query count
-    as dependent and emits SingularCovarianceWarning, so a deterministic
-    linear dependence in the data degrades the answer instead of aborting
-    the search.
+    reduces the block it needs. A degenerate block, or too few rows for
+    the test (N - |s| - 3 < 1), makes the query count as dependent and
+    emits SingularCovarianceWarning, so a deterministic linear dependence
+    or a small sample degrades the answer instead of aborting the search.
     """
 
     def __init__(self, data: DataMatrix, alpha: float = 0.01):
@@ -403,7 +411,8 @@ class FisherZOracle(IndependenceOracle):
         idx = [col[i], col[j], *(col[k] for k in cond)]
         try:
             r = _partial_from_cov(self._cov[np.ix_(idx, idx)])
-        except SingularCovarianceError as exc:
+            z = fisher_z_statistic(r, self.data.n_rows, len(cond))
+        except ValueError as exc:  # a singular block, or too few rows for |s|
             names = self.vertices
             warnings.warn(
                 SingularCovarianceWarning(
@@ -413,5 +422,4 @@ class FisherZOracle(IndependenceOracle):
                 stacklevel=4,
             )
             return False
-        z = fisher_z_statistic(r, self.data.n_rows, len(cond))
         return abs(z) <= self._critical

@@ -1,10 +1,21 @@
-"""Shared test utilities: graph enumeration, scripted oracles, faithful models."""
+"""Shared test utilities: graph enumeration, scripted oracles, faithful models,
+and all-tuples reference scans of the search phases."""
 import itertools
 import random
 
 from hypothesis import strategies as st
 
-from ccdkit import DirectedGraph, LinearSem, d_connected, d_separated, witness_separator
+from ccdkit import (
+    DirectedGraph,
+    GraphOracle,
+    LinearSem,
+    Mark,
+    Pag,
+    d_connected,
+    d_separated,
+    witness_separator,
+)
+from ccdkit.ccd import CcdState, _orient
 from ccdkit.oracle import IndependenceOracle, partial_correlation_from_covariance
 
 LETTERS = "ABCDEFGH"
@@ -50,6 +61,128 @@ class ScriptedOracle(IndependenceOracle):
 
     def _decide(self, i, j, zmask):
         return (min(i, j), max(i, j), zmask) in self._keys
+
+
+class NoisyOracle(GraphOracle):
+    """Exact answers with a seeded share flipped, so that runs meet conflicts.
+
+    Each distinct query keeps one answer for the life of the oracle, and
+    two oracles built from the same graph and seed agree on every query.
+    ``calls`` lists every ``is_independent`` call, memo hits included.
+    """
+
+    def __init__(self, graph, seed, flip=0.15):
+        super().__init__(graph)
+        self.seed = seed
+        self.flip = flip
+        self.calls = []
+
+    def is_independent(self, x, y, s=()):
+        s = tuple(s)
+        self.calls.append((x, y, frozenset(s)))
+        return super().is_independent(x, y, s)
+
+    def _decide(self, i, j, zmask):
+        key = f"{self.seed}/{min(i, j)}/{max(i, j)}/{zmask}"
+        return super()._decide(i, j, zmask) != (random.Random(key).random() < self.flip)
+
+
+def relabel_pag(pag, mapping):
+    out = Pag(mapping[v] for v in pag.vertices)
+    for a, b, mark_a, mark_b in pag.edge_records():
+        out.add_edge(mapping[a], mapping[b], mark_a, mark_b)
+    for a, b, c in pag.underlines:
+        out.add_underline(mapping[a], mapping[b], mapping[c])
+    for a, b, c in pag.dotted_underlines:
+        out.add_dotted_underline(mapping[a], mapping[b], mapping[c])
+    return out
+
+
+def scrambled_state(labels, seed):
+    """A state as phases C to F may meet it under a noisy oracle: a random
+    skeleton, random marks and separators, and dotted arrow colliders."""
+    rng = random.Random(seed)
+    marks = (Mark.CIRCLE, Mark.TAIL, Mark.ARROW, Mark.ARROW)
+    state = CcdState(psi=Pag(labels))
+    psi = state.psi
+    density = rng.uniform(0.4, 0.9)
+    for a, b in itertools.combinations(labels, 2):
+        if rng.random() < density:
+            psi.add_edge(a, b, rng.choice(marks), rng.choice(marks))
+        else:
+            state.sepset[a, b] = frozenset(v for v in labels if rng.random() < 0.3) - {a, b}
+    for b in labels:
+        for a, c in itertools.combinations(psi.adjacent(b), 2):
+            if not psi.has_edge(a, c) and psi.is_arrow_collider(a, b, c) and rng.random() < 0.7:
+                psi.add_dotted_underline(a, b, c)
+                extra = frozenset(v for v in labels if rng.random() < 0.3) - {a, c}
+                state.supset[a, b, c] = extra | {b}
+    return state
+
+
+# Phases A, C, E and F as scans over every ordered vertex tuple, in
+# lexicographic order. ccd.py enumerates the same candidates from
+# neighbour sets; these define the query and write order it must keep.
+
+
+def reference_phase_a(state, oracle):
+    psi = state.psi
+    with oracle.phase("A"):
+        n = 0
+        while any(len(psi.adjacent(v)) >= n + 1 for v in psi.vertices):
+            for x, y in itertools.permutations(psi.vertices, 2):
+                if not psi.has_edge(x, y):
+                    continue
+                candidates = [v for v in psi.adjacent(x) if v != y]
+                for subset in itertools.combinations(candidates, n):
+                    if oracle.is_independent(x, y, subset):
+                        psi.remove_edge(x, y)
+                        state.sepset[min(x, y), max(x, y)] = frozenset(subset)
+                        break
+            n += 1
+
+
+def reference_phase_c(state, oracle):
+    psi = state.psi
+    with oracle.phase("C"):
+        for a, x, y in itertools.permutations(psi.vertices, 3):
+            if psi.has_edge(a, x) or psi.has_edge(a, y) or not psi.has_edge(x, y):
+                continue
+            separator = state.sepset_of(a, y)
+            if separator is not None and x not in separator:
+                if not oracle.is_independent(a, x, separator):
+                    _orient(state, "C", x, y, Mark.ARROW)
+                    _orient(state, "C", y, x, Mark.TAIL)
+
+
+def _dotted_quadruples(psi):
+    for a, b, c, d in itertools.permutations(psi.vertices, 4):
+        if Pag.canonical_triple(a, b, c) in psi.dotted_underlines:
+            yield a, b, c, d
+
+
+def reference_phase_e(state):
+    psi = state.psi
+    for a, b, c, d in _dotted_quadruples(psi):
+        if not (psi.has_edge(a, d) and psi.has_edge(c, d) and psi.has_edge(b, d)):
+            continue
+        if psi.mark_at(d, a) is Mark.ARROW and psi.mark_at(d, c) is Mark.ARROW:
+            if d in state.supset_of(a, b, c):
+                _orient(state, "E", d, b, Mark.TAIL)
+            else:
+                _orient(state, "E", b, d, Mark.TAIL)
+                _orient(state, "E", d, b, Mark.ARROW)
+
+
+def reference_phase_f(state, oracle):
+    psi = state.psi
+    with oracle.phase("F"):
+        for a, b, c, d in _dotted_quadruples(psi):
+            if not psi.has_edge(b, d) or (psi.has_edge(d, a) and psi.has_edge(d, c)):
+                continue
+            if not oracle.is_independent(a, c, state.supset_of(a, b, c) | {d}):
+                _orient(state, "F", b, d, Mark.TAIL)
+                _orient(state, "F", d, b, Mark.ARROW)
 
 
 def faithful_sem(graph, rng, low=0.4, high=0.7, min_partial=0.05):

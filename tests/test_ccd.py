@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccdkit import (
     DirectedGraph,
@@ -9,9 +10,21 @@ from ccdkit import (
     serialize_pag,
     verify_pag_against_graph,
 )
-from ccdkit.ccd import CcdState, phase_a, phase_b, phase_e
+from ccdkit.ccd import CcdState, phase_a, phase_b, phase_c, phase_d, phase_e, phase_f
 
-from helpers import ScriptedOracle, graphs
+from helpers import (
+    LETTERS,
+    NoisyOracle,
+    ScriptedOracle,
+    graphs,
+    ordered_pairs,
+    reference_phase_a,
+    reference_phase_c,
+    reference_phase_e,
+    reference_phase_f,
+    relabel_pag,
+    scrambled_state,
+)
 
 
 def run_on(graph):
@@ -196,3 +209,69 @@ def test_output_is_sound_for_its_graph(g):
     pag, state = run_on(g)
     assert state.conflicts == []
     assert verify_pag_against_graph(pag, g) == []
+
+
+def run_phases(g, seed, run_a, run_c, run_e, run_f):
+    oracle = NoisyOracle(g, seed)
+    state = CcdState.initial(oracle.vertices, oracle.stats)
+    try:
+        run_a(state, oracle)
+        phase_b(state)
+        run_c(state, oracle)
+        phase_d(state, oracle)
+        run_e(state)
+        run_f(state, oracle)
+        error = None
+    except ValueError as exc:  # noisy answers can still make phase D abort
+        error = str(exc)
+    return oracle.calls, state, error
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=7), st.integers(min_value=0, max_value=2**32 - 1))
+def test_phases_keep_the_query_and_write_order_of_tuple_scans(g, seed):
+    calls, state, error = run_phases(g, seed, phase_a, phase_c, phase_e, phase_f)
+    ref_calls, ref, ref_error = run_phases(
+        g, seed, reference_phase_a, reference_phase_c, reference_phase_e, reference_phase_f
+    )
+    assert calls == ref_calls
+    assert state.psi == ref.psi
+    assert state.sepset == ref.sepset
+    assert state.supset == ref.supset
+    assert state.conflicts == ref.conflicts
+    assert state.stats.rows() == ref.stats.rows()
+    assert error == ref_error
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=4, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+def test_orientation_phases_keep_the_order_of_tuple_scans_on_any_state(n, seed):
+    # phases C, E and F from a random mid-search state, with coin-flip
+    # answers: many dotted triples, candidates and conflicts per run
+    g = DirectedGraph(tuple(LETTERS[:n]), ())
+    outcomes = []
+    for run_c, run_e, run_f in (
+        (phase_c, phase_e, phase_f),
+        (reference_phase_c, reference_phase_e, reference_phase_f),
+    ):
+        state = scrambled_state(g.vertices, seed)
+        oracle = NoisyOracle(g, seed, flip=0.5)
+        run_c(state, oracle)
+        run_e(state)
+        run_f(state, oracle)
+        outcomes.append((oracle.calls, state.psi, state.conflicts, state.stats.rows()))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=7), st.randoms(use_true_random=False))
+def test_relabelled_graph_gives_relabelled_pag(n, rng):
+    labels = tuple(LETTERS[:n])
+    density = rng.uniform(0.1, 0.5)
+    g = DirectedGraph(labels, {e for e in ordered_pairs(labels) if rng.random() < density})
+    shuffled = list(labels)
+    rng.shuffle(shuffled)
+    mapping = dict(zip(labels, shuffled))
+    relabelled = DirectedGraph(labels, {(mapping[a], mapping[b]) for a, b in g.edges})
+    pag, _ = run_on(g)
+    assert run_on(relabelled)[0] == relabel_pag(pag, mapping)

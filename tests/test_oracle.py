@@ -20,6 +20,7 @@ from ccdkit import (
     partial_correlation,
     partial_correlation_from_covariance,
     partial_correlation_recursive,
+    run_ccd,
 )
 
 from helpers import all_queries, graphs, two_cycle_graph
@@ -124,6 +125,32 @@ def test_oracle_is_thread_safe(two_cycle):
     assert oracle.stats.total() == len(queries)
 
 
+def test_phase_label_belongs_to_the_thread_that_set_it(two_cycle):
+    # a worker sits inside phase "A" while the main thread queries: the
+    # main thread's queries stay unattributed, or go to its own label
+    oracle = GraphOracle(two_cycle)
+    entered, release = threading.Event(), threading.Event()
+
+    def worker():
+        with oracle.phase("A"):
+            entered.set()
+            assert release.wait(timeout=10)
+            oracle.is_independent("A", "B", ("X",))
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert entered.wait(timeout=10)
+        oracle.is_independent("A", "B")
+        with oracle.phase("C"):
+            oracle.is_independent("A", "X")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert oracle.stats.rows() == [("-", 0, 1), ("A", 1, 1), ("C", 0, 1)]
+
+
 def rng_data(n=10000, cols=2, seed=0):
     rng = np.random.default_rng(seed)
     labels = tuple("XYZW"[:cols])
@@ -206,6 +233,19 @@ def test_fisher_z_oracle_warns_and_reports_dependence_on_singular_input():
     oracle = FisherZOracle(DataMatrix(("X", "Y", "Z"), rows))
     with pytest.warns(SingularCovarianceWarning):
         assert not oracle.is_independent("X", "Y", ("Z",))
+
+
+def test_fisher_z_oracle_counts_too_small_samples_as_dependent():
+    # 6 rows leave N - |s| - 3 = 0 for |s| = 3: the statistic is undefined,
+    # the oracle warns and answers dependent, and the search runs on
+    data = DataMatrix(tuple("ABCDEF"), np.random.default_rng(2).standard_normal((6, 6)))
+    with pytest.raises(ValueError):
+        fisher_z_statistic(0.1, data.n_rows, 3)
+    oracle = FisherZOracle(data, alpha=0.9)
+    with pytest.warns(SingularCovarianceWarning, match="n_rows"):
+        assert not oracle.is_independent("A", "B", ("C", "D", "E"))
+    with pytest.warns(SingularCovarianceWarning):
+        run_ccd(FisherZOracle(data, alpha=0.9), data.labels)
 
 
 def test_fisher_z_oracle_alpha_validation():
