@@ -2,14 +2,17 @@
 
 Two concrete oracles share one interface: an exact oracle answering by
 d-separation in a known graph, and a statistical oracle running Fisher-z
-partial-correlation tests on a data matrix. Labels are validated and
-mapped to vertex indices once, at the public ``is_independent`` call;
-everything behind it works on indices. Queries are memoised per instance,
-keyed on the unordered pair of endpoint indices and the bitmask of the
-conditioning set; statistics count each distinct query once, attributed
-to the search phase that first asked it. Both the memo and the counters
-sit behind a lock, and the phase label belongs to the thread that set it,
-so an oracle instance can be shared across threads.
+partial-correlation tests on a data matrix. Each caches the work it shares
+between queries with the same conditioning set: the exact oracle one
+reach set per (endpoint, set), the statistical oracle one residual
+covariance per set. Labels are validated and mapped to vertex indices
+once, at the public ``is_independent`` call; everything behind it works
+on indices. Queries are memoised per instance, keyed on the unordered
+pair of endpoint indices and the bitmask of the conditioning set;
+statistics count each distinct query once, attributed to the search
+phase that first asked it. The memo, the caches and the counters sit
+behind a lock, and the phase label belongs to the thread that set it, so
+an oracle instance can be shared across threads.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import io
 import math
 import threading
 import warnings
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -107,6 +111,10 @@ class _PhaseLabel(threading.local):
 class IndependenceOracle:
     """Base answering service; subclasses implement ``_decide``.
 
+    ``is_independent(x, y, s)`` takes the conditioning set ``s`` as an
+    iterable of labels; a bare label means the set of that one vertex, as
+    in ``d_separated``.
+
     ``_decide(i, j, zmask)`` receives the endpoints as indices into
     ``vertices``, in the order the caller named them, and the conditioning
     set as a bitmask over the same indices.
@@ -120,9 +128,9 @@ class IndependenceOracle:
         self._lock = threading.Lock()
         self._phase = _PhaseLabel()
 
-    def is_independent(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
+    def is_independent(self, x: str, y: str, s: Iterable[str] | str = ()) -> bool:
         if not isinstance(s, (tuple, frozenset)):
-            s = tuple(s)
+            s = (s,) if isinstance(s, str) else tuple(s)  # a bare label is one vertex
         index = self._index
         try:
             i = index[x]
@@ -236,7 +244,11 @@ class DataMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "DataMatrix":
-        """Read a header row of labels plus decimal rows; no missing cells."""
+        """Read a header row of labels plus decimal rows; no missing cells.
+
+        Whitespace around each header cell is dropped, so a label with
+        leading or trailing whitespace does not survive a round trip.
+        """
         reader = csv.reader(io.StringIO(text))
         rows = [row for row in reader if row]
         if len(rows) < 2:
@@ -253,9 +265,49 @@ class DataMatrix:
         return cls(labels, np.asarray(data, dtype=float))
 
     def to_csv(self) -> str:
-        lines = [",".join(self.labels)]
-        lines.extend(",".join(repr(float(v)) for v in row) for row in self.values)
-        return "\n".join(lines) + "\n"
+        """The inverse of ``from_csv``: a header row, then one row per sample.
+
+        Labels are quoted where the CSV syntax needs it; values are written
+        as ``repr`` of each float, so they read back exactly.
+        """
+        out = io.StringIO()
+        # with "\n" as the line terminator, csv does not quote a bare "\r"
+        quoting = csv.QUOTE_ALL if any("\r" in v for v in self.labels) else csv.QUOTE_MINIMAL
+        csv.writer(out, lineterminator="\n", quoting=quoting).writerow(self.labels)
+        csv.writer(out, lineterminator="\n").writerows(
+            [repr(float(v)) for v in row] for row in self.values
+        )
+        return out.getvalue()
+
+
+def _partial_from_residual(
+    base_x: float, base_y: float, residual: tuple[float, float, float] | None
+) -> float:
+    """Partial correlation of x and y from their residual covariance given a set.
+
+    ``base_x`` and ``base_y`` are the unconditioned variances; ``residual``
+    is (var_x, var_y, cov_xy) after conditioning, or None when the
+    conditioning block is singular. Every degenerate case raises
+    SingularCovarianceError, checked in this order: a zero-variance
+    endpoint, a singular conditioning block, a non-finite residual, an
+    endpoint the set determines exactly, a non-finite correlation.
+    """
+    if base_x <= 0.0 or base_y <= 0.0:
+        raise SingularCovarianceError("a queried column has zero variance")
+    if residual is None:
+        raise SingularCovarianceError("conditioning covariance is singular")
+    var_x, var_y, cov_xy = residual
+    if not (math.isfinite(var_x) and math.isfinite(var_y)):
+        raise SingularCovarianceError("conditioning covariance is numerically singular")
+    if var_x <= base_x * 1e-12 or var_y <= base_y * 1e-12:
+        raise SingularCovarianceError("conditioning determines a queried variable")
+    scale = math.sqrt(var_x * var_y)
+    if not 0.0 < scale < math.inf:  # the product under- or overflowed
+        scale = math.sqrt(var_x) * math.sqrt(var_y)
+    r = cov_xy / scale
+    if not math.isfinite(r):
+        raise SingularCovarianceError("partial correlation is not finite")
+    return min(1.0, max(-1.0, r))
 
 
 def _partial_from_cov(cov: np.ndarray) -> float:
@@ -266,26 +318,14 @@ def _partial_from_cov(cov: np.ndarray) -> float:
     that the conditioning set determines exactly is reported as singular.
     """
     cov = np.asarray(cov, dtype=float)
-    base_x, base_y = float(cov[0, 0]), float(cov[1, 1])
-    if base_x <= 0.0 or base_y <= 0.0:
-        raise SingularCovarianceError("a queried column has zero variance")
+    top = cov[:2, :2]
     if cov.shape[0] > 2:
         try:
-            solved = np.linalg.solve(cov[2:, 2:], cov[2:, :2])
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovarianceError("conditioning covariance is singular") from exc
-        top = cov[:2, :2] - cov[:2, 2:] @ solved
-    else:
-        top = cov[:2, :2]
-    var_x, var_y = float(top[0, 0]), float(top[1, 1])
-    if not (math.isfinite(var_x) and math.isfinite(var_y)):
-        raise SingularCovarianceError("conditioning covariance is numerically singular")
-    if var_x <= base_x * 1e-12 or var_y <= base_y * 1e-12:
-        raise SingularCovarianceError("conditioning determines a queried variable")
-    r = float(top[0, 1]) / math.sqrt(var_x * var_y)
-    if not math.isfinite(r):
-        raise SingularCovarianceError("partial correlation is not finite")
-    return min(1.0, max(-1.0, r))
+            top = top - cov[:2, 2:] @ np.linalg.solve(cov[2:, 2:], cov[2:, :2])
+        except np.linalg.LinAlgError:
+            top = None
+    residual = None if top is None else (float(top[0, 0]), float(top[1, 1]), float(top[0, 1]))
+    return _partial_from_residual(float(cov[0, 0]), float(cov[1, 1]), residual)
 
 
 def _query_names(x: str, y: str, s: Iterable[str]) -> tuple[str, str, tuple[str, ...]]:
@@ -294,7 +334,9 @@ def _query_names(x: str, y: str, s: Iterable[str]) -> tuple[str, str, tuple[str,
         raise ValueError("query endpoints must differ")
     if x in cond or y in cond:
         raise ValueError("endpoints cannot appear in the conditioning set")
-    return x, y, cond
+    # the pair in label order, as FisherZOracle reads it, so that r does not
+    # depend on which endpoint is named first
+    return (x, y, cond) if x < y else (y, x, cond)
 
 
 def partial_correlation(data: DataMatrix, x: str, y: str, s: Iterable[str] = ()) -> float:
@@ -388,11 +430,17 @@ def fisher_z_is_independent(
 class FisherZOracle(IndependenceOracle):
     """Statistical oracle testing partial correlations on one data matrix.
 
-    The covariance of all columns is computed once up front; each query
-    reduces the block it needs. A degenerate block, or too few rows for
-    the test (N - |s| - 3 < 1), makes the query count as dependent and
-    emits SingularCovarianceWarning, so a deterministic linear dependence
-    or a small sample degrades the answer instead of aborting the search.
+    The covariance of all columns is computed once up front. The first
+    query with a given conditioning set solves that set's block against
+    every column and caches the residual covariance
+    R = S - S[:, Z] S[Z, Z]^-1 S[Z, :] as its packed upper triangle; every
+    query with the same set then reads r = R_xy / sqrt(R_xx R_yy) from it
+    with plain float arithmetic. The empty set reads the covariance itself,
+    and a singular block is cached as such. A degenerate block, or too few
+    rows for the test (N - |s| - 3 < 1), makes the query count as dependent
+    and emits SingularCovarianceWarning, so a deterministic linear
+    dependence or a small sample degrades the answer instead of aborting
+    the search.
     """
 
     def __init__(self, data: DataMatrix, alpha: float = 0.01):
@@ -401,25 +449,55 @@ class FisherZOracle(IndependenceOracle):
         super().__init__(data.labels)
         self.data = data
         self.alpha = float(alpha)
-        self._cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
+        self._n_rows = data.n_rows
         self._critical = NormalDist().inv_cdf(1.0 - self.alpha / 2.0)
-        self._column = tuple(data._col_index[v] for v in self.vertices)
+        column = [data._col_index[v] for v in self.vertices]
+        cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
+        self._cov = cov[np.ix_(column, column)]  # in vertex order
+        n = len(self.vertices)
+        self._upper = np.triu_indices(n)
+        # (i, j) with i <= j sits at offset[i] + j of a packed triangle
+        self._offset = tuple(i * n - i * (i + 1) // 2 for i in range(n))
+        self._residual: dict[int, array | None] = {0: array("d", self._cov[self._upper].tobytes())}
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
-        cond = list(_bits(zmask))
-        col = self._column
-        idx = [col[i], col[j], *(col[k] for k in cond)]
         try:
-            r = _partial_from_cov(self._cov[np.ix_(idx, idx)])
-            z = fisher_z_statistic(r, self.data.n_rows, len(cond))
+            r = self._partial(i, j, zmask)
+            z = fisher_z_statistic(r, self._n_rows, zmask.bit_count())
         except ValueError as exc:  # a singular block, or too few rows for |s|
             names = self.vertices
             warnings.warn(
                 SingularCovarianceWarning(
-                    f"query ({names[i]}, {names[j]} | {[names[k] for k in cond]}): {exc}; "
-                    "treating as dependent"
+                    f"query ({names[i]}, {names[j]} | {[names[k] for k in _bits(zmask)]}): "
+                    f"{exc}; treating as dependent"
                 ),
                 stacklevel=4,
             )
             return False
         return abs(z) <= self._critical
+
+    def _partial(self, i: int, j: int, zmask: int) -> float:
+        """Partial correlation of vertices i and j given the set ``zmask``."""
+        try:
+            packed = self._residual[zmask]
+        except KeyError:
+            packed = self._residual[zmask] = self._packed_residual(zmask)
+        if i > j:
+            i, j = j, i
+        offset = self._offset
+        ii, jj = offset[i] + i, offset[j] + j
+        base = self._residual[0]
+        residual = None if packed is None else (packed[ii], packed[jj], packed[offset[i] + j])
+        return _partial_from_residual(base[ii], base[jj], residual)
+
+    def _packed_residual(self, zmask: int) -> array | None:
+        """Packed upper triangle of the residual covariance given the set, or
+        None when the set's covariance block is singular."""
+        cond = list(_bits(zmask))
+        cov = self._cov
+        rows = cov[cond]
+        try:
+            solved = np.linalg.solve(rows[:, cond], rows)
+        except np.linalg.LinAlgError:
+            return None
+        return array("d", (cov - cov[:, cond] @ solved)[self._upper].tobytes())

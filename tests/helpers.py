@@ -3,6 +3,7 @@ and all-tuples reference scans of the search phases."""
 import itertools
 import random
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from ccdkit import (
@@ -11,11 +12,13 @@ from ccdkit import (
     LinearSem,
     Mark,
     Pag,
+    SingularModelError,
     d_connected,
     d_separated,
     witness_separator,
 )
 from ccdkit.ccd import CcdState, _orient
+from ccdkit.digraph import _check_label
 from ccdkit.oracle import IndependenceOracle, partial_correlation_from_covariance
 
 LETTERS = "ABCDEFGH"
@@ -346,6 +349,56 @@ def graphs(draw, min_vertices=2, max_vertices=5):
     pairs = ordered_pairs(labels)
     edges = draw(st.frozensets(st.sampled_from(pairs)))
     return DirectedGraph(labels, edges)
+
+
+def _is_label(text):
+    try:
+        _check_label(text)
+    except ValueError:
+        return False
+    return True
+
+
+# any label the file formats accept: no whitespace, no comma, no leading "#"
+vertex_labels = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3
+).filter(_is_label)
+
+
+@st.composite
+def pags(draw, max_vertices=6):
+    """A PAG with random marks, underlines and dotted underlines; sparse
+    enough that isolated vertices are common."""
+    labels = draw(st.lists(vertex_labels, min_size=1, max_size=max_vertices, unique=True))
+    pag = Pag(labels)
+    marks = st.sampled_from(list(Mark))
+    for a, b in itertools.combinations(pag.vertices, 2):
+        if draw(st.integers(0, 2)) == 0:
+            pag.add_edge(a, b, draw(marks), draw(marks))
+    for b in pag.vertices:
+        for a, c in itertools.combinations(pag.adjacent(b), 2):
+            kind = draw(st.sampled_from(("plain", "underline", "dotted")))
+            if kind == "underline":
+                pag.add_underline(a, b, c)
+            elif kind == "dotted" and pag.is_arrow_collider(a, b, c):
+                pag.add_dotted_underline(a, b, c)
+    return pag
+
+
+@st.composite
+def sems(draw, max_vertices=5):
+    """A solvable linear model with random coefficients and error variances."""
+    labels = draw(st.lists(vertex_labels, min_size=1, max_size=max_vertices, unique=True))
+    pairs = ordered_pairs(labels)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    coefficients = draw(st.dictionaries(st.sampled_from(pairs), finite)) if pairs else {}
+    variances = {
+        v: draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)) for v in labels
+    }
+    try:
+        return LinearSem(labels, coefficients, variances)
+    except SingularModelError:
+        assume(False)
 
 
 def random_query(g, rng: random.Random):

@@ -1,10 +1,12 @@
 import random
 import threading
+import warnings
 from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccdkit import (
     DataMatrix,
@@ -15,12 +17,14 @@ from ccdkit import (
     SingularCovarianceError,
     SingularCovarianceWarning,
     UnknownVertexError,
+    d_separated,
     fisher_z_is_independent,
     fisher_z_statistic,
     partial_correlation,
     partial_correlation_from_covariance,
     partial_correlation_recursive,
     run_ccd,
+    sem_from_graph,
 )
 
 from helpers import all_queries, graphs, two_cycle_graph
@@ -183,6 +187,37 @@ def test_partial_correlation_conditioning_on_constant_is_singular():
         partial_correlation(data, "X", "Y", ("Z",))
 
 
+@pytest.mark.parametrize(
+    "cov, s, message",
+    [
+        # X and Z both constant: the endpoint check comes before the block check
+        ([[0, 0, 0], [0, 1, 0], [0, 0, 0]], ("Z",), "a queried column has zero variance"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], ("Z",), "conditioning covariance is singular"),
+        ([[1, 0, 1e200], [0, 1, 0], [1e200, 0, 1e-300]], ("Z",), "numerically singular"),
+        ([[1, 0.5, 1], [0.5, 1, 0.5], [1, 0.5, 1]], ("Z",), "determines a queried variable"),
+        ([[1, np.nan], [np.nan, 1]], (), "partial correlation is not finite"),
+    ],
+)
+def test_degenerate_covariance_checks_keep_their_order(cov, s, message):
+    labels = ("X", "Y", "Z")[: len(cov)]
+    with np.errstate(all="ignore"), pytest.raises(SingularCovarianceError, match=message):
+        partial_correlation_from_covariance(np.array(cov, dtype=float), labels, "X", "Y", s)
+
+
+@pytest.mark.parametrize("scale", [1e-110, 1e110])
+def test_partial_correlation_survives_extreme_scales(scale):
+    # var_x * var_y under- or overflows at these scales; r must not change
+    values = np.random.default_rng(13).standard_normal((200, 3))
+    values[:, 1] += values[:, 0]
+    data = DataMatrix(("X", "Y", "Z"), values)
+    scaled = DataMatrix(("X", "Y", "Z"), values * scale)
+    for s in ((), ("Z",)):
+        assert partial_correlation(scaled, "X", "Y", s) == pytest.approx(
+            partial_correlation(data, "X", "Y", s), abs=1e-12
+        )
+        assert not FisherZOracle(scaled).is_independent("X", "Y", s)
+
+
 def test_partial_correlation_recursive_agrees():
     rng = np.random.default_rng(4)
     data = DataMatrix(("P", "Q", "R", "S"), rng.standard_normal((500, 4)))
@@ -295,6 +330,40 @@ def test_data_matrix_csv_round_trip():
     assert np.array_equal(back.values, data.values)
 
 
+def test_data_matrix_csv_layout_for_plain_labels():
+    data = DataMatrix(("X", "Y_2"), np.array([[1.0, -2.5], [0.1, 3e-20]]))
+    assert data.to_csv() == "X,Y_2\n1.0,-2.5\n0.1,3e-20\n"
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.text().map(str.strip), min_size=1, max_size=4, unique=True).flatmap(
+        lambda labels: st.tuples(
+            st.just(tuple(labels)),
+            st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=len(labels), max_size=len(labels)),
+                min_size=1, max_size=4,
+            ),
+        )
+    )
+)
+@example((("a,b", 'q"x', "c\rd", "e\nf"), [[1.0, -0.0, 1e308, 5e-324]]))
+def test_data_matrix_csv_round_trip_any_labels(case):
+    # from_csv drops whitespace around header cells, so labels are drawn
+    # without it; every other character, commas and quotes included, survives
+    labels, rows = case
+    data = DataMatrix(labels, np.array(rows, dtype=float))
+    back = DataMatrix.from_csv(data.to_csv())
+    assert back.labels == data.labels
+    assert np.array_equal(back.values, data.values)
+
+
+def test_data_matrix_csv_strips_header_whitespace():
+    text = DataMatrix((" X ", "Y"), np.zeros((1, 2))).to_csv()
+    assert DataMatrix.from_csv(text).labels == ("X", "Y")
+
+
 def test_data_matrix_csv_rejects_ragged_rows():
     with pytest.raises(ValueError):
         DataMatrix.from_csv("X,Y\n1.0,2.0\n3.0\n")
@@ -321,3 +390,97 @@ def test_sem_consistency_statistical_oracle_matches_graph_oracle():
         for x, y, s in queries
     )
     assert agree / len(queries) >= 0.95
+
+
+def test_bare_label_is_a_one_vertex_conditioning_set():
+    g = DirectedGraph(("V01", "V02", "V03"), {("V01", "V02"), ("V02", "V03")})
+    data = sem_from_graph(g, 0.8).simulate(2000, seed=3)
+    for oracle in (GraphOracle(g), FisherZOracle(data)):
+        assert oracle.is_independent("V01", "V03", "V02") is d_separated(g, "V01", "V03", "V02")
+        assert oracle.is_independent("V03", "V01", ("V02",)) is True
+        assert oracle.stats.rows() == [("-", 1, 1)]
+        with pytest.raises(UnknownVertexError):
+            oracle.is_independent("V01", "V03", "V9")
+        with pytest.raises(ValueError):
+            oracle.is_independent("V01", "V03", "V01")
+
+
+@st.composite
+def degenerate_data(draw):
+    """Random columns plus one or two constant columns and a duplicated
+    column, often with fewer rows than some conditioning sets need, in
+    shuffled label order."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_rows = draw(st.integers(2, 9))
+    n_random = draw(st.integers(1, 3))
+    constants = draw(st.lists(st.sampled_from((0.0, 1.0, 0.1, -3.7)), min_size=1, max_size=2))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_rows, n_random))
+    copy = values[:, draw(st.integers(0, n_random - 1))]
+    values = np.column_stack([values, *(np.full(n_rows, c) for c in constants), copy])
+    labels = list("ABCDEF"[: values.shape[1]])
+    rng.shuffle(labels)
+    return DataMatrix(tuple(labels), values), seed
+
+
+def _reference_answer(data, cov, critical, x, y, s):
+    """(answer, r, warning text) by the per-query route of the public functions."""
+    try:
+        r = partial_correlation_from_covariance(cov, data.labels, x, y, s)
+    except SingularCovarianceError as exc:
+        return False, exc, f"query ({x}, {y} | {sorted(s)}): {exc}; treating as dependent"
+    try:
+        z = fisher_z_statistic(r, data.n_rows, len(s))
+    except ValueError as exc:
+        return False, r, f"query ({x}, {y} | {sorted(s)}): {exc}; treating as dependent"
+    return abs(z) <= critical, r, None
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_data())
+def test_cached_fisher_z_oracle_equals_per_query_route(case):
+    data, seed = case
+    queries = [q for x, y, s in all_queries(data.labels) for q in ((x, y, s), (y, x, s))]
+    random.Random(seed).shuffle(queries)
+    oracle = FisherZOracle(data, alpha=0.2)
+    cov = np.cov(data.values, rowvar=False, ddof=1)
+    critical = NormalDist().inv_cdf(1.0 - 0.2 / 2.0)
+    index = {v: i for i, v in enumerate(oracle.vertices)}
+    asked = set()
+    for x, y, s in queries:
+        expected, r, message = _reference_answer(data, cov, critical, x, y, s)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert oracle.is_independent(x, y, s) == expected
+        key = (frozenset((x, y)), s)
+        first = key not in asked  # later asks hit the memo
+        asked.add(key)
+        assert [str(w.message) for w in caught if w.category is SingularCovarianceWarning] == (
+            [message] if first and message else []
+        )
+        zmask = sum(1 << index[v] for v in s)
+        if isinstance(r, SingularCovarianceError):
+            with pytest.raises(SingularCovarianceError, match=str(r)):
+                oracle._partial(index[x], index[y], zmask)
+        else:
+            assert oracle._partial(index[x], index[y], zmask) == pytest.approx(r, abs=1e-12)
+
+
+def test_singular_conditioning_set_warns_on_every_pair(monkeypatch):
+    values = np.random.default_rng(6).standard_normal((50, 4))
+    data = DataMatrix(("A", "B", "C", "D", "E"), np.insert(values, 2, 1.0, axis=1))
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    oracle = FisherZOracle(data)
+    for x, y in (("A", "B"), ("E", "A"), ("B", "E")):
+        with pytest.warns(SingularCovarianceWarning) as caught:
+            assert not oracle.is_independent(x, y, ("C", "D"))
+        assert [str(w.message) for w in caught] == [
+            f"query ({x}, {y} | ['C', 'D']): conditioning covariance is singular; "
+            "treating as dependent"
+        ]
+    assert solves == [(2, 2)]  # solved once, then read back as the cached error
+    oracle.is_independent("A", "B", ("D",))
+    oracle.is_independent("E", "A", ("D",))
+    assert solves == [(2, 2), (1, 1)]

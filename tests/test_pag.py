@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from ccdkit import (
     DirectedGraph,
@@ -15,7 +15,7 @@ from ccdkit import (
     verify_pag_against_graph,
 )
 
-from helpers import graphs
+from helpers import graphs, pags
 
 
 def complete_pag(*vertices):
@@ -141,6 +141,14 @@ def test_pag_round_trip_with_triples_and_isolated_vertex(two_cycle):
     lonely.remove_edge("A", "Z")
     lonely.remove_edge("B", "Z")
     assert parse_pag(serialize_pag(lonely)) == lonely
+
+
+@settings(deadline=None)
+@given(pags())
+def test_pag_round_trip_fuzz(pag):
+    text = serialize_pag(pag)
+    assert parse_pag(text) == pag
+    assert serialize_pag(parse_pag(text)) == text
 
 
 @pytest.mark.parametrize(

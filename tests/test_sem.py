@@ -16,7 +16,7 @@ from ccdkit import (
 )
 from ccdkit.dsep import d_connected
 
-from helpers import all_queries, faithful_sem, two_cycle_graph, graphs
+from helpers import all_queries, faithful_sem, two_cycle_graph, graphs, sems
 
 from hypothesis import given, settings
 
@@ -153,6 +153,14 @@ def test_sem_from_graph_callable_coefficients():
 def test_round_trip():
     sem = LinearSem(("A", "B", "X"), {("X", "A"): 0.25, ("X", "B"): -1.5}, {"A": 2.0})
     assert parse_sem(serialize_sem(sem)) == sem
+
+
+@settings(deadline=None)
+@given(sems())
+def test_round_trip_fuzz(sem):
+    text = serialize_sem(sem)
+    assert parse_sem(text) == sem
+    assert serialize_sem(parse_sem(text)) == text
 
 
 def test_serialize_layout():
