@@ -100,7 +100,7 @@ def d_connected(
     if not xm or not ym or xm & ym or xm & zm or ym & zm:
         # invalid input: SeparationQuery raises what it always raised
         xm, ym, zm = _masks(g, SeparationQuery.of(x, y, given))
-    return bool(reach_set(g, xm, zm) & ym)
+    return bool(reach_set(g._parent_masks, g._child_masks, xm, zm) & ym)
 
 
 def d_separated(

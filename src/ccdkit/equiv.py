@@ -6,12 +6,23 @@ graphs on one vertex set are Markov equivalent exactly when their
 fingerprints coincide, and an equivalence class is enumerated by sweeping
 every directed graph on the vertex set. Everything here is exponential by
 design and guarded accordingly.
+
+``fingerprint`` decides each table entry with its own ``d_connected``
+call and stays the reference. ``markov_equivalent`` and
+``enumerate_equiv_class`` compare separation tables instead, which hold
+the same entries as bitmasks: for every conditioning mask z and every
+vertex x outside z with a larger vertex outside z, one reach set gives
+the mask of the larger vertices outside z that z separates from x. On 11
+vertices that is 9,217 kernel calls in place of 28,160 queries. The
+class sweep builds each candidate as parent and child masks and makes a
+``DirectedGraph`` only for the members.
 """
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from ._reach import reach_set
 from .digraph import DirectedGraph
 from .dsep import d_connected
 
@@ -25,11 +36,15 @@ __all__ = [
 _FINGERPRINT_LIMIT = 12
 
 
+def _check_size(n: int) -> None:
+    if n > _FINGERPRINT_LIMIT:
+        raise ValueError(f"fingerprints are limited to {_FINGERPRINT_LIMIT} vertices")
+
+
 def fingerprint(g: DirectedGraph) -> frozenset[tuple[str, str, frozenset[str]]]:
     """All separated (x, y, conditioning set) triples with x < y."""
     verts = g.vertices
-    if len(verts) > _FINGERPRINT_LIMIT:
-        raise ValueError(f"fingerprints are limited to {_FINGERPRINT_LIMIT} vertices")
+    _check_size(len(verts))
     separated = set()
     for x, y in combinations(verts, 2):
         rest = [v for v in verts if v != x and v != y]
@@ -40,11 +55,45 @@ def fingerprint(g: DirectedGraph) -> frozenset[tuple[str, str, frozenset[str]]]:
     return frozenset(separated)
 
 
+def _separations(parents: Sequence[int], children: Sequence[int]) -> Iterator[int]:
+    """The separation table of a graph on n vertices, one row at a time.
+
+    Rows run over conditioning masks z in increasing order and, within
+    one z, over the x outside z in increasing order that have a larger
+    vertex outside z; each row is the mask of those larger vertices
+    that are d-separated from x given z. Two graphs on the same vertices
+    yield equal rows throughout exactly when their fingerprints are
+    equal.
+    """
+    n = len(parents)
+    full = (1 << n) - 1
+    for z in range(1 << n):
+        m = full & ~z
+        while m:
+            low = m & -m
+            m ^= low  # now the vertices outside z above x
+            if not m:
+                break
+            yield m & ~reach_set(parents, children, low, z)
+
+
 def markov_equivalent(g1: DirectedGraph, g2: DirectedGraph) -> bool:
-    """Same vertex set and identical separation fingerprints."""
+    """Same vertex set and identical separation fingerprints.
+
+    The fingerprints are compared as separation tables, row by row, and
+    the first row that differs answers False. Graphs on more than twelve
+    vertices raise ValueError, as ``fingerprint`` does.
+    """
     if g1.vertices != g2.vertices:
         return False
-    return fingerprint(g1) == fingerprint(g2)
+    _check_size(len(g1.vertices))
+    return all(
+        a == b
+        for a, b in zip(
+            _separations(g1._parent_masks, g1._child_masks),
+            _separations(g2._parent_masks, g2._child_masks),
+        )
+    )
 
 
 def all_graphs(labels: Sequence[str]) -> Iterator[DirectedGraph]:
@@ -59,15 +108,31 @@ def all_graphs(labels: Sequence[str]) -> Iterator[DirectedGraph]:
 def enumerate_equiv_class(g: DirectedGraph, max_vertices: int = 4) -> list[DirectedGraph]:
     """All graphs Markov equivalent to g, sorted by their edge lists.
 
-    The sweep visits 2^(n(n-1)) candidates; raise ``max_vertices``
-    explicitly to go past four vertices.
+    The sweep visits 2^(n(n-1)) candidates, in the order of
+    ``all_graphs``; raise ``max_vertices`` explicitly to go past four
+    vertices.
     """
-    if len(g.vertices) > max_vertices:
+    labels = g.vertices
+    n = len(labels)
+    if n > max_vertices:
         raise ValueError(
-            f"class enumeration over {len(g.vertices)} vertices exceeds the "
+            f"class enumeration over {n} vertices exceeds the "
             f"guard of {max_vertices}; raise max_vertices to force it"
         )
-    target = fingerprint(g)
-    members = [h for h in all_graphs(g.vertices) if fingerprint(h) == target]
+    _check_size(n)
+    target = tuple(_separations(g._parent_masks, g._child_masks))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    members = []
+    for mask in range(2 ** len(pairs)):
+        edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        parents = [0] * n
+        children = [0] * n
+        for a, b in edges:
+            parents[b] |= 1 << a
+            children[a] |= 1 << b
+        if all(a == b for a, b in zip(_separations(parents, children), target)):
+            members.append(
+                DirectedGraph(labels, frozenset((labels[a], labels[b]) for a, b in edges))
+            )
     members.sort(key=lambda h: tuple(sorted(h.edges)))
     return members

@@ -33,6 +33,7 @@ import numpy as np
 
 from ._reach import reach_set
 from .digraph import DirectedGraph, UnknownVertexError, _bits
+from .dsep import _as_vertex_set
 
 __all__ = [
     "CiQuery",
@@ -199,7 +200,9 @@ class GraphOracle(IndependenceOracle):
             other = self._reach.get((j, zmask))
             if other is not None:  # d-connection is symmetric
                 return not other >> i & 1
-            reach = self._reach[(i, zmask)] = reach_set(self.graph, 1 << i, zmask)
+            g = self.graph  # masks built on first use keep construction cheap
+            reach = reach_set(g._parent_masks, g._child_masks, 1 << i, zmask)
+            self._reach[(i, zmask)] = reach
         return not reach >> j & 1
 
 
@@ -328,8 +331,8 @@ def _partial_from_cov(cov: np.ndarray) -> float:
     return _partial_from_residual(float(cov[0, 0]), float(cov[1, 1]), residual)
 
 
-def _query_names(x: str, y: str, s: Iterable[str]) -> tuple[str, str, tuple[str, ...]]:
-    cond = tuple(sorted(frozenset(s)))
+def _query_names(x: str, y: str, s: Iterable[str] | str) -> tuple[str, str, tuple[str, ...]]:
+    cond = tuple(sorted(_as_vertex_set(s)))  # a bare label is one vertex
     if x == y:
         raise ValueError("query endpoints must differ")
     if x in cond or y in cond:
@@ -339,8 +342,14 @@ def _query_names(x: str, y: str, s: Iterable[str]) -> tuple[str, str, tuple[str,
     return (x, y, cond) if x < y else (y, x, cond)
 
 
-def partial_correlation(data: DataMatrix, x: str, y: str, s: Iterable[str] = ()) -> float:
-    """Sample partial correlation of x and y controlling for s."""
+def partial_correlation(
+    data: DataMatrix, x: str, y: str, s: Iterable[str] | str = ()
+) -> float:
+    """Sample partial correlation of x and y controlling for s.
+
+    Here and in the other partial-correlation functions, ``s`` is an
+    iterable of labels or one bare label.
+    """
     x, y, cond = _query_names(x, y, s)
     if data.n_rows <= len(cond) + 2:
         raise ValueError("need more rows than conditioning variables plus two")
@@ -349,7 +358,7 @@ def partial_correlation(data: DataMatrix, x: str, y: str, s: Iterable[str] = ())
 
 
 def partial_correlation_from_covariance(
-    cov: np.ndarray, labels: Sequence[str], x: str, y: str, s: Iterable[str] = ()
+    cov: np.ndarray, labels: Sequence[str], x: str, y: str, s: Iterable[str] | str = ()
 ) -> float:
     """Partial correlation read off a covariance matrix over ``labels``."""
     x, y, cond = _query_names(x, y, s)
@@ -360,7 +369,7 @@ def partial_correlation_from_covariance(
 
 
 def partial_correlation_recursive(
-    data: DataMatrix, x: str, y: str, s: Iterable[str] = ()
+    data: DataMatrix, x: str, y: str, s: Iterable[str] | str = ()
 ) -> float:
     """Same quantity by the classic recursion on lower-order correlations.
 
@@ -413,7 +422,7 @@ def fisher_z_statistic(r: float, n_rows: int, cond_size: int) -> float:
 
 
 def fisher_z_is_independent(
-    data: DataMatrix, x: str, y: str, s: Iterable[str] = (), alpha: float = 0.01
+    data: DataMatrix, x: str, y: str, s: Iterable[str] | str = (), alpha: float = 0.01
 ) -> bool:
     """Two-sided test of zero partial correlation at level alpha.
 
@@ -422,8 +431,9 @@ def fisher_z_is_independent(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be strictly between 0 and 1")
+    s = _as_vertex_set(s)
     r = partial_correlation(data, x, y, s)
-    z = fisher_z_statistic(r, data.n_rows, len(frozenset(s)))
+    z = fisher_z_statistic(r, data.n_rows, len(s))
     return abs(z) <= NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 

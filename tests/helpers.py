@@ -90,6 +90,52 @@ class NoisyOracle(GraphOracle):
         return super()._decide(i, j, zmask) != (random.Random(key).random() < self.flip)
 
 
+def reference_reach_set(g, x_mask, z_mask):
+    """The kernel as it was before the bounce rule: a walk passes a
+    collider while the collider is an ancestor of the conditioning set."""
+    parents = g._parent_masks
+    children = g._child_masks
+    ancestors = g._ancestor_masks
+    collider_ok = 0
+    m = z_mask
+    while m:
+        low = m & -m
+        collider_ok |= ancestors[low.bit_length() - 1]
+        m ^= low
+    seen_in = seen_out = 0
+    m = x_mask
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        seen_in |= children[i]
+        seen_out |= parents[i]
+        m ^= low
+    front_in, front_out = seen_in, seen_out
+    while front_in or front_out:
+        new_in = new_out = 0
+        m = front_in
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            if not z_mask & low:
+                new_in |= children[i]
+            if collider_ok & low:
+                new_out |= parents[i]
+            m ^= low
+        m = front_out & ~z_mask
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            new_in |= children[i]
+            new_out |= parents[i]
+            m ^= low
+        front_in = new_in & ~seen_in
+        front_out = new_out & ~seen_out
+        seen_in |= front_in
+        seen_out |= front_out
+    return (seen_in | seen_out) & ~(x_mask | z_mask)
+
+
 def relabel_pag(pag, mapping):
     out = Pag(mapping[v] for v in pag.vertices)
     for a, b, mark_a, mark_b in pag.edge_records():
@@ -363,6 +409,16 @@ def _is_label(text):
 vertex_labels = st.text(
     st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3
 ).filter(_is_label)
+
+
+@st.composite
+def labelled_graphs(draw, max_vertices=6):
+    """A graph over any labels the graph format accepts; sparse enough
+    that isolated vertices are common."""
+    labels = draw(st.lists(vertex_labels, max_size=max_vertices, unique=True))
+    pairs = ordered_pairs(labels)
+    edges = draw(st.frozensets(st.sampled_from(pairs), max_size=len(labels))) if pairs else ()
+    return DirectedGraph(tuple(labels), frozenset(edges))
 
 
 @st.composite

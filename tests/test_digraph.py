@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from ccdkit import (
     DirectedGraph,
@@ -9,7 +9,7 @@ from ccdkit import (
     serialize_graph,
 )
 
-from helpers import exhaustive_graphs, graphs
+from helpers import exhaustive_graphs, graphs, labelled_graphs
 
 
 def test_vertices_sorted_and_edge_endpoints_absorbed():
@@ -99,6 +99,14 @@ def test_has_directed_cycle():
 @given(graphs(max_vertices=6))
 def test_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+@settings(deadline=None)
+@given(labelled_graphs())
+def test_round_trip_fuzz(g):
+    text = serialize_graph(g)
+    assert parse_graph(text) == g
+    assert serialize_graph(parse_graph(text)) == text
 
 
 def test_parse_implicit_vertex_declaration():

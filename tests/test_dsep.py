@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccdkit import (
     DirectedGraph,
@@ -12,8 +13,9 @@ from ccdkit import (
     d_separated,
     witness_separator,
 )
+from ccdkit._reach import reach_set
 
-from helpers import all_queries, exhaustive_graphs, graphs, random_query
+from helpers import all_queries, exhaustive_graphs, graphs, random_query, reference_reach_set
 
 
 def test_query_rejects_overlap():
@@ -102,6 +104,17 @@ def test_symmetry(g):
     rng = random.Random(len(g.edges) * 31)
     x, y, s = random_query(g, rng)
     assert d_connected(g, x, y, s) == d_connected(g, y, x, s)
+
+
+@settings(max_examples=300)
+@given(graphs(max_vertices=7), st.data())
+def test_bounce_rule_reaches_what_the_ancestor_rule_reaches(g, data):
+    n = len(g.vertices)
+    z_mask = data.draw(st.integers(0, 2**n - 1), label="z_mask")
+    for x in range(n):
+        z = z_mask & ~(1 << x)
+        got = reach_set(g._parent_masks, g._child_masks, 1 << x, z)
+        assert got == reference_reach_set(g, 1 << x, z)
 
 
 def test_large_graph_uses_python_backend():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccdkit import (
     DirectedGraph,
@@ -8,7 +10,7 @@ from ccdkit import (
     markov_equivalent,
 )
 
-from helpers import two_cycle_graph
+from helpers import graphs, ordered_pairs, two_cycle_graph
 
 
 def test_fingerprint_lists_separated_triples():
@@ -108,3 +110,37 @@ def test_edge_additions_break_conditional_independence(two_cycle):
     for extra in [("A", "Y"), ("B", "X")]:
         grown = DirectedGraph(two_cycle.vertices, set(two_cycle.edges) | {extra})
         assert target not in fingerprint(grown)
+
+
+def _edge_list(g):
+    return tuple(sorted(g.edges))
+
+
+def test_class_enumeration_matches_the_fingerprint_sweep_on_three_vertices():
+    candidates = list(all_graphs(("A", "B", "C")))
+    prints = {h: fingerprint(h) for h in candidates}
+    for g in candidates:
+        expected = sorted((h for h in candidates if prints[h] == prints[g]), key=_edge_list)
+        assert enumerate_equiv_class(g) == expected
+
+
+@settings(max_examples=200)
+@given(graphs(max_vertices=6), st.data())
+def test_markov_equivalent_agrees_with_fingerprints_after_one_edge_change(g1, data):
+    if g1.edges and data.draw(st.booleans(), label="reverse"):
+        a, b = data.draw(st.sampled_from(sorted(g1.edges)), label="edge")
+        edges = (g1.edges - {(a, b)}) | {(b, a)}
+    else:
+        pair = data.draw(st.sampled_from(ordered_pairs(g1.vertices)), label="pair")
+        edges = g1.edges ^ {pair}
+    g2 = DirectedGraph(g1.vertices, edges)
+    assert markov_equivalent(g1, g2) == (fingerprint(g1) == fingerprint(g2))
+    assert markov_equivalent(g2, g1) == markov_equivalent(g1, g2)
+
+
+def test_markov_equivalent_keeps_the_size_limit():
+    labels = tuple(f"V{i:02d}" for i in range(13))
+    g1 = DirectedGraph(labels, set())
+    g2 = DirectedGraph(labels, {("V00", "V01")})
+    with pytest.raises(ValueError, match="fingerprints are limited to 12 vertices"):
+        markov_equivalent(g1, g2)

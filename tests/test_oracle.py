@@ -405,6 +405,20 @@ def test_bare_label_is_a_one_vertex_conditioning_set():
             oracle.is_independent("V01", "V03", "V01")
 
 
+def test_bare_label_is_one_conditioning_vertex_in_the_public_functions():
+    g = DirectedGraph(("V01", "V02", "V03"), {("V01", "V02"), ("V02", "V03")})
+    data = sem_from_graph(g, 0.8).simulate(500, seed=5)
+    cov = np.cov(data.values, rowvar=False, ddof=1)
+    routes = (
+        lambda s: partial_correlation(data, "V01", "V03", s),
+        lambda s: partial_correlation_from_covariance(cov, data.labels, "V01", "V03", s),
+        lambda s: partial_correlation_recursive(data, "V01", "V03", s),
+        lambda s: fisher_z_is_independent(data, "V01", "V03", s),
+    )
+    for route in routes:
+        assert route("V02") == route(("V02",))
+
+
 @st.composite
 def degenerate_data(draw):
     """Random columns plus one or two constant columns and a duplicated
