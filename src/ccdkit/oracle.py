@@ -5,14 +5,20 @@ d-separation in a known graph, and a statistical oracle running Fisher-z
 partial-correlation tests on a data matrix. Each caches the work it shares
 between queries with the same conditioning set: the exact oracle one
 reach set per (endpoint, set), the statistical oracle one residual
-covariance per set. Labels are validated and mapped to vertex indices
-once, at the public ``is_independent`` call; everything behind it works
-on indices. Queries are memoised per instance, keyed on the unordered
-pair of endpoint indices and the bitmask of the conditioning set;
-statistics count each distinct query once, attributed to the search
-phase that first asked it. The memo, the caches and the counters sit
-behind a lock, and the phase label belongs to the thread that set it, so
-an oracle instance can be shared across threads.
+covariance per set.
+
+A query has two entries. The public ``is_independent`` validates labels
+and maps them to vertex indices; the internal ``_ask(i, j, zmask)`` takes
+indices and the conditioning set as a bitmask, and alone reads and writes
+the memo and the statistics. The search in ``ccd.py`` calls ``_ask``
+directly when the oracle's class keeps the base ``is_independent``, and
+``is_independent`` with labels otherwise, so an oracle that overrides
+``is_independent`` still sees every query. The memo is keyed on one
+packed int per unordered pair and set; statistics count each distinct
+query once, attributed to the search phase that first asked it. The
+memo, the caches and the counters sit behind a lock, and the phase label
+belongs to the thread that set it, so an oracle instance can be shared
+across threads.
 """
 from __future__ import annotations
 
@@ -83,9 +89,6 @@ class OracleStats:
 
     counts: Counter = field(default_factory=Counter)
 
-    def record(self, phase: str | None, size: int) -> None:
-        self.counts[(phase, size)] += 1
-
     def total(self) -> int:
         return sum(self.counts.values())
 
@@ -114,7 +117,14 @@ class IndependenceOracle:
 
     ``is_independent(x, y, s)`` takes the conditioning set ``s`` as an
     iterable of labels; a bare label means the set of that one vertex, as
-    in ``d_separated``.
+    in ``d_separated``. It validates the query and hands it to ``_ask``.
+
+    ``_ask(i, j, zmask)`` is the internal entry the search phases call:
+    distinct indices into ``vertices`` outside the bitmask ``zmask``,
+    unchecked. It owns the memo, the statistics and the lock. The phases
+    use it only when ``type(oracle).is_independent`` is this class's
+    method; a subclass that overrides ``is_independent`` is asked through
+    it, with labels, in the same order.
 
     ``_decide(i, j, zmask)`` receives the endpoints as indices into
     ``vertices``, in the order the caller named them, and the conditioning
@@ -125,7 +135,9 @@ class IndependenceOracle:
         self.vertices: tuple[str, ...] = tuple(sorted({str(v) for v in vertices}))
         self.stats = OracleStats()
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._memo: dict[tuple[int, int, int], bool] = {}
+        # bits of one endpoint index in a packed key
+        self._width = max(1, (len(self.vertices) - 1).bit_length())
+        self._memo: dict[int, bool] = {}
         self._lock = threading.Lock()
         self._phase = _PhaseLabel()
 
@@ -143,15 +155,22 @@ class IndependenceOracle:
             i = j = zmask = -1
         if i == j or zmask >> i & 1 or zmask >> j & 1:
             i, j, zmask = self._validated(x, y, s)
-        key = (i, j, zmask) if i < j else (j, i, zmask)
+        return self._ask(i, j, zmask)
+
+    def _ask(self, i: int, j: int, zmask: int) -> bool:
+        """Answer a query given as distinct indices outside the set ``zmask``.
+
+        The one entry that reads and writes the memo and the stats. The
+        memo key packs the set and the unordered pair into one int,
+        ``zmask << 2w | lo << w | hi`` with ``w`` bits per index.
+        """
+        w = self._width
+        key = zmask << 2 * w | (i << w | j if i < j else j << w | i)
         with self._lock:
-            try:
-                return self._memo[key]
-            except KeyError:
-                pass
-            answer = bool(self._decide(i, j, zmask))
-            self._memo[key] = answer
-            self.stats.record(self._phase.label, zmask.bit_count())
+            answer = self._memo.get(key)
+            if answer is None:
+                answer = self._memo[key] = bool(self._decide(i, j, zmask))
+                self.stats.counts[self._phase.label, zmask.bit_count()] += 1
             return answer
 
     def _validated(self, x: str, y: str, s: Iterable[str]) -> tuple[int, int, int]:
@@ -192,17 +211,18 @@ class GraphOracle(IndependenceOracle):
     def __init__(self, graph: DirectedGraph):
         super().__init__(graph.vertices)
         self.graph = graph
-        self._reach: dict[tuple[int, int], int] = {}
+        self._reach: dict[int, int] = {}  # keyed zmask << w | endpoint
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
-        reach = self._reach.get((i, zmask))
+        cached = self._reach
+        base = zmask << self._width
+        reach = cached.get(base | i)
         if reach is None:
-            other = self._reach.get((j, zmask))
+            other = cached.get(base | j)
             if other is not None:  # d-connection is symmetric
                 return not other >> i & 1
             g = self.graph  # masks built on first use keep construction cheap
-            reach = reach_set(g._parent_masks, g._child_masks, 1 << i, zmask)
-            self._reach[(i, zmask)] = reach
+            reach = cached[base | i] = reach_set(g._parent_masks, g._child_masks, 1 << i, zmask)
         return not reach >> j & 1
 
 
@@ -313,20 +333,40 @@ def _partial_from_residual(
     return min(1.0, max(-1.0, r))
 
 
+def _inverse(block: np.ndarray) -> np.ndarray | None:
+    """The inverse of a conditioning covariance block, or None when the
+    block is singular, numerically included.
+
+    A member whose variance inflation ``A_cc (A^-1)_cc`` passes 1e12, that
+    is one the rest of the set determines to within 1e-12 of its variance,
+    makes the block singular, by the same fraction that makes a queried
+    variable determined. LU inverts such a block, say one holding a column
+    and a scaled copy of it, without complaint, and what it returns is
+    rounding noise.
+    """
+    try:
+        inverse = np.linalg.solve(block, np.eye(len(block)))
+    except np.linalg.LinAlgError:
+        return None
+    inflation = np.diagonal(block) * np.diagonal(inverse)
+    if not all(0.0 < v <= 1e12 for v in inflation.tolist()):  # NaN fails too
+        return None
+    return inverse
+
+
 def _partial_from_cov(cov: np.ndarray) -> float:
     """Partial correlation of the first two variables given the rest.
 
     Uses the conditional (Schur-complement) covariance of the leading pair,
-    which needs only the conditioning block to be invertible; a variable
-    that the conditioning set determines exactly is reported as singular.
+    which needs only the conditioning block to be invertible; a block that
+    is numerically singular, or a variable that the conditioning set
+    determines exactly, is reported as singular.
     """
     cov = np.asarray(cov, dtype=float)
     top = cov[:2, :2]
     if cov.shape[0] > 2:
-        try:
-            top = top - cov[:2, 2:] @ np.linalg.solve(cov[2:, 2:], cov[2:, :2])
-        except np.linalg.LinAlgError:
-            top = None
+        inverse = _inverse(cov[2:, 2:])
+        top = None if inverse is None else top - cov[:2, 2:] @ (inverse @ cov[2:, :2])
     residual = None if top is None else (float(top[0, 0]), float(top[1, 1]), float(top[0, 1]))
     return _partial_from_residual(float(cov[0, 0]), float(cov[1, 1]), residual)
 
@@ -441,16 +481,17 @@ class FisherZOracle(IndependenceOracle):
     """Statistical oracle testing partial correlations on one data matrix.
 
     The covariance of all columns is computed once up front. The first
-    query with a given conditioning set solves that set's block against
-    every column and caches the residual covariance
+    query with a given conditioning set inverts that set's block and
+    caches the residual covariance
     R = S - S[:, Z] S[Z, Z]^-1 S[Z, :] as its packed upper triangle; every
     query with the same set then reads r = R_xy / sqrt(R_xx R_yy) from it
     with plain float arithmetic. The empty set reads the covariance itself,
-    and a singular block is cached as such. A degenerate block, or too few
-    rows for the test (N - |s| - 3 < 1), makes the query count as dependent
-    and emits SingularCovarianceWarning, so a deterministic linear
-    dependence or a small sample degrades the answer instead of aborting
-    the search.
+    and a singular block is cached as such; so is a block one of whose
+    members the others determine to within 1e-12 of its variance. A
+    degenerate block, or too few rows for the test
+    (N - |s| - 3 < 1), makes the query count as dependent and emits
+    SingularCovarianceWarning, so a deterministic linear dependence or a
+    small sample degrades the answer instead of aborting the search.
     """
 
     def __init__(self, data: DataMatrix, alpha: float = 0.01):
@@ -502,12 +543,12 @@ class FisherZOracle(IndependenceOracle):
 
     def _packed_residual(self, zmask: int) -> array | None:
         """Packed upper triangle of the residual covariance given the set, or
-        None when the set's covariance block is singular."""
+        None when the set's covariance block is singular, numerically
+        included."""
         cond = list(_bits(zmask))
         cov = self._cov
         rows = cov[cond]
-        try:
-            solved = np.linalg.solve(rows[:, cond], rows)
-        except np.linalg.LinAlgError:
+        inverse = _inverse(rows[:, cond])
+        if inverse is None:
             return None
-        return array("d", (cov - cov[:, cond] @ solved)[self._upper].tobytes())
+        return array("d", (cov - rows.T @ (inverse @ rows))[self._upper].tobytes())

@@ -15,6 +15,7 @@ followed by ``underline:`` and ``dotted:`` triple lines.
 """
 from __future__ import annotations
 
+from bisect import insort
 from enum import Enum
 from itertools import chain, combinations
 from typing import Iterable, Iterator
@@ -64,23 +65,32 @@ class Pag:
     Reads are safe to share once mutation stops; ``copy`` takes a
     snapshot. Equality is structural over vertices, edges with their
     marks, and both triple sets.
+
+    Storage is by vertex id, a vertex's position in the sorted labels, so
+    id order is label order. ``_adj[i]`` is the sorted list of ids
+    adjacent to i, ``_marks[i, j]`` the mark at the i end of the i-j edge,
+    and triples are id triples with the smaller flank first. The search
+    works on these through the underscore id methods; the label methods
+    wrap them for parsing, rendering, verification and callers.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adjacent", "_underlines", "_dotted")
+    __slots__ = ("_vertices", "_id", "_adj", "_marks", "_underlines", "_dotted")
 
     def __init__(self, vertices: Iterable[str]):
         self._vertices = tuple(sorted({_check_label(v) for v in vertices}))
-        self._edges: dict[tuple[str, str], list[Mark]] = {}
-        self._adjacent: dict[str, set[str]] = {v: set() for v in self._vertices}
-        self._underlines: set[tuple[str, str, str]] = set()
-        self._dotted: set[tuple[str, str, str]] = set()
+        self._id = {v: i for i, v in enumerate(self._vertices)}
+        self._adj: list[list[int]] = [[] for _ in self._vertices]
+        self._marks: dict[tuple[int, int], Mark] = {}
+        self._underlines: set[tuple[int, int, int]] = set()
+        self._dotted: set[tuple[int, int, int]] = set()
 
     @classmethod
     def complete(cls, vertices: Iterable[str]) -> "Pag":
         """The all-circles complete graph the search starts from."""
         pag = cls(vertices)
-        for a, b in combinations(pag._vertices, 2):
-            pag.add_edge(a, b)
+        ids = range(len(pag._vertices))
+        pag._adj = [[j for j in ids if j != i] for i in ids]
+        pag._marks = {(i, j): Mark.CIRCLE for i in ids for j in ids if i != j}
         return pag
 
     @property
@@ -89,11 +99,15 @@ class Pag:
 
     @property
     def underlines(self) -> frozenset[tuple[str, str, str]]:
-        return frozenset(self._underlines)
+        return self._labelled(self._underlines)
 
     @property
     def dotted_underlines(self) -> frozenset[tuple[str, str, str]]:
-        return frozenset(self._dotted)
+        return self._labelled(self._dotted)
+
+    def _labelled(self, triples: set[tuple[int, int, int]]) -> frozenset[tuple[str, str, str]]:
+        v = self._vertices
+        return frozenset((v[a], v[b], v[c]) for a, b, c in triples)
 
     @staticmethod
     def canonical_triple(a: str, b: str, c: str) -> tuple[str, str, str]:
@@ -102,47 +116,58 @@ class Pag:
             raise ValueError("a triple needs three distinct vertices")
         return (a, b, c) if a < c else (c, b, a)
 
-    def _key(self, x: str, y: str) -> tuple[str, str]:
+    def index(self, label: str) -> int:
+        """The id of a vertex label."""
+        try:
+            return self._id[label]
+        except KeyError:
+            raise UnknownVertexError(label) from None
+
+    def _ids(self, x: str, y: str) -> tuple[int, int]:
         if x == y:
             raise ValueError("no edge joins a vertex to itself")
-        for v in (x, y):
-            if v not in self._adjacent:
-                raise UnknownVertexError(v)
-        return (x, y) if x < y else (y, x)
+        return self.index(x), self.index(y)
+
+    def _edge_error(self, i: int, j: int, state: str) -> ValueError:
+        return ValueError(f"edge {self._vertices[i]}-{self._vertices[j]} is {state}")
 
     def has_edge(self, x: str, y: str) -> bool:
-        return self._key(x, y) in self._edges
+        return self._ids(x, y) in self._marks
 
     def add_edge(
         self, x: str, y: str, mark_x: Mark = Mark.CIRCLE, mark_y: Mark = Mark.CIRCLE
     ) -> None:
-        key = self._key(x, y)
-        if key in self._edges:
-            raise ValueError(f"edge {x}-{y} is already present")
-        self._edges[key] = [mark_x, mark_y] if key == (x, y) else [mark_y, mark_x]
-        self._adjacent[x].add(y)
-        self._adjacent[y].add(x)
+        i, j = self._ids(x, y)
+        if (i, j) in self._marks:
+            raise self._edge_error(i, j, "already present")
+        self._marks[i, j] = mark_x
+        self._marks[j, i] = mark_y
+        insort(self._adj[i], j)
+        insort(self._adj[j], i)
 
     def remove_edge(self, x: str, y: str) -> None:
-        key = self._key(x, y)
-        if key not in self._edges:
-            raise ValueError(f"edge {x}-{y} is not present")
-        del self._edges[key]
-        self._adjacent[x].discard(y)
-        self._adjacent[y].discard(x)
+        self._remove_edge(*self._ids(x, y))
+
+    def _remove_edge(self, i: int, j: int) -> None:
+        marks = self._marks
+        if (i, j) not in marks:
+            raise self._edge_error(i, j, "not present")
+        del marks[i, j], marks[j, i]
+        self._adj[i].remove(j)
+        self._adj[j].remove(i)
         # triples are claims about their two edges; drop any that lost one
-        gone = {x, y}
+        gone = {i, j}
         for triples in (self._underlines, self._dotted):
             for t in [t for t in triples if gone <= {t[0], t[1]} or gone <= {t[1], t[2]}]:
                 triples.discard(t)
 
     def mark_at(self, at: str, other: str) -> Mark:
         """The mark at the ``at`` end of the edge between at and other."""
-        key = self._key(at, other)
-        marks = self._edges.get(key)
-        if marks is None:
-            raise ValueError(f"edge {at}-{other} is not present")
-        return marks[0] if key[0] == at else marks[1]
+        i, j = self._ids(at, other)
+        mark = self._marks.get((i, j))
+        if mark is None:
+            raise self._edge_error(i, j, "not present")
+        return mark
 
     def set_mark(self, at: str, other: str, mark: Mark) -> "Pag":
         """Write an endpoint mark.
@@ -150,60 +175,79 @@ class Pag:
         A circle may harden into a tail or an arrow; re-setting the
         current mark is a no-op; any other change raises MarkConflict.
         """
-        key = self._key(at, other)
-        marks = self._edges.get(key)
-        if marks is None:
-            raise ValueError(f"edge {at}-{other} is not present")
-        slot = 0 if key[0] == at else 1
-        current = marks[slot]
-        if current is mark:
-            return self
-        if current is not Mark.CIRCLE:
-            raise MarkConflict(at, other, current, mark)
-        marks[slot] = mark
+        self._set_mark(*self._ids(at, other), mark)
         return self
 
+    def _set_mark(self, i: int, j: int, mark: Mark) -> None:
+        current = self._marks.get((i, j))
+        if current is mark:
+            return
+        if current is None:
+            raise self._edge_error(i, j, "not present")
+        if current is not Mark.CIRCLE:
+            raise MarkConflict(self._vertices[i], self._vertices[j], current, mark)
+        self._marks[i, j] = mark
+
     def adjacent(self, x: str) -> tuple[str, ...]:
-        if x not in self._adjacent:
-            raise UnknownVertexError(x)
-        return tuple(sorted(self._adjacent[x]))
+        v = self._vertices
+        return tuple(v[j] for j in self._adj[self.index(x)])
 
     def edge_records(self) -> list[tuple[str, str, Mark, Mark]]:
         """Sorted (a, b, mark_at_a, mark_at_b) rows with a < b."""
+        v = self._vertices
+        marks = self._marks
         return [
-            (a, b, marks[0], marks[1])
-            for (a, b), marks in sorted(self._edges.items())
+            (v[i], v[j], marks[i, j], marks[j, i])
+            for i, adjacent in enumerate(self._adj)
+            for j in adjacent
+            if i < j
         ]
 
     def is_arrow_collider(self, a: str, b: str, c: str) -> bool:
         """Arrows at b on both the a-b and c-b edges."""
-        return (
-            self.has_edge(a, b)
-            and self.has_edge(c, b)
-            and self.mark_at(b, a) is Mark.ARROW
-            and self.mark_at(b, c) is Mark.ARROW
-        )
+        (i, j), (k, _) = self._ids(a, b), self._ids(c, b)
+        return self._is_arrow_collider(i, j, k)
+
+    def _is_arrow_collider(self, a: int, b: int, c: int) -> bool:
+        marks = self._marks
+        return marks.get((b, a)) is Mark.ARROW and marks.get((b, c)) is Mark.ARROW
+
+    def _triple(self, a: str, b: str, c: str) -> tuple[int, int, int]:
+        self.canonical_triple(a, b, c)
+        return self.index(a), self.index(b), self.index(c)
 
     def add_underline(self, a: str, b: str, c: str) -> None:
-        triple = self.canonical_triple(a, b, c)
-        if not (self.has_edge(a, b) and self.has_edge(b, c)):
-            raise ValueError(f"underline {a} {b} {c} needs both edges present")
+        self._add_underline(*self._triple(a, b, c))
+
+    def _add_underline(self, a: int, b: int, c: int) -> None:
+        if not ((a, b) in self._marks and (b, c) in self._marks):
+            raise self._triple_error("underline", a, b, c, "needs both edges present")
+        triple = (a, b, c) if a < c else (c, b, a)
         if triple in self._dotted:
-            raise ValueError(f"triple {a} {b} {c} is already dotted-underlined")
+            raise self._triple_error("triple", a, b, c, "is already dotted-underlined")
         self._underlines.add(triple)
 
     def add_dotted_underline(self, a: str, b: str, c: str) -> None:
-        triple = self.canonical_triple(a, b, c)
-        if not self.is_arrow_collider(a, b, c):
-            raise ValueError(f"dotted underline {a} {b} {c} needs a collider at {b}")
+        self._add_dotted_underline(*self._triple(a, b, c))
+
+    def _add_dotted_underline(self, a: int, b: int, c: int) -> None:
+        if not self._is_arrow_collider(a, b, c):
+            raise self._triple_error(
+                "dotted underline", a, b, c, f"needs a collider at {self._vertices[b]}"
+            )
+        triple = (a, b, c) if a < c else (c, b, a)
         if triple in self._underlines:
-            raise ValueError(f"triple {a} {b} {c} is already underlined")
+            raise self._triple_error("triple", a, b, c, "is already underlined")
         self._dotted.add(triple)
+
+    def _triple_error(self, what: str, a: int, b: int, c: int, why: str) -> ValueError:
+        v = self._vertices
+        return ValueError(f"{what} {v[a]} {v[b]} {v[c]} {why}")
 
     def copy(self) -> "Pag":
         dup = Pag(self._vertices)
-        dup._edges = {key: list(marks) for key, marks in self._edges.items()}
-        dup._adjacent = {v: set(nb) for v, nb in self._adjacent.items()}
+        dup._adj = [list(adjacent) for adjacent in self._adj]
+        dup._marks = dict(self._marks)
         dup._underlines = set(self._underlines)
         dup._dotted = set(self._dotted)
         return dup
@@ -213,7 +257,7 @@ class Pag:
             return NotImplemented
         return (
             self._vertices == other._vertices
-            and self._edges == other._edges
+            and self._marks == other._marks
             and self._underlines == other._underlines
             and self._dotted == other._dotted
         )
@@ -222,7 +266,7 @@ class Pag:
 
     def __repr__(self) -> str:
         return (
-            f"Pag(vertices={len(self._vertices)}, edges={len(self._edges)}, "
+            f"Pag(vertices={len(self._vertices)}, edges={len(self._marks) // 2}, "
             f"underlines={len(self._underlines)}, dotted={len(self._dotted)})"
         )
 

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 from ccdkit import (
     DirectedGraph,
     GraphOracle,
+    IndependenceOracle,
     Mark,
+    d_connected,
     run_ccd,
     serialize_pag,
     verify_pag_against_graph,
 )
 from ccdkit.ccd import CcdState, phase_a, phase_b, phase_c, phase_d, phase_e, phase_f
+from ccdkit.digraph import _bits
 
 from helpers import (
     LETTERS,
@@ -275,3 +278,97 @@ def test_relabelled_graph_gives_relabelled_pag(n, rng):
     relabelled = DirectedGraph(labels, {(mapping[a], mapping[b]) for a, b in g.edges})
     pag, _ = run_on(g)
     assert run_on(relabelled)[0] == relabel_pag(pag, mapping)
+
+
+class DecideOnlyNoisyOracle(NoisyOracle):
+    """NoisyOracle's answers with the base ``is_independent``: only
+    ``_decide`` differs from GraphOracle, so the phases ask through ``_ask``."""
+
+    is_independent = IndependenceOracle.is_independent
+
+
+class LabelOnly:
+    """A duck-typed wrapper that offers only the label interface."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vertices = inner.vertices
+        self.stats = inner.stats
+        self.calls = []
+
+    def phase(self, label):
+        return self.inner.phase(label)
+
+    def is_independent(self, x, y, s=()):
+        s = tuple(s)
+        self.calls.append((x, y, frozenset(s)))
+        return self.inner.is_independent(x, y, s)
+
+
+def search_outcome(oracle, vertices):
+    try:
+        pag, state = run_ccd(oracle, vertices)
+        error = None
+    except ValueError as exc:  # noisy answers can make phase D abort
+        pag, state, error = None, None, str(exc)
+    if state is None:
+        return error, None
+    return error, (
+        serialize_pag(pag),
+        state.sepset,
+        state.supset,
+        state.local,
+        state.conflicts,
+        state.stats.rows(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_vertices=7), st.integers(min_value=0, max_value=2**32 - 1))
+def test_ask_route_and_label_route_give_the_same_run(g, seed):
+    direct = DecideOnlyNoisyOracle(g, seed)
+    asked = []
+    ask = direct._ask
+    direct._ask = lambda i, j, zmask: asked.append((i, j, zmask)) or ask(i, j, zmask)
+    wrapped = LabelOnly(DecideOnlyNoisyOracle(g, seed))
+    assert search_outcome(direct, direct.vertices) == search_outcome(wrapped, wrapped.vertices)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    assert asked == [
+        (index[x], index[y], sum(1 << index[v] for v in s)) for x, y, s in wrapped.calls
+    ]
+    assert direct.calls == []  # the ask route bypasses is_independent
+
+
+class MarginalOracle(IndependenceOracle):
+    """d-separation in a graph, over a subset of its vertices only."""
+
+    def __init__(self, graph, vertices):
+        super().__init__(vertices)
+        self.graph = graph
+
+    def _decide(self, i, j, zmask):
+        v = self.vertices
+        return not d_connected(self.graph, v[i], v[j], [v[k] for k in _bits(zmask)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_vertices=3, max_vertices=7), st.data())
+def test_search_over_a_vertex_subset_matches_the_reference_phases(g, data):
+    # leaving a latent vertex out shifts every later PAG id against the
+    # oracle's indices; the reference phases ask by labels over an oracle
+    # that knows only the observed vertices
+    latent = data.draw(st.sampled_from(g.vertices))
+    observed = [v for v in g.vertices if v != latent]
+    pag, state = run_ccd(GraphOracle(g), observed)
+    oracle = MarginalOracle(g, observed)
+    ref = CcdState.initial(observed, oracle.stats)
+    reference_phase_a(ref, oracle)
+    phase_b(ref)
+    reference_phase_c(ref, oracle)
+    phase_d(ref, oracle)
+    reference_phase_e(ref)
+    reference_phase_f(ref, oracle)
+    assert pag == ref.psi
+    assert (state.sepset, state.supset, state.local) == (ref.sepset, ref.supset, ref.local)
+    assert state.conflicts == ref.conflicts
+    assert state.stats.rows() == ref.stats.rows()

@@ -1,10 +1,12 @@
+import os
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ccdkit import DataMatrix, Mark, parse_graph, parse_pag
+from ccdkit import DataMatrix, Mark, parse_graph, parse_pag, random_graph, serialize_graph
 from ccdkit.ccd import ConflictRecord
 import ccdkit.cli as cli
 
@@ -36,6 +38,23 @@ def test_discover_stdout_is_reproducible(capsys):
     _, first, _ = run_cli(capsys, "discover", "--graph", TWO_CYCLE, "--dump-state")
     _, second, _ = run_cli(capsys, "discover", "--graph", TWO_CYCLE, "--dump-state")
     assert first == second
+
+
+def test_discover_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    labels = [f"V{k:02d}" for k in range(16)]
+    graph = tmp_path / "g16.graph"
+    graph.write_text(serialize_graph(random_graph(labels, 0.12, random.Random(1608))))
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        result = subprocess.run(
+            [sys.executable, "-m", "ccdkit", "discover", "--graph", str(graph), "--dump-state"],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert result.returncode == 0
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"# oracle counts" in outputs[0]
 
 
 def test_discover_writes_dot(capsys, tmp_path):

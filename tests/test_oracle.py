@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ccdkit import (
     DataMatrix,
+    IndependenceOracle,
     brute_force_d_connected,
     DirectedGraph,
     FisherZOracle,
@@ -111,6 +112,42 @@ def test_stats_attribute_queries_to_phases(two_cycle):
     assert oracle.stats.rows() == [("A", 0, 1), ("A", 1, 1), ("D", 2, 1)]
     assert oracle.stats.for_phase("A") == 2
     assert oracle.stats.for_size(2) == 1
+
+
+class ParityOracle(IndependenceOracle):
+    """Answers by a hash of the unordered query, so a memo entry shared by
+    two distinct queries would show as a wrong answer."""
+
+    def _decide(self, i, j, zmask):
+        return answer_of(min(i, j), max(i, j), zmask)
+
+
+def answer_of(lo, hi, zmask):
+    return random.Random(f"{lo}/{hi}/{zmask}").random() < 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=70), st.randoms(use_true_random=False))
+def test_packed_memo_key_counts_each_distinct_query_once(n, rng):
+    # up to 70 vertices, so keys pass 64 bits; each query is asked with
+    # both endpoint orders, and earlier queries come back as repeats
+    labels = [f"V{k:02d}" for k in range(n)]
+    oracle = ParityOracle(labels)
+    asked = []
+    for _ in range(40):
+        if asked and rng.random() < 0.3:
+            i, j, zmask = rng.choice(asked)
+        else:
+            i, j = rng.sample(range(n), 2)
+            zmask = rng.choice((rng.getrandbits(n), (1 << n) - 1, 1 << n - 1, 0))
+            zmask &= ~(1 << i | 1 << j)
+        asked.append((i, j, zmask))
+        s = [labels[k] for k in range(n) if zmask >> k & 1]
+        for x, y in ((i, j), (j, i)):
+            assert oracle.is_independent(labels[x], labels[y], s) == answer_of(
+                min(i, j), max(i, j), zmask
+            )
+    assert oracle.stats.total() == len({(min(i, j), max(i, j), z) for i, j, z in asked})
 
 
 def test_oracle_is_thread_safe(two_cycle):
@@ -268,6 +305,25 @@ def test_fisher_z_oracle_warns_and_reports_dependence_on_singular_input():
     oracle = FisherZOracle(DataMatrix(("X", "Y", "Z"), rows))
     with pytest.warns(SingularCovarianceWarning):
         assert not oracle.is_independent("X", "Y", ("Z",))
+
+
+def test_scaled_copy_in_the_conditioning_set_is_singular():
+    # LU solves the block of a column and a scaled copy of it, leaving r as
+    # rounding noise; both routes must report the block as singular, and a
+    # set holding only one of the two must not be
+    for seed in range(20):
+        values = np.random.default_rng(seed).standard_normal((200, 3))
+        b = values[:, 0]
+        data = DataMatrix(("B", "C", "X", "Y"), np.column_stack([b, 3 * b, values[:, 1:]]))
+        with pytest.raises(SingularCovarianceError, match="conditioning covariance is singular"):
+            partial_correlation(data, "X", "Y", ("B", "C"))
+        oracle = FisherZOracle(data)
+        with pytest.warns(SingularCovarianceWarning, match="conditioning covariance is singular"):
+            assert not oracle.is_independent("X", "Y", ("B", "C"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            partial_correlation(data, "X", "Y", ("C",))
+            oracle.is_independent("X", "Y", ("C",))
 
 
 def test_fisher_z_oracle_counts_too_small_samples_as_dependent():
