@@ -110,12 +110,6 @@ def _harden(state: CcdState, phase: str, at: int, other: int, mark: Mark) -> Non
         )
 
 
-def _orient(state: CcdState, phase: str, at: str, other: str, mark: Mark) -> None:
-    """``_harden`` by labels."""
-    psi = state.psi
-    _harden(state, phase, psi.index(at), psi.index(other), mark)
-
-
 def _route(
     oracle: IndependenceOracle, psi: Pag
 ) -> tuple[Callable[[int, int, int], bool], list[int], list[int], dict[int, str]]:

@@ -4,7 +4,8 @@ Subcommands: ``discover`` runs the search from a graph file (exact oracle)
 or a CSV sample (Fisher-z oracle) and prints the resulting PAG; ``dsep``
 answers one d-connection query; ``simulate`` samples a linear model to
 CSV; ``equiv`` compares two graphs or enumerates an equivalence class;
-``verify`` checks a PAG's claims against a graph.
+``verify`` checks a PAG's claims against a graph, each in time polynomial
+in the vertex count.
 
 Exit codes: 0 success (or a positive predicate answer), 1 negative
 predicate answer, 2 usage or file errors, 3 data-quality problems (bad
@@ -33,8 +34,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
-
-_VERIFY_VERTEX_LIMIT = 12
 
 
 @dataclass
@@ -138,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a PAG's claims against a graph")
     p.add_argument("--pag", metavar="FILE", required=True)
     p.add_argument("--graph", metavar="FILE", required=True)
-    p.add_argument("--skip-edge-check", action="store_true", help="skip the exponential per-pair subset sweep")
+    p.add_argument("--skip-edge-check", action="store_true", help="skip the per-pair inseparability check of the edges")
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -214,15 +213,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     pag = parse_pag(_read(args.pag))
     graph = parse_graph(_read(args.graph))
-    check_edges = not args.skip_edge_check
-    if check_edges and len(graph.vertices) > _VERIFY_VERTEX_LIMIT:
-        print(
-            f"error: the edge check sweeps 2^(n-2) subsets per pair and is "
-            f"limited to {_VERIFY_VERTEX_LIMIT} vertices; pass --skip-edge-check",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    violations = verify_pag_against_graph(pag, graph, check_edges=check_edges)
+    violations = verify_pag_against_graph(pag, graph, check_edges=not args.skip_edge_check)
     if violations:
         for line in violations:
             print(line)

@@ -14,6 +14,12 @@ testing oracle of record: it enumerates every vertex-simple path and
 applies the two activity clauses directly. The suite holds the two
 implementations equal on every query it generates; neither is ever
 collapsed into the other.
+
+Every query entry, here and in ``oracle.py``, validates in one order:
+each argument becomes a set once (a bare label is a one-vertex set; an
+unhashable member raises TypeError), then ``_check_sets`` or
+``_check_endpoints`` raise ValueError, and only then does an unknown
+label raise UnknownVertexError.
 """
 from __future__ import annotations
 
@@ -38,6 +44,22 @@ def _as_vertex_set(value: Iterable[str] | str) -> frozenset[str]:
     return frozenset(value)
 
 
+def _check_sets(x: frozenset[str], y: frozenset[str], z: frozenset[str]) -> None:
+    """Raise ValueError unless x and y are non-empty and x, y, z pairwise disjoint."""
+    if not x or not y:
+        raise ValueError("both endpoint sets must be non-empty")
+    if x & y or x & z or y & z:
+        raise ValueError("x, y and z must be pairwise disjoint")
+
+
+def _check_endpoints(x: str, y: str, z: frozenset[str]) -> None:
+    """Raise ValueError unless the endpoints differ and stay outside the set z."""
+    if x == y:
+        raise ValueError("query endpoints must differ")
+    if x in z or y in z:
+        raise ValueError("endpoints cannot appear in the conditioning set")
+
+
 @dataclass(frozen=True)
 class SeparationQuery:
     """Disjoint endpoint sets x and y plus a conditioning set z."""
@@ -47,10 +69,7 @@ class SeparationQuery:
     z: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not self.x or not self.y:
-            raise ValueError("both endpoint sets must be non-empty")
-        if self.x & self.y or self.x & self.z or self.y & self.z:
-            raise ValueError("x, y and z must be pairwise disjoint")
+        _check_sets(self.x, self.y, self.z)
 
     @classmethod
     def of(
@@ -62,26 +81,6 @@ class SeparationQuery:
         return cls(_as_vertex_set(x), _as_vertex_set(y), _as_vertex_set(given))
 
 
-def _masks(g: DirectedGraph, q: SeparationQuery) -> tuple[int, int, int]:
-    return g._mask_of(q.x), g._mask_of(q.y), g._mask_of(q.z)
-
-
-def _reusable(value: Iterable[str] | str) -> Iterable[str] | str:
-    """``value`` itself, or a tuple of it when iterating might consume it."""
-    if isinstance(value, (str, tuple, frozenset, list, set)):
-        return value
-    return tuple(value)
-
-
-def _label_mask(index: dict[str, int], value: Iterable[str] | str) -> int:
-    if isinstance(value, str):
-        return 1 << index[value]
-    mask = 0
-    for v in value:
-        mask |= 1 << index[v]
-    return mask
-
-
 def d_connected(
     g: DirectedGraph,
     x: Iterable[str] | str,
@@ -89,17 +88,9 @@ def d_connected(
     given: Iterable[str] | str = (),
 ) -> bool:
     """True iff some x-member is d-connected to some y-member given ``given``."""
-    x, y, given = _reusable(x), _reusable(y), _reusable(given)
-    index = g._index
-    try:
-        xm = _label_mask(index, x)
-        ym = _label_mask(index, y)
-        zm = _label_mask(index, given)
-    except (KeyError, TypeError):
-        xm = ym = zm = 0
-    if not xm or not ym or xm & ym or xm & zm or ym & zm:
-        # invalid input: SeparationQuery raises what it always raised
-        xm, ym, zm = _masks(g, SeparationQuery.of(x, y, given))
+    x, y, given = _as_vertex_set(x), _as_vertex_set(y), _as_vertex_set(given)
+    _check_sets(x, y, given)
+    xm, ym, zm = g._mask_of(x), g._mask_of(y), g._mask_of(given)
     return bool(reach_set(g._parent_masks, g._child_masks, xm, zm) & ym)
 
 
@@ -130,7 +121,7 @@ def brute_force_d_connected(
     ``d_connected``.
     """
     q = SeparationQuery.of(x, y, given)
-    _masks(g, q)  # label validation
+    g._mask_of(q.x | q.y | q.z)  # label validation
     for start in sorted(q.x):
         for goal in sorted(q.y):
             for verts, forwards in _simple_paths(g, start, goal):
@@ -214,10 +205,7 @@ def witness_separator(
     antecedent with ``adjacent_in_graph``. The set is returned either way.
     """
     extra = _as_vertex_set(q)
-    if x == y:
-        raise ValueError("endpoints must differ")
-    if x in extra or y in extra:
-        raise ValueError("q must not contain an endpoint")
+    _check_endpoints(x, y, extra)
     s = g.children(x) & g.ancestors(frozenset((x, y)) | extra)
     pool = s | frozenset().union(*(g.parents(v) for v in s | {x}))
     banned = g.descendants(g.children(x) & g.children(y)) | {x, y}

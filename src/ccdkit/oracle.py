@@ -8,9 +8,10 @@ reach set per (endpoint, set), the statistical oracle one residual
 covariance per set.
 
 A query has two entries. The public ``is_independent`` validates labels
-and maps them to vertex indices; the internal ``_ask(i, j, zmask)`` takes
-indices and the conditioning set as a bitmask, and alone reads and writes
-the memo and the statistics. The search in ``ccd.py`` calls ``_ask``
+by the rules ``dsep.py`` states for every query entry and maps them to
+vertex indices; the internal ``_ask(i, j, zmask)`` takes indices and the
+conditioning set as a bitmask, and alone reads and writes the memo and
+the statistics. The search in ``ccd.py`` calls ``_ask``
 directly when the oracle's class keeps the base ``is_independent``, and
 ``is_independent`` with labels otherwise, so an oracle that overrides
 ``is_independent`` still sees every query. The memo is keyed on one
@@ -19,6 +20,11 @@ query once, attributed to the search phase that first asked it. The
 memo, the caches and the counters sit behind a lock, and the phase label
 belongs to the thread that set it, so an oracle instance can be shared
 across threads.
+
+The statistical oracle and the public ``partial_correlation`` functions
+share one residual routine and one set of degenerate-covariance checks.
+``partial_correlation_recursive`` stays an independent cross-check; it
+applies the same 1e-12 bound to a variable the set determines.
 """
 from __future__ import annotations
 
@@ -39,10 +45,9 @@ import numpy as np
 
 from ._reach import reach_set
 from .digraph import DirectedGraph, UnknownVertexError, _bits
-from .dsep import _as_vertex_set
+from .dsep import _as_vertex_set, _check_endpoints
 
 __all__ = [
-    "CiQuery",
     "DataMatrix",
     "OracleStats",
     "IndependenceOracle",
@@ -65,22 +70,6 @@ class SingularCovarianceError(ValueError):
 class SingularCovarianceWarning(UserWarning):
     """A statistical query met a degenerate covariance or too few rows and
     counted as dependent."""
-
-
-@dataclass(frozen=True)
-class CiQuery:
-    """One question: are x and y independent given s?"""
-
-    x: str
-    y: str
-    s: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", frozenset(self.s))
-        if self.x == self.y:
-            raise ValueError("query endpoints must differ")
-        if self.x in self.s or self.y in self.s:
-            raise ValueError("endpoints cannot appear in the conditioning set")
 
 
 @dataclass
@@ -117,7 +106,8 @@ class IndependenceOracle:
 
     ``is_independent(x, y, s)`` takes the conditioning set ``s`` as an
     iterable of labels; a bare label means the set of that one vertex, as
-    in ``d_separated``. It validates the query and hands it to ``_ask``.
+    in ``d_separated``. The endpoints are read as labels through ``str``.
+    It validates the query and hands it to ``_ask``.
 
     ``_ask(i, j, zmask)`` is the internal entry the search phases call:
     distinct indices into ``vertices`` outside the bitmask ``zmask``,
@@ -142,19 +132,17 @@ class IndependenceOracle:
         self._phase = _PhaseLabel()
 
     def is_independent(self, x: str, y: str, s: Iterable[str] | str = ()) -> bool:
-        if not isinstance(s, (tuple, frozenset)):
-            s = (s,) if isinstance(s, str) else tuple(s)  # a bare label is one vertex
+        s = _as_vertex_set(s)
+        x, y = str(x), str(y)
+        _check_endpoints(x, y, s)
         index = self._index
         try:
-            i = index[x]
-            j = index[y]
+            i, j = index[x], index[y]
             zmask = 0
             for v in s:
                 zmask |= 1 << index[v]
-        except (KeyError, TypeError):
-            i = j = zmask = -1
-        if i == j or zmask >> i & 1 or zmask >> j & 1:
-            i, j, zmask = self._validated(x, y, s)
+        except KeyError as exc:
+            raise UnknownVertexError(exc.args[0]) from None
         return self._ask(i, j, zmask)
 
     def _ask(self, i: int, j: int, zmask: int) -> bool:
@@ -172,18 +160,6 @@ class IndependenceOracle:
                 answer = self._memo[key] = bool(self._decide(i, j, zmask))
                 self.stats.counts[self._phase.label, zmask.bit_count()] += 1
             return answer
-
-    def _validated(self, x: str, y: str, s: Iterable[str]) -> tuple[int, int, int]:
-        """Check a query the fast path rejected as CiQuery does; return its indices."""
-        query = CiQuery(str(x), str(y), frozenset(s))
-        index = self._index
-        for v in (query.x, query.y, *query.s):
-            if v not in index:
-                raise UnknownVertexError(v)
-        zmask = 0
-        for v in query.s:
-            zmask |= 1 << index[v]
-        return index[query.x], index[query.y], zmask
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         raise NotImplementedError
@@ -354,6 +330,17 @@ def _inverse(block: np.ndarray) -> np.ndarray | None:
     return inverse
 
 
+def _residual(cov: np.ndarray, cond: list[int]) -> np.ndarray | None:
+    """The residual covariance S - S[:, Z] S[Z, Z]^-1 S[Z, :] of every
+    variable given the non-empty set Z of indices ``cond``, or None when the
+    block S[Z, Z] is singular, numerically included."""
+    rows = cov[cond]
+    inverse = _inverse(rows[:, cond])
+    if inverse is None:
+        return None
+    return cov - rows.T @ (inverse @ rows)
+
+
 def _partial_from_cov(cov: np.ndarray) -> float:
     """Partial correlation of the first two variables given the rest.
 
@@ -363,20 +350,15 @@ def _partial_from_cov(cov: np.ndarray) -> float:
     determines exactly, is reported as singular.
     """
     cov = np.asarray(cov, dtype=float)
-    top = cov[:2, :2]
-    if cov.shape[0] > 2:
-        inverse = _inverse(cov[2:, 2:])
-        top = None if inverse is None else top - cov[:2, 2:] @ (inverse @ cov[2:, :2])
+    top = cov if cov.shape[0] == 2 else _residual(cov, list(range(2, cov.shape[0])))
     residual = None if top is None else (float(top[0, 0]), float(top[1, 1]), float(top[0, 1]))
     return _partial_from_residual(float(cov[0, 0]), float(cov[1, 1]), residual)
 
 
 def _query_names(x: str, y: str, s: Iterable[str] | str) -> tuple[str, str, tuple[str, ...]]:
-    cond = tuple(sorted(_as_vertex_set(s)))  # a bare label is one vertex
-    if x == y:
-        raise ValueError("query endpoints must differ")
-    if x in cond or y in cond:
-        raise ValueError("endpoints cannot appear in the conditioning set")
+    s = _as_vertex_set(s)  # a bare label is one vertex
+    cond = tuple(sorted(s))
+    _check_endpoints(x, y, s)
     # the pair in label order, as FisherZOracle reads it, so that r does not
     # depend on which endpoint is named first
     return (x, y, cond) if x < y else (y, x, cond)
@@ -440,10 +422,11 @@ def partial_correlation_recursive(
             r_ij = rho(i, j, rest)
             r_ik = rho(i, k, rest)
             r_jk = rho(j, k, rest)
-            denom = (1.0 - r_ik * r_ik) * (1.0 - r_jk * r_jk)
-            if denom <= 0.0:
+            left, right = 1.0 - r_ik * r_ik, 1.0 - r_jk * r_jk
+            # the bound _partial_from_residual puts on a determined variable
+            if left <= 1e-12 or right <= 1e-12:
                 raise SingularCovarianceError("recursion hit a unit correlation")
-            value = (r_ij - r_ik * r_jk) / math.sqrt(denom)
+            value = (r_ij - r_ik * r_jk) / math.sqrt(left * right)
         memo[key] = value
         return value
 
@@ -545,10 +528,5 @@ class FisherZOracle(IndependenceOracle):
         """Packed upper triangle of the residual covariance given the set, or
         None when the set's covariance block is singular, numerically
         included."""
-        cond = list(_bits(zmask))
-        cov = self._cov
-        rows = cov[cond]
-        inverse = _inverse(rows[:, cond])
-        if inverse is None:
-            return None
-        return array("d", (cov - rows.T @ (inverse @ rows))[self._upper].tobytes())
+        residual = _residual(self._cov, list(_bits(zmask)))
+        return None if residual is None else array("d", residual[self._upper].tobytes())

@@ -15,9 +15,10 @@ from ccdkit import (
     SingularModelError,
     d_connected,
     d_separated,
+    verify_pag_against_graph,
     witness_separator,
 )
-from ccdkit.ccd import CcdState, _orient
+from ccdkit.ccd import CcdState, _harden
 from ccdkit.digraph import _check_label
 from ccdkit.oracle import IndependenceOracle, partial_correlation_from_covariance
 
@@ -200,8 +201,8 @@ def reference_phase_c(state, oracle):
             separator = state.sepset_of(a, y)
             if separator is not None and x not in separator:
                 if not oracle.is_independent(a, x, separator):
-                    _orient(state, "C", x, y, Mark.ARROW)
-                    _orient(state, "C", y, x, Mark.TAIL)
+                    _harden(state, "C", psi.index(x), psi.index(y), Mark.ARROW)
+                    _harden(state, "C", psi.index(y), psi.index(x), Mark.TAIL)
 
 
 def _dotted_quadruples(psi):
@@ -217,10 +218,10 @@ def reference_phase_e(state):
             continue
         if psi.mark_at(d, a) is Mark.ARROW and psi.mark_at(d, c) is Mark.ARROW:
             if d in state.supset_of(a, b, c):
-                _orient(state, "E", d, b, Mark.TAIL)
+                _harden(state, "E", psi.index(d), psi.index(b), Mark.TAIL)
             else:
-                _orient(state, "E", b, d, Mark.TAIL)
-                _orient(state, "E", d, b, Mark.ARROW)
+                _harden(state, "E", psi.index(b), psi.index(d), Mark.TAIL)
+                _harden(state, "E", psi.index(d), psi.index(b), Mark.ARROW)
 
 
 def reference_phase_f(state, oracle):
@@ -230,8 +231,8 @@ def reference_phase_f(state, oracle):
             if not psi.has_edge(b, d) or (psi.has_edge(d, a) and psi.has_edge(d, c)):
                 continue
             if not oracle.is_independent(a, c, state.supset_of(a, b, c) | {d}):
-                _orient(state, "F", b, d, Mark.TAIL)
-                _orient(state, "F", d, b, Mark.ARROW)
+                _harden(state, "F", psi.index(b), psi.index(d), Mark.TAIL)
+                _harden(state, "F", psi.index(d), psi.index(b), Mark.ARROW)
 
 
 def faithful_sem(graph, rng, low=0.4, high=0.7, min_partial=0.05):
@@ -265,6 +266,20 @@ def subsets(items):
     items = sorted(items)
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
+
+
+def reference_verify_pag_against_graph(pag, graph):
+    """``verify_pag_against_graph`` with clause (i) decided by sweeping every
+    conditioning subset per pair: 2^(n-2) d-separation queries a pair."""
+    violations = []
+    for a, b in itertools.combinations(graph.vertices, 2):
+        rest = [v for v in graph.vertices if v not in (a, b)]
+        separable = any(d_separated(graph, a, b, s) for s in subsets(rest))
+        if pag.has_edge(a, b) and separable:
+            violations.append(f"(i) edge {a}-{b}, but some subset separates them")
+        if not pag.has_edge(a, b) and not separable:
+            violations.append(f"(i) no edge {a}-{b}, but no subset separates them")
+    return violations + verify_pag_against_graph(pag, graph, check_edges=False)
 
 
 def check_inseparable_pairs(g):

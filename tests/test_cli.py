@@ -242,25 +242,24 @@ def test_verify_reports_violations(capsys, tmp_path):
     assert "(i)" in out
 
 
-def test_verify_large_graph_needs_skip_flag(capsys, tmp_path):
+def test_verify_checks_the_edges_of_a_13_vertex_graph(capsys, tmp_path):
     labels = [f"v{i:02d}" for i in range(13)]
     graph_file = tmp_path / "big.graph"
     graph_file.write_text(
         "\n".join(f"{a} -> {b}" for a, b in zip(labels, labels[1:])) + "\n"
     )
-    pag_file = tmp_path / "big.pag"
-    lines = [f"vertex {v}" for v in labels]
-    lines += [f"{a} o-o {b}" for a, b in zip(labels, labels[1:])]
-    pag_file.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(
-        capsys, "verify", "--pag", str(pag_file), "--graph", str(graph_file)
-    )
-    assert code == 2
-    assert "--skip-edge-check" in err
-    code, out, _ = run_cli(
-        capsys, "verify", "--pag", str(pag_file), "--graph", str(graph_file),
-        "--skip-edge-check",
-    )
+    vertices = [f"vertex {v}" for v in labels]
+    edges = [f"{a} o-o {b}" for a, b in zip(labels, labels[1:])]
+    sound = tmp_path / "sound.pag"
+    sound.write_text("\n".join(vertices + edges) + "\n")
+    missing = tmp_path / "missing.pag"
+    missing.write_text("\n".join(vertices + edges[:5] + edges[6:]) + "\n")
+    verify = ("verify", "--graph", str(graph_file), "--pag")
+    code, out, _ = run_cli(capsys, *verify, str(sound))
+    assert (code, out.strip()) == (0, "sound")
+    code, out, _ = run_cli(capsys, *verify, str(missing))
+    assert (code, out.strip()) == (1, "(i) no edge v05-v06, but no subset separates them")
+    code, out, _ = run_cli(capsys, *verify, str(missing), "--skip-edge-check")
     assert (code, out.strip()) == (0, "sound")
 
 

@@ -1,16 +1,22 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdkit import (
+    DataMatrix,
     DirectedGraph,
+    GraphOracle,
     SeparationQuery,
     UnknownVertexError,
     brute_force_d_connected,
     d_connected,
     d_separated,
+    partial_correlation,
+    partial_correlation_from_covariance,
+    partial_correlation_recursive,
     witness_separator,
 )
 from ccdkit._reach import reach_set
@@ -161,3 +167,96 @@ def test_literal_clause_ii_is_asymmetric():
     g = DirectedGraph(("A", "B", "C", "F"), {("A", "B"), ("C", "B"), ("C", "F")})
     assert brute_force_d_connected(g, "A", "C", ("F",), literal_clause_ii=True)
     assert not brute_force_d_connected(g, "C", "A", ("F",), literal_clause_ii=True)
+
+
+def _bad_inputs():
+    """(name, call, exception) for every public query entry.
+
+    Each call builds its arguments afresh, so a one-shot iterator is
+    consumed only by the call under test. Where a query breaks several
+    rules, the expected type shows which check runs first: unhashable
+    members before the endpoint checks, the endpoint checks before the
+    unknown-label check.
+    """
+    g = DirectedGraph(("A", "B", "X", "Y"), {("A", "X"), ("B", "Y"), ("X", "Y"), ("Y", "X")})
+    oracle = GraphOracle(g)
+    rows = np.random.default_rng(0).standard_normal((50, 3))
+    data = DataMatrix(("A", "B", "X"), rows)
+    cov = np.cov(rows, rowvar=False, ddof=1)
+    pairs = [
+        (("A", "A"), ValueError),
+        (("Q", "Q"), ValueError),
+        (("A", "B", "A"), ValueError),
+        (("Q", "B", "Q"), ValueError),
+        (("A", "B", lambda: iter(["X", "B"])), ValueError),
+        (("A", "Q"), UnknownVertexError),
+        (("A", "B", ("Q",)), UnknownVertexError),
+        (("A", "B", lambda: iter(["X", "Q"])), UnknownVertexError),
+        (("A", "B", (["X"],)), TypeError),
+        (("A", "A", (["X"],)), TypeError),
+        (("A", "B", None), TypeError),
+    ]
+    sets = [
+        (((), "B"), ValueError),
+        ((lambda: iter(["A", "X"]), "X"), ValueError),
+        (("A", 1), TypeError),
+    ]
+    cases = []
+    for name, fn in (
+        ("d_connected", lambda *a: d_connected(g, *a)),
+        ("brute_force_d_connected", lambda *a: brute_force_d_connected(g, *a)),
+    ):
+        cases += [(name, fn, args, exc) for args, exc in pairs + sets]
+    cases += [
+        ("witness_separator", lambda *a: witness_separator(g, *a), args, exc)
+        for args, exc in pairs
+    ]
+    cases += [
+        ("is_independent", oracle.is_independent, args, exc)
+        for args, exc in pairs + [(("A", "B", (1,)), UnknownVertexError)]
+    ]
+    column_pairs = pairs + [(("A", "B", ("X", 1)), TypeError)]  # a set that does not sort
+    for name, fn in (
+        ("partial_correlation", lambda *a: partial_correlation(data, *a)),
+        ("partial_correlation_recursive", lambda *a: partial_correlation_recursive(data, *a)),
+    ):
+        cases += [(name, fn, args, exc) for args, exc in column_pairs]
+    # the covariance route looks labels up in a plain dict
+    cases += [
+        (
+            "partial_correlation_from_covariance",
+            lambda *a: partial_correlation_from_covariance(cov, data.labels, *a),
+            args,
+            KeyError if exc is UnknownVertexError else exc,
+        )
+        for args, exc in column_pairs
+    ]
+    return oracle, cases
+
+
+def test_bad_inputs_raise_the_same_types_in_the_same_order():
+    oracle, cases = _bad_inputs()
+    wrong = []
+    for name, fn, args, exc in cases:
+        try:
+            fn(*(a() if callable(a) else a for a in args))
+        except Exception as raised:  # noqa: BLE001 - the type is the assertion
+            if not isinstance(raised, exc):  # UnknownVertexError is no ValueError
+                wrong.append(f"{name}{args}: {type(raised).__name__}, expected {exc.__name__}")
+        else:
+            wrong.append(f"{name}{args}: no error, expected {exc.__name__}")
+    assert not wrong, "\n".join(wrong)
+    assert oracle.stats.total() == 0
+
+
+def test_one_shot_iterators_and_non_string_endpoints_are_read_once(two_cycle):
+    for x, y, given in (("A", "B", ("X",)), ("A", "X", ("Y", "B")), ("X", "Y", ())):
+        expected = d_connected(two_cycle, x, y, given)
+        assert d_connected(two_cycle, iter([x]), (v for v in [y]), iter(given)) is expected
+        assert brute_force_d_connected(two_cycle, iter([x]), iter([y]), iter(given)) is expected
+        assert GraphOracle(two_cycle).is_independent(x, y, iter(given)) is not expected
+        assert witness_separator(two_cycle, x, y, iter(given)) == witness_separator(two_cycle, x, y, given)
+    # endpoints are read as labels, so 1 and 2 name the vertices "1" and "2"
+    oracle = GraphOracle(DirectedGraph(("1", "2", "3"), {("1", "2")}))
+    assert oracle.is_independent(1, 2) is False
+    assert oracle.is_independent(1, 3) is True

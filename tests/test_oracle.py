@@ -326,6 +326,19 @@ def test_scaled_copy_in_the_conditioning_set_is_singular():
             oracle.is_independent("X", "Y", ("C",))
 
 
+def test_recursion_reports_a_scaled_copy_in_the_conditioning_set_as_singular():
+    # the correlation of B and 3B rounds to just under 1, so a bound of 0 on
+    # the recursion's denominator let it return a value where the matrix
+    # route raises
+    for seed in range(20):
+        values = np.random.default_rng(seed).standard_normal((200, 3))
+        b = values[:, 0]
+        data = DataMatrix(("B", "C", "X", "Y"), np.column_stack([b, 3 * b, values[:, 1:]]))
+        for route in (partial_correlation, partial_correlation_recursive):
+            with pytest.raises(SingularCovarianceError):
+                route(data, "X", "Y", ("B", "C"))
+
+
 def test_fisher_z_oracle_counts_too_small_samples_as_dependent():
     # 6 rows leave N - |s| - 3 = 0 for |s| = 3: the statistic is undefined,
     # the oracle warns and answers dependent, and the search runs on

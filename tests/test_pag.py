@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccdkit import (
     DirectedGraph,
@@ -15,7 +18,7 @@ from ccdkit import (
     verify_pag_against_graph,
 )
 
-from helpers import graphs, pags
+from helpers import graphs, pags, reference_verify_pag_against_graph
 
 
 def complete_pag(*vertices):
@@ -247,3 +250,18 @@ def test_verify_requires_same_vertices(two_cycle):
 def test_ccd_output_always_verifies(g):
     pag, _ = run_ccd(GraphOracle(g), g.vertices)
     assert verify_pag_against_graph(pag, g) == []
+
+
+@settings(deadline=None)
+@given(graphs(max_vertices=7), st.data())
+def test_edge_check_by_adjacency_equals_the_subset_sweep(g, data):
+    # the CCD output, then a random set of pairs toggled: an edge removed, or
+    # a circle-circle edge added
+    pag, _ = run_ccd(GraphOracle(g), g.vertices)
+    pairs = list(itertools.combinations(g.vertices, 2))
+    for a, b in data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)):
+        if pag.has_edge(a, b):
+            pag.remove_edge(a, b)
+        else:
+            pag.add_edge(a, b)
+    assert verify_pag_against_graph(pag, g) == reference_verify_pag_against_graph(pag, g)
