@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .digraph import UnknownVertexError, _bits
+from .digraph import _bits, _id_of
 from .oracle import IndependenceOracle, OracleStats
 from .pag import Mark, MarkConflict, Pag
 
@@ -125,10 +125,7 @@ def _route(
     """
     names = tuple(oracle.vertices)
     index = {v: k for k, v in enumerate(names)}
-    try:
-        at = [index[v] for v in psi.vertices]
-    except KeyError as exc:
-        raise UnknownVertexError(exc.args[0]) from None
+    at = [_id_of(index, v) for v in psi.vertices]
     bit = [1 << k for k in at]
     label = dict(zip(bit, psi.vertices))
     if type(oracle).is_independent is IndependenceOracle.is_independent:

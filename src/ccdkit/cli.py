@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -27,35 +26,13 @@ from .digraph import GraphParseError, UnknownVertexError, parse_graph, serialize
 from .dsep import brute_force_d_connected, d_connected
 from .equiv import enumerate_equiv_class, markov_equivalent
 from .oracle import DataMatrix, FisherZOracle, GraphOracle
-from .pag import Pag, PagParseError, parse_pag, serialize_pag, to_dot, verify_pag_against_graph
+from .pag import PagParseError, parse_pag, serialize_pag, to_dot, verify_pag_against_graph
 from .sem import SemParseError, SingularModelError, parse_sem
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
-
-
-@dataclass
-class RunReport:
-    """Everything one discovery run reports."""
-
-    pag_text: str
-    state_text: str
-    conflict_lines: list[str]
-    elapsed: float
-
-    @classmethod
-    def build(cls, pag: Pag, state: CcdState, elapsed: float) -> "RunReport":
-        return cls(
-            pag_text=serialize_pag(pag),
-            state_text=_render_state(state),
-            conflict_lines=[record.describe() for record in state.conflicts],
-            elapsed=elapsed,
-        )
-
-    def stdout_text(self, dump_state: bool) -> str:
-        return self.pag_text + (self.state_text if dump_state else "")
 
 
 def _render_state(state: CcdState) -> str:
@@ -154,13 +131,13 @@ def cmd_discover(args: argparse.Namespace) -> int:
         oracle = FisherZOracle(data, 0.01 if args.alpha is None else args.alpha)
     started = time.perf_counter()
     pag, state = run_ccd(oracle, oracle.vertices)
-    report = RunReport.build(pag, state, time.perf_counter() - started)
-    sys.stdout.write(report.stdout_text(dump_state=args.dump_state))
+    elapsed = time.perf_counter() - started
+    sys.stdout.write(serialize_pag(pag) + (_render_state(state) if args.dump_state else ""))
     if args.dot:
         Path(args.dot).write_text(to_dot(pag))
-    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
-    for line in report.conflict_lines:
-        print(f"conflict: {line}", file=sys.stderr)
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+    for record in state.conflicts:
+        print(f"conflict: {record.describe()}", file=sys.stderr)
     if args.strict and state.conflicts:
         return EXIT_DATA
     return EXIT_OK

@@ -1,4 +1,5 @@
-"""Immutable directed graphs with ancestral-relation queries.
+"""Immutable directed graphs with ancestral-relation queries, and the
+boundary where labels enter the package.
 
 Vertices are string labels and every iteration surface in the package
 follows lexicographic label order, so downstream output is reproducible.
@@ -6,13 +7,21 @@ Graphs may contain directed cycles (2-cycles included) but never
 self-loops. Ancestor and descendant sets are reflexive and computed by
 breadth-first fixpoint over bitmasks, so deeply cyclic graphs cannot hit
 recursion limits.
+
+Every module reads labels through the helpers here: ``_check_label``
+decides what a label may be, ``_id_of`` maps a label to its id in an
+index or raises UnknownVertexError, ``_as_vertex_set`` reads a set
+argument (a bare label is a one-vertex set), and ``_read_lines`` is the
+frame of the graph, PAG and model file formats: it skips blank and ``#``
+lines and reports each error as ``line N: ...`` in the caller's parse
+error type.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 FORMAT_HEADER = "# ccd-kit format v1"
 
@@ -43,6 +52,47 @@ def _check_label(label: object) -> str:
     if label in ("->", "<-") or label.startswith("#") or "," in label:
         raise ValueError(f"vertex label {label!r} collides with file-format syntax")
     return label
+
+
+def _id_of(index: Mapping[str, int], label: str) -> int:
+    """The id ``index`` gives a label; UnknownVertexError when it has none."""
+    try:
+        return index[label]
+    except KeyError:
+        raise UnknownVertexError(label) from None
+
+
+def _as_vertex_set(value: Iterable[str] | str) -> frozenset[str]:
+    """A set argument read once; a bare label is the set of that one vertex."""
+    if isinstance(value, str):
+        return frozenset((value,))
+    return frozenset(value)
+
+
+class _Line(NamedTuple):
+    """One line of a line-based file that is neither blank nor a comment."""
+
+    number: int
+    raw: str
+    tokens: list[str]
+    error_type: type[ValueError]
+
+    def error(self, message: object) -> ValueError:
+        return self.error_type(f"line {self.number}: {message}")
+
+    def label(self, token: str) -> str:
+        try:
+            return _check_label(token)
+        except ValueError as exc:
+            raise self.error(exc) from None
+
+
+def _read_lines(text: str, error_type: type[ValueError]) -> Iterator[_Line]:
+    """Each line of ``text`` that is not blank and does not start with '#'."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield _Line(number, raw, line.split(), error_type)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -127,10 +177,7 @@ class DirectedGraph:
         return _closure(self._parent_masks)
 
     def _require(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownVertexError(label) from None
+        return _id_of(self._index, label)
 
     def _labels(self, mask: int) -> frozenset[str]:
         verts = self.vertices
@@ -154,19 +201,15 @@ class DirectedGraph:
 
     def ancestors(self, sources: Iterable[str] | str) -> frozenset[str]:
         """All vertices with a directed path into some source; reflexive."""
-        if isinstance(sources, str):
-            sources = (sources,)
         mask = 0
-        for v in sources:
+        for v in _as_vertex_set(sources):
             mask |= self._ancestor_masks[self._require(v)]
         return self._labels(mask)
 
     def descendants(self, sources: Iterable[str] | str) -> frozenset[str]:
         """All vertices some source has a directed path into; reflexive."""
-        if isinstance(sources, str):
-            sources = (sources,)
         mask = 0
-        for v in sources:
+        for v in _as_vertex_set(sources):
             mask |= self._descendant_masks[self._require(v)]
         return self._labels(mask)
 
@@ -201,29 +244,18 @@ def parse_graph(text: str) -> DirectedGraph:
     """
     vertices: set[str] = set()
     edges: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for line in _read_lines(text, GraphParseError):
+        tokens = line.tokens
         if len(tokens) == 2 and tokens[0] == "vertex":
-            vertices.add(_parse_label(tokens[1], lineno))
+            vertices.add(line.label(tokens[1]))
         elif len(tokens) == 3 and tokens[1] == "->":
-            a = _parse_label(tokens[0], lineno)
-            b = _parse_label(tokens[2], lineno)
+            a, b = line.label(tokens[0]), line.label(tokens[2])
             if a == b:
-                raise GraphParseError(f"line {lineno}: self-loop on {a!r}")
+                raise line.error(f"self-loop on {a!r}")
             edges.add((a, b))
         else:
-            raise GraphParseError(f"line {lineno}: cannot parse {raw!r}")
+            raise line.error(f"cannot parse {line.raw!r}")
     return DirectedGraph(tuple(vertices), frozenset(edges))
-
-
-def _parse_label(token: str, lineno: int) -> str:
-    try:
-        return _check_label(token)
-    except ValueError as exc:
-        raise GraphParseError(f"line {lineno}: {exc}") from None
 
 
 def serialize_graph(g: DirectedGraph) -> str:

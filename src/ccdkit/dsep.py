@@ -16,10 +16,11 @@ implementations equal on every query it generates; neither is ever
 collapsed into the other.
 
 Every query entry, here and in ``oracle.py``, validates in one order:
-each argument becomes a set once (a bare label is a one-vertex set; an
-unhashable member raises TypeError), then ``_check_sets`` or
-``_check_endpoints`` raise ValueError, and only then does an unknown
-label raise UnknownVertexError.
+each argument becomes a set once through ``digraph._as_vertex_set`` (a
+bare label is a one-vertex set; an unhashable member raises TypeError),
+then ``_check_sets`` or ``_check_endpoints`` raise ValueError, and only
+then does ``digraph._id_of`` reject an unknown label with
+UnknownVertexError.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ._reach import reach_set
-from .digraph import DirectedGraph
+from .digraph import DirectedGraph, _as_vertex_set
 
 __all__ = [
     "SeparationQuery",
@@ -36,12 +37,6 @@ __all__ = [
     "brute_force_d_connected",
     "witness_separator",
 ]
-
-
-def _as_vertex_set(value: Iterable[str] | str) -> frozenset[str]:
-    if isinstance(value, str):
-        return frozenset((value,))
-    return frozenset(value)
 
 
 def _check_sets(x: frozenset[str], y: frozenset[str], z: frozenset[str]) -> None:

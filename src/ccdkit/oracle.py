@@ -44,8 +44,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._reach import reach_set
-from .digraph import DirectedGraph, UnknownVertexError, _bits
-from .dsep import _as_vertex_set, _check_endpoints
+from .digraph import DirectedGraph, _as_vertex_set, _bits, _id_of
+from .dsep import _check_endpoints
 
 __all__ = [
     "DataMatrix",
@@ -106,8 +106,9 @@ class IndependenceOracle:
 
     ``is_independent(x, y, s)`` takes the conditioning set ``s`` as an
     iterable of labels; a bare label means the set of that one vertex, as
-    in ``d_separated``. The endpoints are read as labels through ``str``.
-    It validates the query and hands it to ``_ask``.
+    in ``d_separated``. The endpoints and the members of ``s`` are read
+    as labels through ``str``. It validates the query and hands it to
+    ``_ask``.
 
     ``_ask(i, j, zmask)`` is the internal entry the search phases call:
     distinct indices into ``vertices`` outside the bitmask ``zmask``,
@@ -132,17 +133,14 @@ class IndependenceOracle:
         self._phase = _PhaseLabel()
 
     def is_independent(self, x: str, y: str, s: Iterable[str] | str = ()) -> bool:
-        s = _as_vertex_set(s)
+        s = frozenset(str(v) for v in _as_vertex_set(s))
         x, y = str(x), str(y)
         _check_endpoints(x, y, s)
         index = self._index
-        try:
-            i, j = index[x], index[y]
-            zmask = 0
-            for v in s:
-                zmask |= 1 << index[v]
-        except KeyError as exc:
-            raise UnknownVertexError(exc.args[0]) from None
+        i, j = _id_of(index, x), _id_of(index, y)
+        zmask = 0
+        for v in s:
+            zmask |= 1 << _id_of(index, v)
         return self._ask(i, j, zmask)
 
     def _ask(self, i: int, j: int, zmask: int) -> bool:
@@ -235,11 +233,8 @@ class DataMatrix:
         return {label: i for i, label in enumerate(self.labels)}
 
     def columns(self, names: Sequence[str]) -> np.ndarray:
-        try:
-            idx = [self._col_index[name] for name in names]
-        except KeyError as exc:
-            raise UnknownVertexError(exc.args[0]) from None
-        return self.values[:, idx]
+        index = self._col_index
+        return self.values[:, [_id_of(index, name) for name in names]]
 
     @classmethod
     def from_csv(cls, text: str) -> "DataMatrix":
@@ -385,7 +380,7 @@ def partial_correlation_from_covariance(
     """Partial correlation read off a covariance matrix over ``labels``."""
     x, y, cond = _query_names(x, y, s)
     index = {label: i for i, label in enumerate(labels)}
-    idx = [index[v] for v in (x, y, *cond)]
+    idx = [_id_of(index, v) for v in (x, y, *cond)]
     cov = np.asarray(cov, dtype=float)
     return _partial_from_cov(cov[np.ix_(idx, idx)])
 

@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .digraph import FORMAT_HEADER, DirectedGraph, UnknownVertexError, _check_label
+from .digraph import FORMAT_HEADER, DirectedGraph, _Line, _check_label, _id_of, _read_lines
 
 __all__ = [
     "Mark",
@@ -121,10 +121,7 @@ class Pag:
 
     def index(self, label: str) -> int:
         """The id of a vertex label."""
-        try:
-            return self._id[label]
-        except KeyError:
-            raise UnknownVertexError(label) from None
+        return _id_of(self._id, label)
 
     def _ids(self, x: str, y: str) -> tuple[int, int]:
         if x == y:
@@ -293,47 +290,40 @@ def serialize_pag(pag: Pag) -> str:
 
 def parse_pag(text: str) -> Pag:
     vertices: set[str] = set()
-    edge_rows: list[tuple[int, str, str, Mark, Mark]] = []
-    triple_rows: list[tuple[int, str, str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    edge_rows: list[tuple[_Line, str, str, Mark, Mark]] = []
+    triple_rows: list[tuple[_Line, str, str, str, str]] = []
+    for line in _read_lines(text, PagParseError):
+        tokens = line.tokens
         if len(tokens) == 2 and tokens[0] == "vertex":
-            vertices.add(_pag_label(tokens[1], lineno))
+            vertices.add(line.label(tokens[1]))
         elif len(tokens) == 4 and tokens[0] in ("underline:", "dotted:"):
-            kind = tokens[0][:-1]
-            a, b, c = (_pag_label(t, lineno) for t in tokens[1:])
-            triple_rows.append((lineno, kind, a, b, c))
+            a, b, c = (line.label(t) for t in tokens[1:])
+            triple_rows.append((line, tokens[0][:-1], a, b, c))
         elif len(tokens) == 3 and _is_glyph_pair(tokens[1]):
-            a = _pag_label(tokens[0], lineno)
-            b = _pag_label(tokens[2], lineno)
+            a, b = line.label(tokens[0]), line.label(tokens[2])
             if a == b:
-                raise PagParseError(f"line {lineno}: self-loop on {a!r}")
-            edge_rows.append(
-                (lineno, a, b, _LEFT_MARK[tokens[1][0]], _RIGHT_MARK[tokens[1][2]])
-            )
+                raise line.error(f"self-loop on {a!r}")
+            edge_rows.append((line, a, b, _LEFT_MARK[tokens[1][0]], _RIGHT_MARK[tokens[1][2]]))
         else:
-            raise PagParseError(f"line {lineno}: cannot parse {raw!r}")
+            raise line.error(f"cannot parse {line.raw!r}")
     for _, a, b, *_ in edge_rows:
         vertices.update((a, b))
     for _, _, a, b, c in triple_rows:
         vertices.update((a, b, c))
     pag = Pag(vertices)
-    for lineno, a, b, ma, mb in edge_rows:
+    for line, a, b, ma, mb in edge_rows:
         try:
             pag.add_edge(a, b, ma, mb)
         except ValueError as exc:
-            raise PagParseError(f"line {lineno}: {exc}") from None
-    for lineno, kind, a, b, c in triple_rows:
+            raise line.error(exc) from None
+    for line, kind, a, b, c in triple_rows:
         try:
             if kind == "underline":
                 pag.add_underline(a, b, c)
             else:
                 pag.add_dotted_underline(a, b, c)
         except ValueError as exc:
-            raise PagParseError(f"line {lineno}: {exc}") from None
+            raise line.error(exc) from None
     return pag
 
 
@@ -344,13 +334,6 @@ def _is_glyph_pair(token: str) -> bool:
         and token[0] in _LEFT_MARK
         and token[2] in _RIGHT_MARK
     )
-
-
-def _pag_label(token: str, lineno: int) -> str:
-    try:
-        return _check_label(token)
-    except ValueError as exc:
-        raise PagParseError(f"line {lineno}: {exc}") from None
 
 
 _DOT_ARROW = {Mark.TAIL: "none", Mark.ARROW: "normal", Mark.CIRCLE: "odot"}

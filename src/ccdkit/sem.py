@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .digraph import FORMAT_HEADER, DirectedGraph, _check_label
+from .digraph import FORMAT_HEADER, DirectedGraph, _Line, _check_label, _read_lines
 from .oracle import DataMatrix
 
 __all__ = [
@@ -167,24 +167,20 @@ def parse_sem(text: str) -> LinearSem:
     """
     coefs: dict[tuple[str, str], float] = {}
     variances: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for line in _read_lines(text, SemParseError):
+        tokens = line.tokens
         if len(tokens) == 3 and tokens[0] == "var":
-            label = _sem_label(tokens[1], lineno)
-            variances[label] = _sem_number(tokens[2], lineno)
+            label = line.label(tokens[1])
+            variances[label] = _sem_number(line, tokens[2])
         elif len(tokens) == 4 and tokens[1] == "<-":
-            target = _sem_label(tokens[0], lineno)
-            source = _sem_label(tokens[2], lineno)
+            target, source = line.label(tokens[0]), line.label(tokens[2])
             if target == source:
-                raise SemParseError(f"line {lineno}: {target!r} cannot depend on itself")
+                raise line.error(f"{target!r} cannot depend on itself")
             if (target, source) in coefs:
-                raise SemParseError(f"line {lineno}: duplicate coefficient for {source} -> {target}")
-            coefs[(target, source)] = _sem_number(tokens[3], lineno)
+                raise line.error(f"duplicate coefficient for {source} -> {target}")
+            coefs[(target, source)] = _sem_number(line, tokens[3])
         else:
-            raise SemParseError(f"line {lineno}: cannot parse {raw!r}")
+            raise line.error(f"cannot parse {line.raw!r}")
     try:
         return LinearSem((), coefs, variances)
     except SingularModelError:
@@ -193,18 +189,11 @@ def parse_sem(text: str) -> LinearSem:
         raise SemParseError(str(exc)) from None
 
 
-def _sem_label(token: str, lineno: int) -> str:
-    try:
-        return _check_label(token)
-    except ValueError as exc:
-        raise SemParseError(f"line {lineno}: {exc}") from None
-
-
-def _sem_number(token: str, lineno: int) -> float:
+def _sem_number(line: _Line, token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise SemParseError(f"line {lineno}: {token!r} is not a number") from None
+        raise line.error(f"{token!r} is not a number") from None
 
 
 def serialize_sem(model: LinearSem) -> str:

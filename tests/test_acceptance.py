@@ -27,7 +27,7 @@ from ccdkit import (
     serialize_pag,
     verify_pag_against_graph,
 )
-from ccdkit.cli import RunReport
+from ccdkit.cli import _render_state
 
 from conftest import GOLDEN
 from helpers import (
@@ -78,7 +78,7 @@ def test_criterion_1_golden_trace(golden):
     psi, state = run_ccd(GraphOracle(g), g.vertices)
     elapsed = time.perf_counter() - t0
 
-    dump = RunReport.build(psi, state, elapsed).stdout_text(dump_state=True)
+    dump = serialize_pag(psi) + _render_state(state)
     facts = [
         serialize_pag(psi) == golden("two_cycle.pag"),
         dump == golden("two_cycle_dump.txt"),

@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from ccdkit import (
     DirectedGraph,
     GraphParseError,
+    PagParseError,
+    SemParseError,
     UnknownVertexError,
     parse_graph,
+    parse_pag,
+    parse_sem,
     serialize_graph,
 )
 
@@ -127,6 +131,32 @@ def test_parse_isolated_vertex_and_comments():
 def test_parse_rejects_malformed_lines(text):
     with pytest.raises(GraphParseError):
         parse_graph(text)
+
+
+# lines 1-4: header, blank, blanks only, indented comment
+_PREAMBLE = "# ccd-kit format v1\n\n   \n  # a comment\n"
+
+
+@pytest.mark.parametrize(
+    "parse, error, good, bad",
+    [
+        pytest.param(parse_graph, GraphParseError, "A -> B", "A -> #B", id="graph-label"),
+        pytest.param(parse_graph, GraphParseError, "A -> B", "A => B", id="graph-syntax"),
+        pytest.param(parse_graph, GraphParseError, "A -> B", "C -> C", id="graph-self-loop"),
+        pytest.param(parse_pag, PagParseError, "A o-> B", "vertex x,y", id="pag-label"),
+        pytest.param(parse_pag, PagParseError, "A o-> B", "A o=> B", id="pag-syntax"),
+        pytest.param(parse_pag, PagParseError, "A o-> B", "A o-o B", id="pag-duplicate-edge"),
+        pytest.param(parse_sem, SemParseError, "B <- A 0.5", "var -> 1.0", id="sem-label"),
+        pytest.param(parse_sem, SemParseError, "B <- A 0.5", "B <- A", id="sem-syntax"),
+        pytest.param(parse_sem, SemParseError, "B <- A 0.5", "var A one", id="sem-number"),
+    ],
+)
+def test_line_files_report_the_line_number_in_their_own_error(parse, error, good, bad):
+    text = _PREAMBLE + good + "\n\n# another comment\n" + bad + "\n"
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith("line 8: ")
 
 
 def test_serialization_is_sorted(two_cycle):

@@ -221,13 +221,12 @@ def _bad_inputs():
         ("partial_correlation_recursive", lambda *a: partial_correlation_recursive(data, *a)),
     ):
         cases += [(name, fn, args, exc) for args, exc in column_pairs]
-    # the covariance route looks labels up in a plain dict
     cases += [
         (
             "partial_correlation_from_covariance",
             lambda *a: partial_correlation_from_covariance(cov, data.labels, *a),
             args,
-            KeyError if exc is UnknownVertexError else exc,
+            exc,
         )
         for args, exc in column_pairs
     ]
@@ -256,7 +255,10 @@ def test_one_shot_iterators_and_non_string_endpoints_are_read_once(two_cycle):
         assert brute_force_d_connected(two_cycle, iter([x]), iter([y]), iter(given)) is expected
         assert GraphOracle(two_cycle).is_independent(x, y, iter(given)) is not expected
         assert witness_separator(two_cycle, x, y, iter(given)) == witness_separator(two_cycle, x, y, given)
-    # endpoints are read as labels, so 1 and 2 name the vertices "1" and "2"
+    # endpoints and set members are read as labels, so 1 and 2 name the
+    # vertices "1" and "2"
     oracle = GraphOracle(DirectedGraph(("1", "2", "3"), {("1", "2")}))
     assert oracle.is_independent(1, 2) is False
     assert oracle.is_independent(1, 3) is True
+    assert oracle.is_independent(1, 3, (2,)) is True
+    assert oracle.is_independent(1, 3, iter([2])) is True
