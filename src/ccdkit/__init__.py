@@ -15,7 +15,6 @@ from .digraph import (
     serialize_graph,
 )
 from .dsep import (
-    SeparationQuery,
     brute_force_d_connected,
     d_connected,
     d_separated,
@@ -74,7 +73,6 @@ __all__ = [
     "Pag",
     "PagParseError",
     "SemParseError",
-    "SeparationQuery",
     "SingularCovarianceError",
     "SingularCovarianceWarning",
     "SingularModelError",

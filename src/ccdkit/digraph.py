@@ -4,17 +4,18 @@ boundary where labels enter the package.
 Vertices are string labels and every iteration surface in the package
 follows lexicographic label order, so downstream output is reproducible.
 Graphs may contain directed cycles (2-cycles included) but never
-self-loops. Ancestor and descendant sets are reflexive and computed by
-breadth-first fixpoint over bitmasks, so deeply cyclic graphs cannot hit
+self-loops. Ancestor and descendant sets are reflexive and computed by a
+Warshall closure over bitmasks, so deeply cyclic graphs cannot hit
 recursion limits.
 
 Every module reads labels through the helpers here: ``_check_label``
 decides what a label may be, ``_id_of`` maps a label to its id in an
-index or raises UnknownVertexError, ``_as_vertex_set`` reads a set
-argument (a bare label is a one-vertex set), and ``_read_lines`` is the
-frame of the graph, PAG and model file formats: it skips blank and ``#``
-lines and reports each error as ``line N: ...`` in the caller's parse
-error type.
+index or raises UnknownVertexError, ``_mask_of`` maps a label set to a
+bitmask or raises UnknownVertexError for its least unknown member in
+``str`` order, ``_as_vertex_set`` reads a set argument (a bare label is
+a one-vertex set), and ``_read_lines`` is the frame of the graph, PAG
+and model file formats: it skips blank and ``#`` lines and reports each
+error as ``line N: ...`` in the caller's parse error type.
 """
 from __future__ import annotations
 
@@ -69,6 +70,17 @@ def _as_vertex_set(value: Iterable[str] | str) -> frozenset[str]:
     return frozenset(value)
 
 
+def _mask_of(index: Mapping[str, int], labels: frozenset[str]) -> int:
+    """The bitmask of ``labels``; UnknownVertexError names the least unknown by ``str``."""
+    mask = 0
+    try:
+        for v in labels:
+            mask |= 1 << index[v]
+    except KeyError:
+        raise UnknownVertexError(min((v for v in labels if v not in index), key=str)) from None
+    return mask
+
+
 class _Line(NamedTuple):
     """One line of a line-based file that is neither blank nor a comment."""
 
@@ -103,20 +115,14 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _closure(step: Sequence[int]) -> tuple[int, ...]:
-    # reflexive-transitive closure of a one-step bitmask relation
-    out = []
-    for i in range(len(step)):
-        seen = 1 << i
-        frontier = [i]
-        while frontier:
-            grown = 0
-            for j in frontier:
-                grown |= step[j]
-            grown &= ~seen
-            seen |= grown
-            frontier = list(_bits(grown))
-        out.append(seen)
-    return tuple(out)
+    # reflexive-transitive closure of a one-step bitmask relation (Warshall)
+    reach = [mask | 1 << i for i, mask in enumerate(step)]
+    for k in range(len(reach)):
+        row = reach[k]
+        for i, mask in enumerate(reach):
+            if mask >> k & 1:
+                reach[i] = mask | row
+    return tuple(reach)
 
 
 @dataclass(frozen=True)
@@ -183,11 +189,11 @@ class DirectedGraph:
         verts = self.vertices
         return frozenset(verts[i] for i in _bits(mask))
 
-    def _mask_of(self, labels: Iterable[str]) -> int:
+    def _union(self, masks: Sequence[int], sources: Iterable[str] | str) -> frozenset[str]:
         mask = 0
-        for v in labels:
-            mask |= 1 << self._require(v)
-        return mask
+        for i in _bits(_mask_of(self._index, _as_vertex_set(sources))):
+            mask |= masks[i]
+        return self._labels(mask)
 
     # -- relations --------------------------------------------------------
 
@@ -201,17 +207,11 @@ class DirectedGraph:
 
     def ancestors(self, sources: Iterable[str] | str) -> frozenset[str]:
         """All vertices with a directed path into some source; reflexive."""
-        mask = 0
-        for v in _as_vertex_set(sources):
-            mask |= self._ancestor_masks[self._require(v)]
-        return self._labels(mask)
+        return self._union(self._ancestor_masks, sources)
 
     def descendants(self, sources: Iterable[str] | str) -> frozenset[str]:
         """All vertices some source has a directed path into; reflexive."""
-        mask = 0
-        for v in _as_vertex_set(sources):
-            mask |= self._descendant_masks[self._require(v)]
-        return self._labels(mask)
+        return self._union(self._descendant_masks, sources)
 
     def is_ancestor(self, x: str, y: str) -> bool:
         """True when a directed path runs from x to y; every vertex reaches itself."""

@@ -19,19 +19,20 @@ Every query entry, here and in ``oracle.py``, validates in one order:
 each argument becomes a set once through ``digraph._as_vertex_set`` (a
 bare label is a one-vertex set; an unhashable member raises TypeError),
 then ``_check_sets`` or ``_check_endpoints`` raise ValueError, and only
-then does ``digraph._id_of`` reject an unknown label with
-UnknownVertexError.
+then does ``digraph._id_of`` or ``digraph._mask_of`` reject an unknown
+label with UnknownVertexError. Both deciders read a query through
+``_read_query``, which maps x, then y, then the conditioning set. Of
+several unknown labels in one set, the least in ``str`` order is named,
+whatever the hash seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ._reach import reach_set
-from .digraph import DirectedGraph, _as_vertex_set
+from .digraph import DirectedGraph, _as_vertex_set, _mask_of
 
 __all__ = [
-    "SeparationQuery",
     "d_connected",
     "d_separated",
     "brute_force_d_connected",
@@ -55,25 +56,13 @@ def _check_endpoints(x: str, y: str, z: frozenset[str]) -> None:
         raise ValueError("endpoints cannot appear in the conditioning set")
 
 
-@dataclass(frozen=True)
-class SeparationQuery:
-    """Disjoint endpoint sets x and y plus a conditioning set z."""
-
-    x: frozenset[str]
-    y: frozenset[str]
-    z: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        _check_sets(self.x, self.y, self.z)
-
-    @classmethod
-    def of(
-        cls,
-        x: Iterable[str] | str,
-        y: Iterable[str] | str,
-        given: Iterable[str] | str = (),
-    ) -> "SeparationQuery":
-        return cls(_as_vertex_set(x), _as_vertex_set(y), _as_vertex_set(given))
+def _read_query(
+    g: DirectedGraph, x: Iterable[str] | str, y: Iterable[str] | str, given: Iterable[str] | str
+) -> tuple[int, int, int]:
+    """The masks of x, y and ``given``, each read once and checked."""
+    x, y, given = _as_vertex_set(x), _as_vertex_set(y), _as_vertex_set(given)
+    _check_sets(x, y, given)
+    return _mask_of(g._index, x), _mask_of(g._index, y), _mask_of(g._index, given)
 
 
 def d_connected(
@@ -83,9 +72,7 @@ def d_connected(
     given: Iterable[str] | str = (),
 ) -> bool:
     """True iff some x-member is d-connected to some y-member given ``given``."""
-    x, y, given = _as_vertex_set(x), _as_vertex_set(y), _as_vertex_set(given)
-    _check_sets(x, y, given)
-    xm, ym, zm = g._mask_of(x), g._mask_of(y), g._mask_of(given)
+    xm, ym, zm = _read_query(g, x, y, given)
     return bool(reach_set(g._parent_masks, g._child_masks, xm, zm) & ym)
 
 
@@ -115,12 +102,12 @@ def brute_force_d_connected(
     flag exists so the disagreement stays visible; the default matches
     ``d_connected``.
     """
-    q = SeparationQuery.of(x, y, given)
-    g._mask_of(q.x | q.y | q.z)  # label validation
-    for start in sorted(q.x):
-        for goal in sorted(q.y):
+    xm, ym, zm = _read_query(g, x, y, given)
+    z = g._labels(zm)
+    for start in sorted(g._labels(xm)):
+        for goal in sorted(g._labels(ym)):
             for verts, forwards in _simple_paths(g, start, goal):
-                if _path_active(g, verts, forwards, q.z, literal_clause_ii):
+                if _path_active(g, verts, forwards, z, literal_clause_ii):
                     return True
     return False
 

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._reach import reach_set
-from .digraph import DirectedGraph, _as_vertex_set, _bits, _id_of
+from .digraph import DirectedGraph, _as_vertex_set, _bits, _id_of, _mask_of
 from .dsep import _check_endpoints
 
 __all__ = [
@@ -136,12 +136,7 @@ class IndependenceOracle:
         s = frozenset(str(v) for v in _as_vertex_set(s))
         x, y = str(x), str(y)
         _check_endpoints(x, y, s)
-        index = self._index
-        i, j = _id_of(index, x), _id_of(index, y)
-        zmask = 0
-        for v in s:
-            zmask |= 1 << _id_of(index, v)
-        return self._ask(i, j, zmask)
+        return self._ask(_id_of(self._index, x), _id_of(self._index, y), _mask_of(self._index, s))
 
     def _ask(self, i: int, j: int, zmask: int) -> bool:
         """Answer a query given as distinct indices outside the set ``zmask``.
@@ -403,9 +398,8 @@ def partial_correlation_recursive(
     corr = cov / np.outer(scale, scale)
     memo: dict[tuple[int, int, frozenset[int]], float] = {}
 
+    # every call keeps i < j < min(given), so (i, j, given) is a canonical key
     def rho(i: int, j: int, given: frozenset[int]) -> float:
-        if i > j:
-            i, j = j, i
         key = (i, j, given)
         if key in memo:
             return memo[key]

@@ -49,7 +49,7 @@ class LinearSem:
     ``coefficients`` maps (target, source) to the weight of source in
     target's equation, so a key (y, x) corresponds to the edge x -> y.
     Vertices mentioned only in coefficients or variances are absorbed;
-    missing error variances default to 1.0.
+    missing error variances default to 1.0. Every number must be finite.
     """
 
     vertices: tuple[str, ...] = ()
@@ -73,6 +73,8 @@ class LinearSem:
             variances[v] = float(value)
         for v in verts:
             variances.setdefault(v, 1.0)
+        if not np.isfinite([*coefs.values(), *variances.values()]).all():
+            raise ValueError("non-finite coefficients or error variances are not accepted")
         for v, value in variances.items():
             if not value > 0.0:
                 raise ValueError(f"error variance of {v!r} must be positive, got {value}")
@@ -191,9 +193,12 @@ def parse_sem(text: str) -> LinearSem:
 
 def _sem_number(line: _Line, token: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise line.error(f"{token!r} is not a number") from None
+    if not np.isfinite(value):
+        raise line.error(f"{token!r} is not a finite number")
+    return value
 
 
 def serialize_sem(model: LinearSem) -> str:

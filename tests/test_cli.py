@@ -113,6 +113,21 @@ def test_discover_strict_exits_3_on_conflicts(capsys, monkeypatch):
     assert "conflict" not in out
     code, _, _ = run_cli(capsys, "discover", "--graph", TWO_CYCLE)
     assert code == 0  # without --strict the same run only reports
+    code, out, _ = run_cli(capsys, "discover", "--graph", TWO_CYCLE, "--dump-state", "--strict")
+    assert code == 3
+    section = out.split("# conflicts\n")[1].splitlines()
+    assert section == [ConflictRecord("C", "A", "X", Mark.TAIL, Mark.ARROW).describe()]
+
+
+@pytest.mark.parametrize(
+    "text", ["A,B\n", "A,B\n1.0,x\n"], ids=["header-only", "non-numeric-cell"]
+)
+def test_discover_bad_csv_content_is_data_error(capsys, tmp_path, text):
+    csv = tmp_path / "d.csv"
+    csv.write_text(text)
+    code, out, err = run_cli(capsys, "discover", "--data", str(csv))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: CSV ")
 
 
 def test_dsep_exit_codes(capsys):
@@ -216,6 +231,12 @@ def test_equiv_requires_two_graphs(capsys):
     code, _, err = run_cli(capsys, "equiv", "--graph", TWO_CYCLE)
     assert code == 2
     assert "two --graph" in err
+
+
+def test_equiv_class_takes_one_graph(capsys):
+    code, _, err = run_cli(capsys, "equiv", "--class", "--graph", TWO_CYCLE, "--graph", TWO_CYCLE)
+    assert code == 2
+    assert "exactly one --graph" in err
 
 
 def test_equiv_class_lists_members(capsys):

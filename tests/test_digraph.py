@@ -80,6 +80,17 @@ def test_closures_reflexive(g):
         assert x in g.descendants((x,))
 
 
+@given(graphs(max_vertices=7))
+def test_descendants_are_what_a_directed_walk_reaches(g):
+    for x in g.vertices:
+        seen, todo = {x}, [x]
+        while todo:
+            for child in g.children(todo.pop()) - seen:
+                seen.add(child)
+                todo.append(child)
+        assert g.descendants(x) == seen
+
+
 def test_adjacent_in_graph_edge_case():
     g = DirectedGraph(("A", "B"), {("A", "B")})
     assert g.adjacent_in_graph("A", "B")
@@ -149,6 +160,10 @@ _PREAMBLE = "# ccd-kit format v1\n\n   \n  # a comment\n"
         pytest.param(parse_sem, SemParseError, "B <- A 0.5", "var -> 1.0", id="sem-label"),
         pytest.param(parse_sem, SemParseError, "B <- A 0.5", "B <- A", id="sem-syntax"),
         pytest.param(parse_sem, SemParseError, "B <- A 0.5", "var A one", id="sem-number"),
+        pytest.param(parse_sem, SemParseError, "var A 1.0", "B <- A nan", id="sem-nan"),
+        pytest.param(parse_sem, SemParseError, "B <- A 0.5", "var A inf", id="sem-inf-variance"),
+        pytest.param(parse_pag, PagParseError, "A o-> B", "A o-o A", id="pag-self-loop"),
+        pytest.param(parse_sem, SemParseError, "B <- A 0.5", "B <- B 0.5", id="sem-self-dependence"),
     ],
 )
 def test_line_files_report_the_line_number_in_their_own_error(parse, error, good, bad):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from ccdkit import (
     DataMatrix,
     DirectedGraph,
     GraphOracle,
-    SeparationQuery,
     UnknownVertexError,
     brute_force_d_connected,
     d_connected,
@@ -22,18 +24,6 @@ from ccdkit import (
 from ccdkit._reach import reach_set
 
 from helpers import all_queries, exhaustive_graphs, graphs, random_query, reference_reach_set
-
-
-def test_query_rejects_overlap():
-    with pytest.raises(ValueError):
-        SeparationQuery.of("A", "A", ())
-    with pytest.raises(ValueError):
-        SeparationQuery.of("A", "B", ("A",))
-
-
-def test_query_rejects_empty_sides():
-    with pytest.raises(ValueError):
-        SeparationQuery(frozenset(), frozenset({"B"}), frozenset())
 
 
 def test_d_connected_rejects_bad_queries(two_cycle):
@@ -246,6 +236,42 @@ def test_bad_inputs_raise_the_same_types_in_the_same_order():
             wrong.append(f"{name}{args}: no error, expected {exc.__name__}")
     assert not wrong, "\n".join(wrong)
     assert oracle.stats.total() == 0
+
+
+_UNKNOWN_PAIR_PROBE = """
+from ccdkit import (
+    DirectedGraph, GraphOracle, UnknownVertexError, brute_force_d_connected,
+    d_connected, witness_separator,
+)
+g = DirectedGraph(("A", "B", "X", "Y"), {("A", "X"), ("B", "Y"), ("X", "Y"), ("Y", "X")})
+unknown = {"Q", "R"}
+for call in (
+    lambda: d_connected(g, "A", "B", unknown),
+    lambda: brute_force_d_connected(g, "A", "B", unknown),
+    lambda: g.ancestors(unknown),
+    lambda: g.descendants(unknown),
+    lambda: GraphOracle(g).is_independent("A", "B", unknown),
+    lambda: witness_separator(g, "A", "B", unknown),
+):
+    try:
+        call()
+    except UnknownVertexError as exc:
+        print(exc.args[0])
+    else:
+        print("no error")
+"""
+
+
+def test_a_set_of_unknown_labels_names_the_least_under_every_hash_seed():
+    for hash_seed in range(6):
+        result = subprocess.run(
+            [sys.executable, "-c", _UNKNOWN_PAIR_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(hash_seed)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["Q"] * 6, f"PYTHONHASHSEED={hash_seed}"
 
 
 def test_one_shot_iterators_and_non_string_endpoints_are_read_once(two_cycle):

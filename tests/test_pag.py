@@ -92,6 +92,12 @@ def test_triple_kinds_are_mutually_exclusive():
     psi.set_mark("B", "C", Mark.ARROW)
     with pytest.raises(ValueError):
         psi.add_dotted_underline("A", "B", "C")
+    psi = complete_pag("A", "B", "C")
+    psi.set_mark("B", "A", Mark.ARROW)
+    psi.set_mark("B", "C", Mark.ARROW)
+    psi.add_dotted_underline("A", "B", "C")
+    with pytest.raises(ValueError, match="already dotted"):
+        psi.add_underline("C", "B", "A")
 
 
 def test_triples_are_canonicalized():
@@ -209,6 +215,13 @@ def test_verify_flags_false_arrow():
     g = DirectedGraph(("A", "B"), {("A", "B"), ("B", "A")})
     violations = verify_pag_against_graph(psi, g)
     assert any(v.startswith("(iii)") for v in violations)
+    # the same claim at the left endpoint of the A-B record
+    psi = Pag.complete(("A", "B"))
+    psi.set_mark("A", "B", Mark.ARROW)
+    chain = DirectedGraph(("A", "B"), {("A", "B")})
+    assert verify_pag_against_graph(psi, chain) == [
+        "(iii) arrow at A on A-B, but A is an ancestor of B"
+    ]
 
 
 def test_verify_flags_false_tail(two_cycle):

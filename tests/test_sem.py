@@ -41,6 +41,13 @@ def test_nonpositive_variance_rejected():
         LinearSem(("A",), {}, {"A": 0.0})
 
 
+def test_non_finite_numbers_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        LinearSem(("A",), {("B", "A"): float("nan")}, {})
+    with pytest.raises(ValueError, match="non-finite"):
+        LinearSem(("A",), {}, {"A": float("inf")})
+
+
 def test_graph_of_model_empty():
     assert LinearSem(("A", "B"), {}, {}).graph() == DirectedGraph(("A", "B"), set())
 
