@@ -12,21 +12,21 @@ conflicts; a statistical one may.
 The phases work on vertex ids, positions in the PAG's sorted labels, so
 id order is label order and sorted id lists enumerate candidates and
 subsets in the same order as labels would. A conditioning set is a
-bitmask over the oracle's own indices; ``_route`` maps PAG ids to those
-indices once per phase (the search may run over a subset of the oracle's
-vertices) and picks how the phase asks:
+bitmask over PAG ids, and ``_route`` gives each asking phase one
+callable ``ask(x, y, zmask)`` over those ids:
 
-- an oracle whose class keeps ``IndependenceOracle.is_independent`` is
-  asked through ``_ask(i, j, zmask)``, the internal entry that owns its
-  memo and statistics, with no label handling per query;
-- any other oracle, such as a subclass that overrides ``is_independent``
-  or a wrapper that offers only the label interface, is asked through
-  ``is_independent`` with labels, in the same order.
+- when the oracle's class keeps ``IndependenceOracle.is_independent``
+  and the oracle's vertices are the PAG's, its indices are the PAG ids,
+  and the callable is ``_ask``, the internal entry that owns the memo and
+  the statistics, with no label handling per query;
+- otherwise, as for a search over a subset of the oracle's vertices, a
+  subclass that overrides ``is_independent`` or a wrapper that offers
+  only the label interface, it asks ``is_independent`` with the PAG's
+  labels, in the same order.
 
-``CcdState`` keeps its separators, supersets and local sets keyed by
-labels: a phase converts an entry when it writes one (once per deleted
-edge, dotted triple or local set) and reads the separators it needs into
-masks once, when it starts.
+``CcdState`` keeps what the phases hand on by ids: separators and
+supersets as masks, local sets as id tuples. Its ``sepset``, ``supset``
+and ``local`` attributes are label views built when read.
 """
 from __future__ import annotations
 
@@ -70,34 +70,50 @@ class ConflictRecord:
 
 @dataclass
 class CcdState:
-    """Everything one run accumulates.
+    """Everything one run accumulates, keyed by PAG ids.
 
-    sepset maps each non-adjacent pair to the conditioning set that
-    separated it. supset maps each dotted-underlined triple to the
-    separator containing its middle vertex. local is frozen once when the
-    separator-completion phase starts and never recomputed afterwards.
+    ``_sep`` maps each non-adjacent pair, smaller id first, to the mask of
+    the set that separated it; ``_sup`` maps each dotted-underlined triple,
+    smaller flank first, to the mask of the separator holding its middle;
+    ``_local`` holds each vertex's local set, frozen when phase D starts.
+    ``sepset``, ``supset`` and ``local`` are read-only label views of them.
     """
 
     psi: Pag
-    sepset: dict[tuple[str, str], frozenset[str]] = field(default_factory=dict)
-    supset: dict[tuple[str, str, str], frozenset[str]] = field(default_factory=dict)
-    local: dict[str, tuple[str, ...]] = field(default_factory=dict)
     stats: OracleStats = field(default_factory=OracleStats)
     conflicts: list[ConflictRecord] = field(default_factory=list)
+    _sep: dict[tuple[int, int], int] = field(default_factory=dict, init=False)
+    _sup: dict[tuple[int, int, int], int] = field(default_factory=dict, init=False)
+    _local: list[tuple[int, ...]] = field(default_factory=list, init=False)
 
     @classmethod
     def initial(cls, vertices: Iterable[str], stats: OracleStats | None = None) -> "CcdState":
         return cls(psi=Pag.complete(vertices), stats=stats or OracleStats())
 
+    def _names(self, ids: Iterable[int]) -> tuple[str, ...]:
+        names = self.psi.vertices
+        return tuple(names[v] for v in ids)
+
+    def _set(self, mask: int | None) -> frozenset[str] | None:
+        return None if mask is None else frozenset(self._names(_bits(mask)))
+
+    @property
+    def sepset(self) -> dict[tuple[str, str], frozenset[str]]:
+        return {self._names(pair): self._set(m) for pair, m in self._sep.items()}
+
+    @property
+    def supset(self) -> dict[tuple[str, str, str], frozenset[str]]:
+        return {self._names(triple): self._set(m) for triple, m in self._sup.items()}
+
+    @property
+    def local(self) -> dict[str, tuple[str, ...]]:
+        return {self.psi.vertices[v]: self._names(ids) for v, ids in enumerate(self._local)}
+
     def sepset_of(self, x: str, y: str) -> frozenset[str] | None:
-        return self.sepset.get(_pair(x, y))
+        return self._set(self._sep.get(tuple(sorted(map(self.psi.index, (x, y))))))
 
     def supset_of(self, a: str, b: str, c: str) -> frozenset[str] | None:
-        return self.supset.get(Pag.canonical_triple(a, b, c))
-
-
-def _pair(x: str, y: str) -> tuple[str, str]:
-    return (x, y) if x < y else (y, x)
+        return self._set(self._sup.get(tuple(map(self.psi.index, Pag.canonical_triple(a, b, c)))))
 
 
 def _harden(state: CcdState, phase: str, at: int, other: int, mark: Mark) -> None:
@@ -110,37 +126,27 @@ def _harden(state: CcdState, phase: str, at: int, other: int, mark: Mark) -> Non
         )
 
 
-def _route(
-    oracle: IndependenceOracle, psi: Pag
-) -> tuple[Callable[[int, int, int], bool], list[int], list[int], dict[int, str]]:
-    """How one phase asks the oracle: ``(ask, at, bit, label)``.
+def _route(oracle: IndependenceOracle, psi: Pag) -> Callable[[int, int, int], bool]:
+    """How one phase asks the oracle: ``ask(x, y, zmask)`` over PAG ids.
 
-    For PAG id v, ``at[v]`` is its oracle index, ``bit[v]`` its bit in a
-    conditioning mask and ``label[bit[v]]`` its label; ``ask(at[x], at[y],
-    zmask)`` answers a query. An oracle whose class keeps the base
-    ``is_independent`` is asked through ``_ask``. Any other one overrides
-    ``is_independent`` or only offers the label interface, so it is asked
-    through ``is_independent`` with labels, the conditioning set in label
-    order.
+    ``_ask`` itself when the oracle's class keeps the base
+    ``is_independent`` and the oracle's vertices are the PAG's. Otherwise
+    the query goes to ``is_independent`` with labels, the conditioning set
+    in label order, after every PAG vertex has been checked against the
+    oracle's, so an unknown one raises UnknownVertexError before any query.
     """
-    names = tuple(oracle.vertices)
-    index = {v: k for k, v in enumerate(names)}
-    at = [_id_of(index, v) for v in psi.vertices]
-    bit = [1 << k for k in at]
-    label = dict(zip(bit, psi.vertices))
-    if type(oracle).is_independent is IndependenceOracle.is_independent:
-        return oracle._ask, at, bit, label
+    names = psi.vertices
+    keeps_base = type(oracle).is_independent is IndependenceOracle.is_independent
+    if keeps_base and oracle.vertices == names:
+        return oracle._ask
+    known = dict.fromkeys(oracle.vertices)
+    for v in names:
+        _id_of(known, v)
 
-    def ask(i: int, j: int, zmask: int) -> bool:
-        return oracle.is_independent(names[i], names[j], [names[k] for k in _bits(zmask)])
+    def ask(x: int, y: int, zmask: int) -> bool:
+        return oracle.is_independent(names[x], names[y], [names[k] for k in _bits(zmask)])
 
-    return ask, at, bit, label
-
-
-def _mask(psi: Pag, bit: list[int], labels: Iterable[str]) -> int:
-    """The conditioning mask of a set of labels."""
-    index = psi.index
-    return sum(bit[index(v)] for v in labels)
+    return ask
 
 
 def run_ccd(oracle: IndependenceOracle, vertices: Iterable[str]) -> tuple[Pag, CcdState]:
@@ -170,24 +176,21 @@ def phase_a(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     a sweep costs O(sum of squared degrees) plus its queries.
     """
     psi = state.psi
-    names = psi.vertices
     adj = psi._adj
-    ask, at, bit, label = _route(oracle, psi)
+    ask = _route(oracle, psi)
     with oracle.phase("A"):
         n = 0
         while any(len(nb) > n for nb in adj):
-            for x, ix in enumerate(at):
-                for y in tuple(adj[x]):
-                    candidates = [bit[v] for v in adj[x] if v != y]
+            for x, nb in enumerate(adj):
+                for y in tuple(nb):
+                    candidates = [1 << v for v in nb if v != y]
                     if len(candidates) < n:
                         continue
-                    iy = at[y]
                     for subset in combinations(candidates, n):
-                        if ask(ix, iy, sum(subset)):
+                        zmask = sum(subset)
+                        if ask(x, y, zmask):
                             psi._remove_edge(x, y)
-                            state.sepset[_pair(names[x], names[y])] = frozenset(
-                                label[b] for b in subset
-                            )
+                            state._sep[(x, y) if x < y else (y, x)] = zmask
                             break
             n += 1
     return state
@@ -201,13 +204,12 @@ def phase_b(state: CcdState) -> CcdState:
     the separator is underlined instead.
     """
     psi = state.psi
-    names = psi.vertices
     marks = psi._marks
     for b, nb in enumerate(psi._adj):
         for a, c in combinations(nb, 2):
             if (a, c) in marks:
                 continue
-            if names[b] in state.sepset[names[a], names[c]]:
+            if state._sep[a, c] >> b & 1:
                 psi._add_underline(a, b, c)
             else:
                 _harden(state, "B", b, a, Mark.ARROW)
@@ -229,15 +231,11 @@ def phase_c(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     """
     psi = state.psi
     adj = psi._adj
-    ask, at, bit, _ = _route(oracle, psi)
-    index = psi.index
-    separators = {}
-    for pair, separator in state.sepset.items():
-        i, j = sorted(map(index, pair))
-        separators[i, j] = _mask(psi, bit, separator)
+    separators = state._sep
+    ask = _route(oracle, psi)
     with oracle.phase("C"):
-        for a, ia in enumerate(at):
-            near = {a, *adj[a]}
+        for a, nb_a in enumerate(adj):
+            near = {a, *nb_a}
             for x, nb in enumerate(adj):
                 if x in near:
                     continue
@@ -245,15 +243,15 @@ def phase_c(state: CcdState, oracle: IndependenceOracle) -> CcdState:
                     if y in near:
                         continue
                     separator = separators.get((a, y) if a < y else (y, a))
-                    if separator is None or separator & bit[x]:
+                    if separator is None or separator >> x & 1:
                         continue
-                    if not ask(ia, at[x], separator):
+                    if not ask(a, x, separator):
                         _harden(state, "C", x, y, Mark.ARROW)
                         _harden(state, "C", y, x, Mark.TAIL)
     return state
 
 
-def _local_set(psi: Pag, v: int) -> list[int]:
+def _local_set(psi: Pag, v: int) -> tuple[int, ...]:
     """Neighbours of v plus far flanks of colliders pointing at v's neighbours."""
     adj = psi._adj
     marks = psi._marks
@@ -264,7 +262,7 @@ def _local_set(psi: Pag, v: int) -> list[int]:
         for x in adj[y]:
             if x != v and marks[y, x] is Mark.ARROW:
                 out.add(x)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def _collider_triples(psi: Pag) -> list[tuple[int, int, int]]:
@@ -289,10 +287,8 @@ def phase_d(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     triple with a dotted underline.
     """
     psi = state.psi
-    names = psi.vertices
-    local = [_local_set(psi, v) for v in range(len(names))]
-    state.local = {names[v]: tuple(names[u] for u in members) for v, members in enumerate(local)}
-    ask, at, bit, label = _route(oracle, psi)
+    local = state._local = [_local_set(psi, v) for v in range(len(psi.vertices))]
+    ask = _route(oracle, psi)
     with oracle.phase("D"):
         m = 0
         while True:
@@ -309,14 +305,14 @@ def phase_d(state: CcdState, oracle: IndependenceOracle) -> CcdState:
                 key = (a, b, c) if a < c else (c, b, a)
                 if key in dotted:
                     continue  # dotted earlier in this same sweep
-                candidates = [bit[v] for v in local[a] if v != b and v != c]
-                ia, ic, middle = at[a], at[c], bit[b]
+                candidates = [1 << v for v in local[a] if v != b and v != c]
+                middle = 1 << b
                 for subset in combinations(candidates, m):
-                    if ask(ia, ic, sum(subset) | middle):
+                    zmask = sum(subset) | middle
+                    if ask(a, c, zmask):
                         psi._add_dotted_underline(a, b, c)
                         dotted.add(key)
-                        supset = frozenset(label[z] for z in subset) | {names[b]}
-                        state.supset[names[key[0]], names[b], names[key[2]]] = supset
+                        state._sup[key] = zmask
                         break
             m += 1
     return state
@@ -332,11 +328,6 @@ def _dotted_both_ways(psi: Pag) -> list[tuple[int, int, int]]:
     return sorted(t for a, b, c in psi._dotted for t in ((a, b, c), (c, b, a)))
 
 
-def _supset(state: CcdState, a: int, b: int, c: int) -> frozenset[str]:
-    names = state.psi.vertices
-    return state.supset[Pag.canonical_triple(names[a], names[b], names[c])]
-
-
 def phase_e(state: CcdState) -> CcdState:
     """Orient edges between the middles of twin colliders over one flank pair.
 
@@ -347,18 +338,17 @@ def phase_e(state: CcdState) -> CcdState:
     flanks, in label order: O(deg a + deg b + deg c) per dotted triple.
     """
     psi = state.psi
-    names = psi.vertices
     adj = psi._adj
     marks = psi._marks
     for a, b, c in _dotted_both_ways(psi):
-        supset = _supset(state, a, b, c)
+        supset = state._sup[(a, b, c) if a < c else (c, b, a)]
         shared = set(adj[a]).intersection(adj[c])
         for d in adj[b]:
             if d not in shared:
                 continue
             if not (marks[d, a] is Mark.ARROW and marks[d, c] is Mark.ARROW):
                 continue
-            if names[d] in supset:
+            if supset >> d & 1:
                 _harden(state, "E", d, b, Mark.TAIL)
             else:
                 _harden(state, "E", b, d, Mark.TAIL)
@@ -379,16 +369,15 @@ def phase_f(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     """
     psi = state.psi
     adj = psi._adj
-    ask, at, bit, _ = _route(oracle, psi)
+    ask = _route(oracle, psi)
     with oracle.phase("F"):
         for a, b, c in _dotted_both_ways(psi):
-            supset = _mask(psi, bit, _supset(state, a, b, c))
+            supset = state._sup[(a, b, c) if a < c else (c, b, a)]
             shared = set(adj[a]).intersection(adj[c])
-            ia, ic = at[a], at[c]
             for d in adj[b]:
                 if d == a or d == c or d in shared:
                     continue
-                if not ask(ia, ic, supset | bit[d]):
+                if not ask(a, c, supset | 1 << d):
                     _harden(state, "F", b, d, Mark.TAIL)
                     _harden(state, "F", d, b, Mark.ARROW)
     return state

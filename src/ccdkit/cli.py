@@ -91,11 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.add_argument("--given", default="", help="comma-separated conditioning vertices")
     p.add_argument("--brute-force", action="store_true", help="use the path-enumeration decider")
-    p.add_argument(
-        "--literal-clause-ii",
-        action="store_true",
-        help="with --brute-force: demand a conditioned descendant of the vertex after each collider",
-    )
     p.set_defaults(handler=cmd_dsep)
 
     p = sub.add_parser("simulate", help="sample a linear model to CSV")
@@ -146,15 +141,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
 def cmd_dsep(args: argparse.Namespace) -> int:
     graph = parse_graph(_read(args.graph))
     given = [v for v in (part.strip() for part in args.given.split(",")) if v]
-    if args.literal_clause_ii and not args.brute_force:
-        print("error: --literal-clause-ii requires --brute-force", file=sys.stderr)
-        return EXIT_USAGE
-    if args.brute_force:
-        connected = brute_force_d_connected(
-            graph, args.x, args.y, given, literal_clause_ii=args.literal_clause_ii
-        )
-    else:
-        connected = d_connected(graph, args.x, args.y, given)
+    decide = brute_force_d_connected if args.brute_force else d_connected
+    connected = decide(graph, args.x, args.y, given)
     print("d-connected" if connected else "d-separated")
     return EXIT_OK if connected else EXIT_NEGATIVE
 

@@ -90,24 +90,14 @@ def brute_force_d_connected(
     x: Iterable[str] | str,
     y: Iterable[str] | str,
     given: Iterable[str] | str = (),
-    literal_clause_ii: bool = False,
 ) -> bool:
-    """Literal path-enumeration decision; exponential, for small graphs only.
-
-    ``literal_clause_ii`` switches the collider clause to demand a
-    conditioned descendant of the vertex that follows the collider on the
-    path, which is what a word-by-word reading of the activity clauses
-    says, instead of a descendant of the collider itself. The readings
-    disagree (the literal one is not even symmetric in x and y), and the
-    flag exists so the disagreement stays visible; the default matches
-    ``d_connected``.
-    """
+    """Literal path-enumeration decision; exponential, for small graphs only."""
     xm, ym, zm = _read_query(g, x, y, given)
     z = g._labels(zm)
     for start in sorted(g._labels(xm)):
         for goal in sorted(g._labels(ym)):
             for verts, forwards in _simple_paths(g, start, goal):
-                if _path_active(g, verts, forwards, z, literal_clause_ii):
+                if _path_active(g, verts, forwards, z):
                     return True
     return False
 
@@ -155,7 +145,6 @@ def _path_active(
     verts: list[str],
     forwards: list[bool],
     z: frozenset[str],
-    literal_clause_ii: bool,
 ) -> bool:
     for k in range(1, len(verts) - 1):
         into_left = forwards[k - 1]
@@ -164,10 +153,8 @@ def _path_active(
         v = verts[k]
         if v in z and not collider:
             return False
-        if collider:
-            probe = verts[k + 1] if literal_clause_ii else v
-            if not g.descendants((probe,)) & z:
-                return False
+        if collider and not g.descendants((v,)) & z:
+            return False
     return True
 
 

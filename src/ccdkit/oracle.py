@@ -11,8 +11,9 @@ A query has two entries. The public ``is_independent`` validates labels
 by the rules ``dsep.py`` states for every query entry and maps them to
 vertex indices; the internal ``_ask(i, j, zmask)`` takes indices and the
 conditioning set as a bitmask, and alone reads and writes the memo and
-the statistics. The search in ``ccd.py`` calls ``_ask``
-directly when the oracle's class keeps the base ``is_independent``, and
+the statistics. The search in ``ccd.py`` calls ``_ask`` directly when
+the oracle's class keeps the base ``is_independent`` and its vertices
+are the searched ones, so that its indices are the PAG's ids, and
 ``is_independent`` with labels otherwise, so an oracle that overrides
 ``is_independent`` still sees every query. The memo is keyed on one
 packed int per unordered pair and set; statistics count each distinct
@@ -114,8 +115,9 @@ class IndependenceOracle:
     distinct indices into ``vertices`` outside the bitmask ``zmask``,
     unchecked. It owns the memo, the statistics and the lock. The phases
     use it only when ``type(oracle).is_independent`` is this class's
-    method; a subclass that overrides ``is_independent`` is asked through
-    it, with labels, in the same order.
+    method and ``vertices`` are the PAG's; a subclass that overrides
+    ``is_independent``, or a search over other vertices, asks through
+    ``is_independent``, with labels, in the same order.
 
     ``_decide(i, j, zmask)`` receives the endpoints as indices into
     ``vertices``, in the order the caller named them, and the conditioning

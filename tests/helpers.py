@@ -155,18 +155,23 @@ def scrambled_state(labels, seed):
     marks = (Mark.CIRCLE, Mark.TAIL, Mark.ARROW, Mark.ARROW)
     state = CcdState(psi=Pag(labels))
     psi = state.psi
+    index = psi.index
+
+    def some_of(but):
+        # a random set's mask; every label draws once, kept or not
+        return sum(1 << index(v) for v in labels if rng.random() < 0.3 and v not in but)
+
     density = rng.uniform(0.4, 0.9)
     for a, b in itertools.combinations(labels, 2):
         if rng.random() < density:
             psi.add_edge(a, b, rng.choice(marks), rng.choice(marks))
         else:
-            state.sepset[a, b] = frozenset(v for v in labels if rng.random() < 0.3) - {a, b}
+            state._sep[index(a), index(b)] = some_of((a, b))
     for b in labels:
         for a, c in itertools.combinations(psi.adjacent(b), 2):
             if not psi.has_edge(a, c) and psi.is_arrow_collider(a, b, c) and rng.random() < 0.7:
                 psi.add_dotted_underline(a, b, c)
-                extra = frozenset(v for v in labels if rng.random() < 0.3) - {a, c}
-                state.supset[a, b, c] = extra | {b}
+                state._sup[index(a), index(b), index(c)] = some_of((a, c)) | 1 << index(b)
     return state
 
 
@@ -187,7 +192,8 @@ def reference_phase_a(state, oracle):
                 for subset in itertools.combinations(candidates, n):
                     if oracle.is_independent(x, y, subset):
                         psi.remove_edge(x, y)
-                        state.sepset[min(x, y), max(x, y)] = frozenset(subset)
+                        i, j = sorted(map(psi.index, (x, y)))
+                        state._sep[i, j] = sum(1 << psi.index(v) for v in subset)
                         break
             n += 1
 

@@ -7,6 +7,7 @@ from ccdkit import (
     GraphOracle,
     IndependenceOracle,
     Mark,
+    UnknownVertexError,
     d_connected,
     run_ccd,
     serialize_pag,
@@ -201,9 +202,23 @@ def test_adjacency_phase_alone_recovers_skeleton(two_cycle):
 
 
 def test_unknown_vertex_propagates_from_oracle(two_cycle):
-    oracle = GraphOracle(two_cycle)
-    with pytest.raises(KeyError):
-        run_ccd(oracle, ("A", "B", "Q"))
+    # the least unknown label is named, before any query is asked
+    for vertices in (("A", "B", "Q"), ("A", "R", "Q")):
+        oracle = GraphOracle(two_cycle)
+        with pytest.raises(UnknownVertexError) as err:
+            run_ccd(oracle, vertices)
+        assert err.value.args[0] == "Q"
+        assert oracle.stats.total() == 0
+
+
+def test_state_lookups_reject_unknown_labels(two_cycle):
+    _, state = run_on(two_cycle)
+    assert state.sepset_of("A", "X") is None  # adjacent, so no separator
+    assert state.supset_of("A", "B", "X") is None  # not a dotted triple
+    for lookup in (lambda: state.sepset_of("A", "Q"), lambda: state.supset_of("Q", "X", "B")):
+        with pytest.raises(UnknownVertexError) as err:
+            lookup()
+        assert err.value.args[0] == "Q"
 
 
 @settings(max_examples=60, deadline=None)

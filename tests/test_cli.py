@@ -142,11 +142,6 @@ def test_dsep_brute_force_flags(capsys):
         capsys, "dsep", "--graph", TWO_CYCLE, "A", "B", "--given", "X,Y", "--brute-force"
     )
     assert code == 1
-    code, _, err = run_cli(
-        capsys, "dsep", "--graph", TWO_CYCLE, "A", "B", "--literal-clause-ii"
-    )
-    assert code == 2
-    assert "--brute-force" in err
 
 
 def test_dsep_unknown_vertex_is_usage_error(capsys):
