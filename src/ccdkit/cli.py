@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="compare two graphs or enumerate a class")
     p.add_argument("--graph", metavar="FILE", action="append", default=[], help="repeat for the comparison form")
     p.add_argument("--class", dest="enumerate_class", action="store_true", help="print every member of the class")
-    p.add_argument("--max-vertices", type=int, default=4, help="guard for class enumeration (default 4)")
+    p.add_argument("--max-vertices", type=_positive_int, default=4, help="guard for class enumeration (default 4)")
     p.set_defaults(handler=cmd_equiv)
 
     p = sub.add_parser("verify", help="check a PAG's claims against a graph")

@@ -243,6 +243,15 @@ def test_equiv_class_lists_members(capsys):
     assert all(m.vertices == ("A", "B", "X", "Y") for m in members)
 
 
+@pytest.mark.parametrize("guard", ["-1", "0"])
+def test_equiv_class_rejects_a_nonpositive_guard(capsys, guard):
+    code, out, err = run_cli(
+        capsys, "equiv", "--class", "--graph", TWO_CYCLE, "--max-vertices", guard
+    )
+    assert (code, out) == (2, "")
+    assert "must be a positive integer" in err
+
+
 def test_verify_sound_pag(capsys, tmp_path, golden):
     pag_file = tmp_path / "two_cycle.pag"
     pag_file.write_text(golden("two_cycle.pag"))

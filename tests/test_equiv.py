@@ -124,6 +124,27 @@ def test_class_enumeration_matches_the_fingerprint_sweep_on_three_vertices():
         assert enumerate_equiv_class(g) == expected
 
 
+def test_class_enumeration_matches_the_fingerprint_classes_on_four_vertices():
+    classes = {}
+    for h in all_graphs(("A", "B", "C", "D")):
+        classes.setdefault(fingerprint(h), []).append(h)
+    assert len(classes) == 194
+    for group in classes.values():
+        assert enumerate_equiv_class(group[0]) == sorted(group, key=_edge_list)
+
+
+def test_an_isolated_fifth_vertex_keeps_the_two_cycle_class(two_cycle):
+    # E is separated from every vertex given the empty set, so no member
+    # has an edge at E
+    labels = two_cycle.vertices + ("E",)
+    mirror = {("A", "Y"), ("B", "X"), ("X", "Y"), ("Y", "X")}
+    expected = sorted(
+        [DirectedGraph(labels, two_cycle.edges), DirectedGraph(labels, mirror)],
+        key=_edge_list,
+    )
+    assert enumerate_equiv_class(DirectedGraph(labels, two_cycle.edges), max_vertices=5) == expected
+
+
 @settings(max_examples=200)
 @given(graphs(max_vertices=6), st.data())
 def test_markov_equivalent_agrees_with_fingerprints_after_one_edge_change(g1, data):
