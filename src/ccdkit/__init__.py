@@ -29,7 +29,6 @@ from .oracle import (
     OracleStats,
     SingularCovarianceError,
     SingularCovarianceWarning,
-    fisher_z_is_independent,
     fisher_z_statistic,
     partial_correlation,
     partial_correlation_from_covariance,
@@ -84,7 +83,6 @@ __all__ = [
     "d_separated",
     "enumerate_equiv_class",
     "fingerprint",
-    "fisher_z_is_independent",
     "fisher_z_statistic",
     "markov_equivalent",
     "parse_graph",

@@ -38,17 +38,12 @@ def reach_set(
     """Mask of every vertex outside x and z that is d-connected to x given z.
 
     ``parents[i]`` and ``children[i]`` are the masks of vertex i's parents
-    and children.
+    and children. x and z must be disjoint: the walk starts as an ``out``
+    arrival at each member of x, which passes it on to every parent and
+    child because the member lies outside z.
     """
-    seen_in = seen_out = 0
-    m = x_mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        seen_in |= children[i]
-        seen_out |= parents[i]
-        m ^= low
-    front_in, front_out = seen_in, seen_out
+    seen_in = front_in = 0
+    seen_out = front_out = x_mask
     while front_in or front_out:
         new_in = new_out = 0
         m = front_in

@@ -31,7 +31,7 @@ and ``local`` attributes are label views built when read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterable
 
 from .digraph import _bits, _id_of
@@ -265,53 +265,48 @@ def _local_set(psi: Pag, v: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _collider_triples(psi: Pag) -> list[tuple[int, int, int]]:
-    marks = psi._marks
-    triples = []
-    for b, nb in enumerate(psi._adj):
-        flanks = [v for v in nb if marks[b, v] is Mark.ARROW]
-        for a in flanks:
-            for c in flanks:
-                if a != c and (a, c) not in marks:
-                    triples.append((a, b, c))
-    triples.sort()
-    return triples
-
-
 def phase_d(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     """Find separators that contain each unshielded collider's middle vertex.
 
     Candidate extra conditioning vertices come from the local set of the
     first flank, computed here once and frozen for the rest of the run.
     A success records the separator (middle vertex included) and marks the
-    triple with a dotted underline.
+    triple with a dotted underline. Phase D writes no marks, so the
+    colliders and their candidates are collected once; level m then walks
+    the ordered triples not yet dotted that have at least m candidates,
+    sorted, until none is left.
     """
     psi = state.psi
+    marks = psi._marks
     local = state._local = [_local_set(psi, v) for v in range(len(psi.vertices))]
+    pending = []
+    for b, nb in enumerate(psi._adj):
+        flanks = [v for v in nb if marks[b, v] is Mark.ARROW]
+        for a, c in permutations(flanks, 2):
+            if (a, c) not in marks:
+                key = (a, b, c) if a < c else (c, b, a)
+                pending.append(((a, b, c), key, [1 << v for v in local[a] if v != b and v != c]))
+    pending.sort()
+    dotted = psi._dotted
     ask = _route(oracle, psi)
     with oracle.phase("D"):
         m = 0
         while True:
-            dotted = set(psi._dotted)
             pending = [
-                (a, b, c)
-                for (a, b, c) in _collider_triples(psi)
-                if ((a, b, c) if a < c else (c, b, a)) not in dotted
-                and len([v for v in local[a] if v != b and v != c]) >= m
+                (triple, key, candidates)
+                for triple, key, candidates in pending
+                if key not in dotted and len(candidates) >= m
             ]
             if not pending:
                 break
-            for a, b, c in pending:
-                key = (a, b, c) if a < c else (c, b, a)
+            for (a, b, c), key, candidates in pending:
                 if key in dotted:
-                    continue  # dotted earlier in this same sweep
-                candidates = [1 << v for v in local[a] if v != b and v != c]
+                    continue  # the other flank order was dotted earlier at this level
                 middle = 1 << b
                 for subset in combinations(candidates, m):
                     zmask = sum(subset) | middle
                     if ask(a, c, zmask):
                         psi._add_dotted_underline(a, b, c)
-                        dotted.add(key)
                         state._sup[key] = zmask
                         break
             m += 1

@@ -68,6 +68,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
+def _alpha(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError("alpha must be strictly between 0 and 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccdkit",
@@ -79,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", metavar="FILE", help="graph file; exact oracle")
     source.add_argument("--data", metavar="FILE", help="CSV sample; Fisher-z oracle")
-    p.add_argument("--alpha", type=float, default=None, help="test level, only with --data (default 0.01)")
+    p.add_argument("--alpha", type=_alpha, default=None, help="test level, only with --data (default 0.01)")
     p.add_argument("--dot", metavar="FILE", help="also write the PAG as Graphviz dot")
     p.add_argument("--dump-state", action="store_true", help="append sepsets, supsets, local sets and query counts")
     p.add_argument("--strict", action="store_true", help="exit 3 when orientation conflicts occur")
@@ -96,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample a linear model to CSV")
     p.add_argument("--model", metavar="FILE", required=True)
     p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative_int, required=True)
     p.add_argument("--out", metavar="FILE", required=True)
     p.set_defaults(handler=cmd_simulate)
 

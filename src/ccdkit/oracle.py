@@ -23,9 +23,13 @@ belongs to the thread that set it, so an oracle instance can be shared
 across threads.
 
 The statistical oracle and the public ``partial_correlation`` functions
-share one residual routine and one set of degenerate-covariance checks.
-``partial_correlation_recursive`` stays an independent cross-check; it
-applies the same 1e-12 bound to a variable the set determines.
+share one residual routine and one set of degenerate-covariance checks;
+``partial_correlation`` reads its columns' sample covariance through
+``partial_correlation_from_covariance``. A Fisher-z decision has one
+entry, ``FisherZOracle.is_independent``; ``fisher_z_statistic`` is the
+statistic alone. ``partial_correlation_recursive`` stays an independent
+cross-check; it applies the same 1e-12 bound to a variable the set
+determines.
 """
 from __future__ import annotations
 
@@ -60,7 +64,6 @@ __all__ = [
     "partial_correlation_recursive",
     "partial_correlation_from_covariance",
     "fisher_z_statistic",
-    "fisher_z_is_independent",
 ]
 
 
@@ -84,9 +87,6 @@ class OracleStats:
 
     def for_phase(self, phase: str | None) -> int:
         return sum(n for (p, _), n in self.counts.items() if p == phase)
-
-    def for_size(self, size: int) -> int:
-        return sum(n for (_, s), n in self.counts.items() if s == size)
 
     def rows(self) -> list[tuple[str, int, int]]:
         """Sorted (phase, size, count) rows; unattributed queries show as '-'."""
@@ -333,20 +333,6 @@ def _residual(cov: np.ndarray, cond: list[int]) -> np.ndarray | None:
     return cov - rows.T @ (inverse @ rows)
 
 
-def _partial_from_cov(cov: np.ndarray) -> float:
-    """Partial correlation of the first two variables given the rest.
-
-    Uses the conditional (Schur-complement) covariance of the leading pair,
-    which needs only the conditioning block to be invertible; a block that
-    is numerically singular, or a variable that the conditioning set
-    determines exactly, is reported as singular.
-    """
-    cov = np.asarray(cov, dtype=float)
-    top = cov if cov.shape[0] == 2 else _residual(cov, list(range(2, cov.shape[0])))
-    residual = None if top is None else (float(top[0, 0]), float(top[1, 1]), float(top[0, 1]))
-    return _partial_from_residual(float(cov[0, 0]), float(cov[1, 1]), residual)
-
-
 def _query_names(x: str, y: str, s: Iterable[str] | str) -> tuple[str, str, tuple[str, ...]]:
     s = _as_vertex_set(s)  # a bare label is one vertex
     cond = tuple(sorted(s))
@@ -367,19 +353,28 @@ def partial_correlation(
     x, y, cond = _query_names(x, y, s)
     if data.n_rows <= len(cond) + 2:
         raise ValueError("need more rows than conditioning variables plus two")
-    cov = np.cov(data.columns((x, y, *cond)), rowvar=False, ddof=1)
-    return _partial_from_cov(np.atleast_2d(cov))
+    names = (x, y, *cond)
+    cov = np.cov(data.columns(names), rowvar=False, ddof=1)
+    return partial_correlation_from_covariance(cov, names, x, y, cond)
 
 
 def partial_correlation_from_covariance(
     cov: np.ndarray, labels: Sequence[str], x: str, y: str, s: Iterable[str] | str = ()
 ) -> float:
-    """Partial correlation read off a covariance matrix over ``labels``."""
+    """Partial correlation read off a covariance matrix over ``labels``.
+
+    Uses the conditional (Schur-complement) covariance of the pair, which
+    needs only the conditioning block to be invertible; a block that is
+    numerically singular, or a variable that the conditioning set
+    determines exactly, is reported as singular.
+    """
     x, y, cond = _query_names(x, y, s)
     index = {label: i for i, label in enumerate(labels)}
     idx = [_id_of(index, v) for v in (x, y, *cond)]
-    cov = np.asarray(cov, dtype=float)
-    return _partial_from_cov(cov[np.ix_(idx, idx)])
+    cov = np.asarray(cov, dtype=float)[np.ix_(idx, idx)]
+    top = _residual(cov, list(range(2, len(idx)))) if cond else cov
+    residual = None if top is None else (float(top[0, 0]), float(top[1, 1]), float(top[0, 1]))
+    return _partial_from_residual(float(cov[0, 0]), float(cov[1, 1]), residual)
 
 
 def partial_correlation_recursive(
@@ -425,30 +420,17 @@ def partial_correlation_recursive(
     return min(1.0, max(-1.0, r))
 
 
+_TOO_FEW_ROWS = "need n_rows - |s| - 3 >= 1"
+
+
 def fisher_z_statistic(r: float, n_rows: int, cond_size: int) -> float:
     """The z transform of r scaled by sqrt(N - |s| - 3); infinite at |r| = 1."""
     df = n_rows - cond_size - 3
     if df < 1:
-        raise ValueError("need n_rows - |s| - 3 >= 1")
+        raise ValueError(_TOO_FEW_ROWS)
     if abs(r) >= 1.0:
         return math.inf
     return math.atanh(r) * math.sqrt(df)
-
-
-def fisher_z_is_independent(
-    data: DataMatrix, x: str, y: str, s: Iterable[str] | str = (), alpha: float = 0.01
-) -> bool:
-    """Two-sided test of zero partial correlation at level alpha.
-
-    Degenerate covariances propagate as SingularCovarianceError; a unit
-    partial correlation simply counts as dependent.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be strictly between 0 and 1")
-    s = _as_vertex_set(s)
-    r = partial_correlation(data, x, y, s)
-    z = fisher_z_statistic(r, data.n_rows, len(s))
-    return abs(z) <= NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 class FisherZOracle(IndependenceOracle):
@@ -461,11 +443,13 @@ class FisherZOracle(IndependenceOracle):
     query with the same set then reads r = R_xy / sqrt(R_xx R_yy) from it
     with plain float arithmetic. The empty set reads the covariance itself,
     and a singular block is cached as such; so is a block one of whose
-    members the others determine to within 1e-12 of its variance. A
-    degenerate block, or too few rows for the test
-    (N - |s| - 3 < 1), makes the query count as dependent and emits
-    SingularCovarianceWarning, so a deterministic linear dependence or a
-    small sample degrades the answer instead of aborting the search.
+    members the others determine to within 1e-12 of its variance. Too few
+    rows for the test (N - |s| - 3 < 1), checked first, or a degenerate
+    block makes the query count as dependent and emits
+    SingularCovarianceWarning naming that reason, so a small sample or a
+    deterministic linear dependence degrades the answer instead of
+    aborting the search. A one-row sample has no covariance; the oracle
+    builds without one, since every query lacks rows.
     """
 
     def __init__(self, data: DataMatrix, alpha: float = 0.01):
@@ -476,20 +460,25 @@ class FisherZOracle(IndependenceOracle):
         self.alpha = float(alpha)
         self._n_rows = data.n_rows
         self._critical = NormalDist().inv_cdf(1.0 - self.alpha / 2.0)
-        column = [data._col_index[v] for v in self.vertices]
-        cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
-        self._cov = cov[np.ix_(column, column)]  # in vertex order
         n = len(self.vertices)
+        column = [data._col_index[v] for v in self.vertices]
+        if data.n_rows > 1:
+            cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
+        else:  # no sample covariance, and every query lacks rows anyway
+            cov = np.full((n, n), np.nan)
+        self._cov = cov[np.ix_(column, column)]  # in vertex order
         self._upper = np.triu_indices(n)
         # (i, j) with i <= j sits at offset[i] + j of a packed triangle
         self._offset = tuple(i * n - i * (i + 1) // 2 for i in range(n))
         self._residual: dict[int, array | None] = {0: array("d", self._cov[self._upper].tobytes())}
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
+        size = zmask.bit_count()
         try:
-            r = self._partial(i, j, zmask)
-            z = fisher_z_statistic(r, self._n_rows, zmask.bit_count())
-        except ValueError as exc:  # a singular block, or too few rows for |s|
+            if self._n_rows - size - 3 < 1:  # named before a degenerate block
+                raise ValueError(_TOO_FEW_ROWS)
+            z = fisher_z_statistic(self._partial(i, j, zmask), self._n_rows, size)
+        except ValueError as exc:  # too few rows for |s|, or a singular block
             names = self.vertices
             warnings.warn(
                 SingularCovarianceWarning(

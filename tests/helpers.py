@@ -175,7 +175,7 @@ def scrambled_state(labels, seed):
     return state
 
 
-# Phases A, C, E and F as scans over every ordered vertex tuple, in
+# Phases A, C, D, E and F as scans over every ordered vertex tuple, in
 # lexicographic order. ccd.py enumerates the same candidates from
 # neighbour sets; these define the query and write order it must keep.
 
@@ -209,6 +209,41 @@ def reference_phase_c(state, oracle):
                 if not oracle.is_independent(a, x, separator):
                     _harden(state, "C", psi.index(x), psi.index(y), Mark.ARROW)
                     _harden(state, "C", psi.index(y), psi.index(x), Mark.TAIL)
+
+
+def reference_phase_d(state, oracle):
+    psi = state.psi
+    local = {}
+    for v in psi.vertices:
+        members = set(psi.adjacent(v))
+        for y in psi.adjacent(v):
+            if psi.mark_at(y, v) is Mark.ARROW:
+                members.update(
+                    x for x in psi.adjacent(y) if x != v and psi.mark_at(y, x) is Mark.ARROW
+                )
+        local[v] = sorted(members)
+    state._local = [tuple(map(psi.index, local[v])) for v in psi.vertices]
+    with oracle.phase("D"):
+        m = 0
+        met = True
+        while met:
+            met = False  # a triple not yet dotted with m candidates
+            for a, b, c in itertools.permutations(psi.vertices, 3):
+                if psi.has_edge(a, c) or not psi.is_arrow_collider(a, b, c):
+                    continue
+                if Pag.canonical_triple(a, b, c) in psi.dotted_underlines:
+                    continue
+                candidates = [v for v in local[a] if v not in (b, c)]
+                if len(candidates) < m:
+                    continue
+                met = True
+                for subset in itertools.combinations(candidates, m):
+                    if oracle.is_independent(a, c, subset + (b,)):
+                        psi.add_dotted_underline(a, b, c)
+                        key = tuple(map(psi.index, Pag.canonical_triple(a, b, c)))
+                        state._sup[key] = sum(1 << psi.index(v) for v in (*subset, b))
+                        break
+            m += 1
 
 
 def _dotted_quadruples(psi):

@@ -24,6 +24,7 @@ from helpers import (
     ordered_pairs,
     reference_phase_a,
     reference_phase_c,
+    reference_phase_d,
     reference_phase_e,
     reference_phase_f,
     relabel_pag,
@@ -259,6 +260,33 @@ def test_phases_keep_the_query_and_write_order_of_tuple_scans(g, seed):
     assert state.conflicts == ref.conflicts
     assert state.stats.rows() == ref.stats.rows()
     assert error == ref_error
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=7), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_phase_d_keeps_the_query_order_of_the_triple_scan(g, seed, noisy):
+    # noisy answers make phase D meet underlined colliders, and abort
+    outcomes = []
+    for run_d in (phase_d, reference_phase_d):
+        oracle = NoisyOracle(g, seed) if noisy else GraphOracle(g)
+        state = CcdState.initial(oracle.vertices, oracle.stats)
+        phase_a(state, oracle)
+        phase_b(state)
+        phase_c(state, oracle)
+        try:
+            run_d(state, oracle)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        outcomes.append((
+            getattr(oracle, "calls", None),
+            state.psi.dotted_underlines,
+            state.supset,
+            state.local,
+            state.stats.rows(),
+            error,
+        ))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=150, deadline=None)

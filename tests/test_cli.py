@@ -72,6 +72,15 @@ def test_discover_alpha_requires_data(capsys):
     assert "--alpha" in err
 
 
+@pytest.mark.parametrize("alpha", ["0", "1.5", "nan", "-0.1"])
+def test_discover_alpha_outside_the_unit_interval_is_usage_error(capsys, tmp_path, alpha):
+    csv = tmp_path / "d.csv"
+    csv.write_text("A,B\n1.0,2.0\n2.0,1.0\n3.0,5.0\n")
+    code, out, err = run_cli(capsys, "discover", "--data", str(csv), "--alpha", alpha)
+    assert (code, out) == (2, "")
+    assert "alpha must be strictly between 0 and 1" in err
+
+
 def test_discover_graph_and_data_mutually_exclusive(capsys, tmp_path):
     csv = tmp_path / "d.csv"
     csv.write_text("A,B\n1.0,2.0\n")
@@ -198,6 +207,19 @@ def test_simulate_rejects_nonpositive_samples(capsys, tmp_path):
         "--seed", "1", "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2
+
+
+def test_simulate_rejects_a_negative_seed(capsys, tmp_path):
+    model = tmp_path / "m.sem"
+    model.write_text("B <- A 0.5\n")
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--model", str(model), "--samples", "10",
+        "--seed", "-1", "--out", str(out),
+    )
+    assert code == 2
+    assert "must be a non-negative integer" in err
+    assert not out.exists()
 
 
 def test_simulate_singular_model_is_data_error(capsys, tmp_path):

@@ -19,7 +19,6 @@ from ccdkit import (
     SingularCovarianceWarning,
     UnknownVertexError,
     d_separated,
-    fisher_z_is_independent,
     fisher_z_statistic,
     partial_correlation,
     partial_correlation_from_covariance,
@@ -111,7 +110,6 @@ def test_stats_attribute_queries_to_phases(two_cycle):
         oracle.is_independent("A", "Y", ("B", "X"))
     assert oracle.stats.rows() == [("A", 0, 1), ("A", 1, 1), ("D", 2, 1)]
     assert oracle.stats.for_phase("A") == 2
-    assert oracle.stats.for_size(2) == 1
 
 
 class ParityOracle(IndependenceOracle):
@@ -289,15 +287,15 @@ def test_fisher_z_decision_examples():
     rng = np.random.default_rng(7)
     z = rng.standard_normal(100)
     strong = DataMatrix(("X", "Y"), np.column_stack([z, 0.6 * z + 0.8 * rng.standard_normal(100)]))
-    assert not fisher_z_is_independent(strong, "X", "Y", (), alpha=0.01)
+    assert not FisherZOracle(strong, alpha=0.01).is_independent("X", "Y")
     weak = rng_data(n=100, seed=8)
-    assert fisher_z_is_independent(weak, "X", "Y", (), alpha=0.01)
+    assert FisherZOracle(weak, alpha=0.01).is_independent("X", "Y")
 
 
 def test_fisher_z_unit_correlation_is_dependent():
     x = np.random.default_rng(9).standard_normal(50)
     data = DataMatrix(("X", "Y"), np.column_stack([x, 2 * x]))
-    assert not fisher_z_is_independent(data, "X", "Y", ())
+    assert not FisherZOracle(data).is_independent("X", "Y")
 
 
 def test_fisher_z_oracle_warns_and_reports_dependence_on_singular_input():
@@ -352,6 +350,27 @@ def test_fisher_z_oracle_counts_too_small_samples_as_dependent():
         run_ccd(FisherZOracle(data, alpha=0.9), data.labels)
 
 
+@pytest.mark.parametrize("n_rows", [1, 3])
+def test_too_few_rows_is_the_named_reason_for_every_query(n_rows):
+    # one row has no sample covariance, and on three rows any two
+    # conditioning columns determine the rest: the oracle builds without
+    # numpy warnings, and every query warns that rows are lacking, not
+    # that the covariance is singular or determines a variable
+    values = np.random.default_rng(3).standard_normal((n_rows, 4))
+    data = DataMatrix(("A", "B", "C", "D"), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle = FisherZOracle(data)
+    for x, y, s in all_queries(data.labels):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert not oracle.is_independent(x, y, s)
+        assert [(w.category, str(w.message)) for w in caught] == [(
+            SingularCovarianceWarning,
+            f"query ({x}, {y} | {list(s)}): need n_rows - |s| - 3 >= 1; treating as dependent",
+        )]
+
+
 def test_fisher_z_oracle_alpha_validation():
     with pytest.raises(ValueError):
         FisherZOracle(rng_data(n=50), alpha=0.0)
@@ -362,10 +381,10 @@ def test_fisher_z_oracle_alpha_validation():
 def test_fisher_z_oracle_agrees_with_direct_function():
     data = rng_data(n=2000, cols=3, seed=10)
     oracle = FisherZOracle(data, alpha=0.05)
+    critical = NormalDist().inv_cdf(1.0 - 0.05 / 2.0)
     for x, y, s in all_queries(data.labels):
-        assert oracle.is_independent(x, y, s) == fisher_z_is_independent(
-            data, x, y, s, alpha=0.05
-        )
+        z = fisher_z_statistic(partial_correlation(data, x, y, s), data.n_rows, len(s))
+        assert oracle.is_independent(x, y, s) == (abs(z) <= critical)
 
 
 def test_fisher_z_oracle_follows_column_labels_not_order():
@@ -482,7 +501,7 @@ def test_bare_label_is_one_conditioning_vertex_in_the_public_functions():
         lambda s: partial_correlation(data, "V01", "V03", s),
         lambda s: partial_correlation_from_covariance(cov, data.labels, "V01", "V03", s),
         lambda s: partial_correlation_recursive(data, "V01", "V03", s),
-        lambda s: fisher_z_is_independent(data, "V01", "V03", s),
+        lambda s: FisherZOracle(data).is_independent("V01", "V03", s),
     )
     for route in routes:
         assert route("V02") == route(("V02",))
@@ -507,16 +526,18 @@ def degenerate_data(draw):
 
 
 def _reference_answer(data, cov, critical, x, y, s):
-    """(answer, r, warning text) by the per-query route of the public functions."""
+    """(answer, r, warning text) by the per-query route of the public
+    functions; too few rows is the reason named before a degenerate
+    covariance."""
+    reason = "need n_rows - |s| - 3 >= 1" if data.n_rows - len(s) - 3 < 1 else None
     try:
         r = partial_correlation_from_covariance(cov, data.labels, x, y, s)
     except SingularCovarianceError as exc:
-        return False, exc, f"query ({x}, {y} | {sorted(s)}): {exc}; treating as dependent"
-    try:
-        z = fisher_z_statistic(r, data.n_rows, len(s))
-    except ValueError as exc:
-        return False, r, f"query ({x}, {y} | {sorted(s)}): {exc}; treating as dependent"
-    return abs(z) <= critical, r, None
+        r = exc
+        reason = reason or str(exc)
+    if reason:
+        return False, r, f"query ({x}, {y} | {sorted(s)}): {reason}; treating as dependent"
+    return abs(fisher_z_statistic(r, data.n_rows, len(s))) <= critical, r, None
 
 
 @settings(deadline=None, max_examples=150)
