@@ -23,47 +23,69 @@ states, and the kernel needs no ancestor closure.
 One fixpoint from a source set yields every vertex the walk touches, so a
 single call answers the query for all targets at once: y is d-connected
 to x given z exactly when y's bit is set in the result. Vertex sets are
-Python ints used as bitmasks over a fixed vertex order, and a graph is
-given as its parent and child masks in that order, so graphs of any
+Python ints used as bitmasks over a fixed vertex order, so graphs of any
 width are supported and callers need not build a ``DirectedGraph``.
+
+A graph reaches the kernel as two ``UnionMemo`` objects, one over its
+parent masks and one over its child masks. Each level of the walk is then
+two lookups of whole frontier sets, with no loop over their members:
+
+    new_out = parents[front_in & z | front_out & ~z]
+    new_in  = children[(front_in | front_out) & ~z]
+
+A memo computes the union of a set's member masks once, on the first
+lookup of that set, and answers every later lookup of it from the dict,
+so walks over one graph that meet the same frontier share the work. The
+memo's values depend only on the masks it wraps, so concurrent lookups
+at worst compute one entry twice and store the same value.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
+
+
+class UnionMemo(dict):
+    """``memo[s]`` is the union of ``masks[i]`` over the members i of the set s.
+
+    ``masks`` holds one bitmask per vertex; a set is a bitmask over the
+    same vertices. Each set's union is computed on its first lookup.
+    """
+
+    def __init__(self, masks: Sequence[int]):
+        super().__init__()
+        self.masks = masks
+
+    def __missing__(self, members: int) -> int:
+        masks = self.masks
+        union = 0
+        m = members
+        while m:
+            low = m & -m
+            union |= masks[low.bit_length() - 1]
+            m ^= low
+        self[members] = union
+        return union
 
 
 def reach_set(
-    parents: Sequence[int], children: Sequence[int], x_mask: int, z_mask: int
+    parents: Mapping[int, int], children: Mapping[int, int], x_mask: int, z_mask: int
 ) -> int:
     """Mask of every vertex outside x and z that is d-connected to x given z.
 
-    ``parents[i]`` and ``children[i]`` are the masks of vertex i's parents
-    and children. x and z must be disjoint: the walk starts as an ``out``
-    arrival at each member of x, which passes it on to every parent and
-    child because the member lies outside z.
+    ``parents[s]`` and ``children[s]`` are the masks of every parent and
+    every child of the members of the set s, as ``UnionMemo`` gives them.
+    x and z must be disjoint: the walk starts as an ``out`` arrival at
+    each member of x, which passes it on to every parent and child
+    because the member lies outside z.
     """
+    outside = ~z_mask
     seen_in = front_in = 0
     seen_out = front_out = x_mask
     while front_in or front_out:
-        new_in = new_out = 0
-        m = front_in
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if z_mask & low:
-                new_out |= parents[i]
-            else:
-                new_in |= children[i]
-            m ^= low
-        m = front_out & ~z_mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            new_in |= children[i]
-            new_out |= parents[i]
-            m ^= low
-        front_in = new_in & ~seen_in
-        front_out = new_out & ~seen_out
+        front_in, front_out = (
+            children[(front_in | front_out) & outside] & ~seen_in,
+            parents[front_in & z_mask | front_out & outside] & ~seen_out,
+        )
         seen_in |= front_in
         seen_out |= front_out
     return (seen_in | seen_out) & ~(x_mask | z_mask)

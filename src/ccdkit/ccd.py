@@ -13,16 +13,21 @@ The phases work on vertex ids, positions in the PAG's sorted labels, so
 id order is label order and sorted id lists enumerate candidates and
 subsets in the same order as labels would. A conditioning set is a
 bitmask over PAG ids, and ``_route`` gives each asking phase one
-callable ``ask(x, y, zmask)`` over those ids:
+callable ``first_separator(x, y, candidates, size, extra)`` over those
+ids. It asks the sets ``sum(subset) | extra`` for the size-``size``
+subsets of the one-vertex masks ``candidates``, in ``combinations``
+order, and returns the first that separates x from y, or None. Phases A
+and D pass a whole subset level per call; phases C and F ask one set,
+as ``extra`` with no candidates.
 
 - when the oracle's class keeps ``IndependenceOracle.is_independent``
   and the oracle's vertices are the PAG's, its indices are the PAG ids,
-  and the callable is ``_ask``, the internal entry that owns the memo and
-  the statistics, with no label handling per query;
+  and the callable is ``_first_separator``, the internal entry that owns
+  the memo and the statistics, with no label handling per query;
 - otherwise, as for a search over a subset of the oracle's vertices, a
   subclass that overrides ``is_independent`` or a wrapper that offers
   only the label interface, it asks ``is_independent`` with the PAG's
-  labels, in the same order.
+  labels, once per set, in the same order.
 
 ``CcdState`` keeps what the phases hand on by ids: separators and
 supersets as masks, local sets as id tuples. Its ``sepset``, ``supset``
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .digraph import _bits, _id_of
 from .oracle import IndependenceOracle, OracleStats
@@ -126,27 +131,34 @@ def _harden(state: CcdState, phase: str, at: int, other: int, mark: Mark) -> Non
         )
 
 
-def _route(oracle: IndependenceOracle, psi: Pag) -> Callable[[int, int, int], bool]:
-    """How one phase asks the oracle: ``ask(x, y, zmask)`` over PAG ids.
+def _route(oracle: IndependenceOracle, psi: Pag) -> Callable[..., int | None]:
+    """How one phase asks the oracle, over PAG ids:
+    ``first_separator(x, y, candidates, size, extra)``.
 
-    ``_ask`` itself when the oracle's class keeps the base
+    ``_first_separator`` itself when the oracle's class keeps the base
     ``is_independent`` and the oracle's vertices are the PAG's. Otherwise
-    the query goes to ``is_independent`` with labels, the conditioning set
+    each set goes to ``is_independent`` with labels, the conditioning set
     in label order, after every PAG vertex has been checked against the
     oracle's, so an unknown one raises UnknownVertexError before any query.
     """
     names = psi.vertices
     keeps_base = type(oracle).is_independent is IndependenceOracle.is_independent
     if keeps_base and oracle.vertices == names:
-        return oracle._ask
+        return oracle._first_separator
     known = dict.fromkeys(oracle.vertices)
     for v in names:
         _id_of(known, v)
 
-    def ask(x: int, y: int, zmask: int) -> bool:
-        return oracle.is_independent(names[x], names[y], [names[k] for k in _bits(zmask)])
+    def first_separator(
+        x: int, y: int, candidates: Sequence[int], size: int, extra: int = 0
+    ) -> int | None:
+        for subset in combinations(candidates, size):
+            zmask = sum(subset) | extra
+            if oracle.is_independent(names[x], names[y], [names[k] for k in _bits(zmask)]):
+                return zmask
+        return None
 
-    return ask
+    return first_separator
 
 
 def run_ccd(oracle: IndependenceOracle, vertices: Iterable[str]) -> tuple[Pag, CcdState]:
@@ -177,7 +189,7 @@ def phase_a(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     """
     psi = state.psi
     adj = psi._adj
-    ask = _route(oracle, psi)
+    first_separator = _route(oracle, psi)
     with oracle.phase("A"):
         n = 0
         while any(len(nb) > n for nb in adj):
@@ -186,12 +198,10 @@ def phase_a(state: CcdState, oracle: IndependenceOracle) -> CcdState:
                     candidates = [1 << v for v in nb if v != y]
                     if len(candidates) < n:
                         continue
-                    for subset in combinations(candidates, n):
-                        zmask = sum(subset)
-                        if ask(x, y, zmask):
-                            psi._remove_edge(x, y)
-                            state._sep[(x, y) if x < y else (y, x)] = zmask
-                            break
+                    zmask = first_separator(x, y, candidates, n)
+                    if zmask is not None:
+                        psi._remove_edge(x, y)
+                        state._sep[(x, y) if x < y else (y, x)] = zmask
             n += 1
     return state
 
@@ -232,7 +242,7 @@ def phase_c(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     psi = state.psi
     adj = psi._adj
     separators = state._sep
-    ask = _route(oracle, psi)
+    first_separator = _route(oracle, psi)
     with oracle.phase("C"):
         for a, nb_a in enumerate(adj):
             near = {a, *nb_a}
@@ -245,7 +255,7 @@ def phase_c(state: CcdState, oracle: IndependenceOracle) -> CcdState:
                     separator = separators.get((a, y) if a < y else (y, a))
                     if separator is None or separator >> x & 1:
                         continue
-                    if not ask(a, x, separator):
+                    if first_separator(a, x, (), 0, separator) is None:
                         _harden(state, "C", x, y, Mark.ARROW)
                         _harden(state, "C", y, x, Mark.TAIL)
     return state
@@ -288,7 +298,7 @@ def phase_d(state: CcdState, oracle: IndependenceOracle) -> CcdState:
                 pending.append(((a, b, c), key, [1 << v for v in local[a] if v != b and v != c]))
     pending.sort()
     dotted = psi._dotted
-    ask = _route(oracle, psi)
+    first_separator = _route(oracle, psi)
     with oracle.phase("D"):
         m = 0
         while True:
@@ -302,13 +312,10 @@ def phase_d(state: CcdState, oracle: IndependenceOracle) -> CcdState:
             for (a, b, c), key, candidates in pending:
                 if key in dotted:
                     continue  # the other flank order was dotted earlier at this level
-                middle = 1 << b
-                for subset in combinations(candidates, m):
-                    zmask = sum(subset) | middle
-                    if ask(a, c, zmask):
-                        psi._add_dotted_underline(a, b, c)
-                        state._sup[key] = zmask
-                        break
+                zmask = first_separator(a, c, candidates, m, 1 << b)
+                if zmask is not None:
+                    psi._add_dotted_underline(a, b, c)
+                    state._sup[key] = zmask
             m += 1
     return state
 
@@ -364,7 +371,7 @@ def phase_f(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     """
     psi = state.psi
     adj = psi._adj
-    ask = _route(oracle, psi)
+    first_separator = _route(oracle, psi)
     with oracle.phase("F"):
         for a, b, c in _dotted_both_ways(psi):
             supset = state._sup[(a, b, c) if a < c else (c, b, a)]
@@ -372,7 +379,7 @@ def phase_f(state: CcdState, oracle: IndependenceOracle) -> CcdState:
             for d in adj[b]:
                 if d == a or d == c or d in shared:
                     continue
-                if not ask(a, c, supset | 1 << d):
+                if first_separator(a, c, (), 0, supset | 1 << d) is None:
                     _harden(state, "F", b, d, Mark.TAIL)
                     _harden(state, "F", d, b, Mark.ARROW)
     return state

@@ -12,12 +12,17 @@ predicate answer, 2 usage or file errors, 3 data-quality problems (bad
 numeric content, singular models, conflicts under --strict). Everything
 deterministic goes to stdout; timing and conflict diagnostics go to
 stderr, so stdout is byte-identical across runs on identical inputs.
+``discover --data`` prints one stderr line per distinct reason for which
+queries counted as dependent, with the count and the first query, in
+place of one ``SingularCovarianceWarning`` per query.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
+import warnings
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +30,7 @@ from .ccd import CcdState, run_ccd
 from .digraph import GraphParseError, UnknownVertexError, parse_graph, serialize_graph
 from .dsep import brute_force_d_connected, d_connected
 from .equiv import enumerate_equiv_class, markov_equivalent
-from .oracle import DataMatrix, FisherZOracle, GraphOracle
+from .oracle import DataMatrix, FisherZOracle, GraphOracle, SingularCovarianceWarning
 from .pag import PagParseError, parse_pag, serialize_pag, to_dot, verify_pag_against_graph
 from .sem import SemParseError, SingularModelError, parse_sem
 
@@ -139,7 +144,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
         data = DataMatrix.from_csv(_read(args.data))
         oracle = FisherZOracle(data, 0.01 if args.alpha is None else args.alpha)
     started = time.perf_counter()
-    pag, state = run_ccd(oracle, oracle.vertices)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            pag, state = run_ccd(oracle, oracle.vertices)
+    finally:
+        _report_warnings(caught)
     elapsed = time.perf_counter() - started
     sys.stdout.write(serialize_pag(pag) + (_render_state(state) if args.dump_state else ""))
     if args.dot:
@@ -150,6 +159,26 @@ def cmd_discover(args: argparse.Namespace) -> int:
     if args.strict and state.conflicts:
         return EXIT_DATA
     return EXIT_OK
+
+
+def _report_warnings(caught: list[warnings.WarningMessage]) -> None:
+    """Show the warnings a search recorded, each query warning folded into
+    one line per reason; others are shown as they would have been."""
+    counts: Counter = Counter()
+    first: dict[str, str] = {}
+    for w in caught:
+        if not issubclass(w.category, SingularCovarianceWarning):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+            continue
+        # "query (x, y | [s]): reason; treating as dependent"; no reason holds ": "
+        query, _, reason = str(w.message).rpartition(": ")
+        counts[reason] += 1
+        first.setdefault(reason, query)
+    for reason, count in counts.items():
+        print(
+            f"SingularCovarianceWarning: {count} queries: {reason}; first {first[reason]}",
+            file=sys.stderr,
+        )
 
 
 def cmd_dsep(args: argparse.Namespace) -> int:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from ._reach import UnionMemo
+
 FORMAT_HEADER = "# ccd-kit format v1"
 
 __all__ = [
@@ -173,6 +175,16 @@ class DirectedGraph:
         for a, b in self.edges:
             masks[idx[a]] |= 1 << idx[b]
         return tuple(masks)
+
+    # the kernel's views of the graph: the parents and the children of a
+    # vertex set, memoised per set for the life of the graph
+    @cached_property
+    def _parent_unions(self) -> UnionMemo:
+        return UnionMemo(self._parent_masks)
+
+    @cached_property
+    def _child_unions(self) -> UnionMemo:
+        return UnionMemo(self._child_masks)
 
     @cached_property
     def _descendant_masks(self) -> tuple[int, ...]:

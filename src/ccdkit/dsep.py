@@ -73,7 +73,7 @@ def d_connected(
 ) -> bool:
     """True iff some x-member is d-connected to some y-member given ``given``."""
     xm, ym, zm = _read_query(g, x, y, given)
-    return bool(reach_set(g._parent_masks, g._child_masks, xm, zm) & ym)
+    return bool(reach_set(g._parent_unions, g._child_unions, xm, zm) & ym)
 
 
 def d_separated(

@@ -15,7 +15,8 @@ the same entries as bitmasks: for every conditioning mask z and every
 vertex x outside z with a larger vertex outside z, one reach set gives
 the mask of the larger vertices outside z that z separates from x. On 11
 vertices that is 9,217 kernel calls in place of 28,160 queries. The
-class sweep builds each candidate as parent and child masks and makes a
+class sweep builds each candidate as parent and child masks, wraps them
+in the candidate's own ``UnionMemo`` pair, and makes a
 ``DirectedGraph`` only for the members.
 
 An edge a -> b is an active path given every conditioning set, so a
@@ -31,7 +32,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from ._reach import reach_set
+from ._reach import UnionMemo, reach_set
 from .digraph import DirectedGraph
 from .dsep import d_connected
 
@@ -64,8 +65,9 @@ def fingerprint(g: DirectedGraph) -> frozenset[tuple[str, str, frozenset[str]]]:
     return frozenset(separated)
 
 
-def _separations(parents: Sequence[int], children: Sequence[int]) -> Iterator[int]:
-    """The separation table of a graph on n vertices, one row at a time.
+def _separations(parents: UnionMemo, children: UnionMemo) -> Iterator[int]:
+    """The separation table of a graph on n vertices, one row at a time,
+    from its ``UnionMemo`` pair.
 
     Rows run over conditioning masks z in increasing order and, within
     one z, over the x outside z in increasing order that have a larger
@@ -74,7 +76,7 @@ def _separations(parents: Sequence[int], children: Sequence[int]) -> Iterator[in
     yield equal rows throughout exactly when their fingerprints are
     equal.
     """
-    n = len(parents)
+    n = len(parents.masks)
     full = (1 << n) - 1
     for z in range(1 << n):
         m = full & ~z
@@ -99,8 +101,8 @@ def markov_equivalent(g1: DirectedGraph, g2: DirectedGraph) -> bool:
     return all(
         a == b
         for a, b in zip(
-            _separations(g1._parent_masks, g1._child_masks),
-            _separations(g2._parent_masks, g2._child_masks),
+            _separations(g1._parent_unions, g1._child_unions),
+            _separations(g2._parent_unions, g2._child_unions),
         )
     )
 
@@ -146,7 +148,7 @@ def enumerate_equiv_class(g: DirectedGraph, max_vertices: int = 4) -> list[Direc
             f"guard of {max_vertices}; raise max_vertices to force it"
         )
     _check_size(n)
-    target = tuple(_separations(g._parent_masks, g._child_masks))
+    target = tuple(_separations(g._parent_unions, g._child_unions))
     arcs = [arc for a, b in _never_separated(target, n) for arc in ((a, b), (b, a))]
     members = []
     for mask in range(2 ** len(arcs)):
@@ -156,7 +158,8 @@ def enumerate_equiv_class(g: DirectedGraph, max_vertices: int = 4) -> list[Direc
         for a, b in edges:
             parents[b] |= 1 << a
             children[a] |= 1 << b
-        if all(a == b for a, b in zip(_separations(parents, children), target)):
+        rows = _separations(UnionMemo(parents), UnionMemo(children))
+        if all(a == b for a, b in zip(rows, target)):
             members.append(
                 DirectedGraph(labels, frozenset((labels[a], labels[b]) for a, b in edges))
             )

@@ -9,18 +9,23 @@ covariance per set.
 
 A query has two entries. The public ``is_independent`` validates labels
 by the rules ``dsep.py`` states for every query entry and maps them to
-vertex indices; the internal ``_ask(i, j, zmask)`` takes indices and the
-conditioning set as a bitmask, and alone reads and writes the memo and
-the statistics. The search in ``ccd.py`` calls ``_ask`` directly when
-the oracle's class keeps the base ``is_independent`` and its vertices
-are the searched ones, so that its indices are the PAG's ids, and
-``is_independent`` with labels otherwise, so an oracle that overrides
-``is_independent`` still sees every query. The memo is keyed on one
-packed int per unordered pair and set; statistics count each distinct
-query once, attributed to the search phase that first asked it. The
-memo, the caches and the counters sit behind a lock, and the phase label
-belongs to the thread that set it, so an oracle instance can be shared
-across threads.
+vertex indices. The internal ``_first_separator(i, j, candidates, size,
+extra)`` takes indices and asks a whole level of a separator search in
+one call: the set ``sum(subset) | extra`` for each size-``size`` subset
+of the candidate bitmasks, in ``combinations`` order, until one
+separates i from j. It alone reads and writes the memo and the
+statistics, and it takes the lock and reads the phase label once per
+call, not once per query. ``is_independent`` asks it one set. The search
+in ``ccd.py`` calls ``_first_separator`` directly when the oracle's
+class keeps the base ``is_independent`` and its vertices are the
+searched ones, so that its indices are the PAG's ids, and
+``is_independent`` with labels otherwise, once per set in the same
+order, so an oracle that overrides ``is_independent`` still sees every
+query. The memo is keyed on one packed int per unordered pair and set;
+statistics count each distinct query once, attributed to the search
+phase that first asked it. The memo, the caches and the counters sit
+behind a lock, and the phase label belongs to the thread that set it, so
+an oracle instance can be shared across threads.
 
 The statistical oracle and the public ``partial_correlation`` functions
 share one residual routine and one set of degenerate-covariance checks;
@@ -43,6 +48,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from statistics import NormalDist
 from typing import Iterable, Iterator, Sequence
 
@@ -109,15 +115,16 @@ class IndependenceOracle:
     iterable of labels; a bare label means the set of that one vertex, as
     in ``d_separated``. The endpoints and the members of ``s`` are read
     as labels through ``str``. It validates the query and hands it to
-    ``_ask``.
+    ``_first_separator`` as the one set to ask.
 
-    ``_ask(i, j, zmask)`` is the internal entry the search phases call:
-    distinct indices into ``vertices`` outside the bitmask ``zmask``,
-    unchecked. It owns the memo, the statistics and the lock. The phases
-    use it only when ``type(oracle).is_independent`` is this class's
-    method and ``vertices`` are the PAG's; a subclass that overrides
-    ``is_independent``, or a search over other vertices, asks through
-    ``is_independent``, with labels, in the same order.
+    ``_first_separator(i, j, candidates, size, extra)`` is the internal
+    entry the search phases call: distinct indices into ``vertices``,
+    candidate one-vertex bitmasks and an ``extra`` bitmask, none holding
+    i or j, unchecked. It owns the memo, the statistics and the lock. The
+    phases use it only when ``type(oracle).is_independent`` is this
+    class's method and ``vertices`` are the PAG's; a subclass that
+    overrides ``is_independent``, or a search over other vertices, asks
+    through ``is_independent``, with labels, in the same order.
 
     ``_decide(i, j, zmask)`` receives the endpoints as indices into
     ``vertices``, in the order the caller named them, and the conditioning
@@ -138,23 +145,38 @@ class IndependenceOracle:
         s = frozenset(str(v) for v in _as_vertex_set(s))
         x, y = str(x), str(y)
         _check_endpoints(x, y, s)
-        return self._ask(_id_of(self._index, x), _id_of(self._index, y), _mask_of(self._index, s))
+        i, j = _id_of(self._index, x), _id_of(self._index, y)
+        return self._first_separator(i, j, (), 0, _mask_of(self._index, s)) is not None
 
-    def _ask(self, i: int, j: int, zmask: int) -> bool:
-        """Answer a query given as distinct indices outside the set ``zmask``.
+    def _first_separator(
+        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int = 0
+    ) -> int | None:
+        """The first set ``sum(subset) | extra`` that separates i from j,
+        over the size-``size`` subsets of ``candidates`` in ``combinations``
+        order, or None when none does.
 
-        The one entry that reads and writes the memo and the stats. The
-        memo key packs the set and the unordered pair into one int,
+        The one entry that reads and writes the memo and the stats, each
+        distinct query counted under the size of its whole set. The memo
+        key packs the set and the unordered pair into one int,
         ``zmask << 2w | lo << w | hi`` with ``w`` bits per index.
         """
         w = self._width
-        key = zmask << 2 * w | (i << w | j if i < j else j << w | i)
+        pair = i << w | j if i < j else j << w | i
+        memo = self._memo
+        decide = self._decide
         with self._lock:
-            answer = self._memo.get(key)
-            if answer is None:
-                answer = self._memo[key] = bool(self._decide(i, j, zmask))
-                self.stats.counts[self._phase.label, zmask.bit_count()] += 1
-            return answer
+            counts = self.stats.counts
+            label = self._phase.label
+            for subset in combinations(candidates, size):
+                zmask = sum(subset) | extra
+                key = zmask << 2 * w | pair
+                answer = memo.get(key)
+                if answer is None:
+                    answer = memo[key] = bool(decide(i, j, zmask))
+                    counts[label, zmask.bit_count()] += 1
+                if answer:
+                    return zmask
+        return None
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         raise NotImplementedError
@@ -192,8 +214,8 @@ class GraphOracle(IndependenceOracle):
             other = cached.get(base | j)
             if other is not None:  # d-connection is symmetric
                 return not other >> i & 1
-            g = self.graph  # masks built on first use keep construction cheap
-            reach = cached[base | i] = reach_set(g._parent_masks, g._child_masks, 1 << i, zmask)
+            g = self.graph  # memos built on first use keep construction cheap
+            reach = cached[base | i] = reach_set(g._parent_unions, g._child_unions, 1 << i, zmask)
         return not reach >> j & 1
 
 
@@ -485,7 +507,7 @@ class FisherZOracle(IndependenceOracle):
                     f"query ({names[i]}, {names[j]} | {[names[k] for k in _bits(zmask)]}): "
                     f"{exc}; treating as dependent"
                 ),
-                stacklevel=4,
+                stacklevel=4,  # skips _first_separator, then is_independent or the phase
             )
             return False
         return abs(z) <= self._critical

@@ -91,6 +91,14 @@ class NoisyOracle(GraphOracle):
         return super()._decide(i, j, zmask) != (random.Random(key).random() < self.flip)
 
 
+class DecideOnlyNoisyOracle(NoisyOracle):
+    """NoisyOracle's answers with the base ``is_independent``: only
+    ``_decide`` differs from GraphOracle, so the phases ask through
+    ``_first_separator``."""
+
+    is_independent = IndependenceOracle.is_independent
+
+
 def reference_reach_set(g, x_mask, z_mask):
     """The kernel as it was before the bounce rule: a walk passes a
     collider while the collider is an ancestor of the conditioning set."""

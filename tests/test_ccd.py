@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from ccdkit.digraph import _bits
 
 from helpers import (
     LETTERS,
+    DecideOnlyNoisyOracle,
     NoisyOracle,
     ScriptedOracle,
     graphs,
@@ -323,13 +326,6 @@ def test_relabelled_graph_gives_relabelled_pag(n, rng):
     assert run_on(relabelled)[0] == relabel_pag(pag, mapping)
 
 
-class DecideOnlyNoisyOracle(NoisyOracle):
-    """NoisyOracle's answers with the base ``is_independent``: only
-    ``_decide`` differs from GraphOracle, so the phases ask through ``_ask``."""
-
-    is_independent = IndependenceOracle.is_independent
-
-
 class LabelOnly:
     """A duck-typed wrapper that offers only the label interface."""
 
@@ -371,15 +367,25 @@ def search_outcome(oracle, vertices):
 def test_ask_route_and_label_route_give_the_same_run(g, seed):
     direct = DecideOnlyNoisyOracle(g, seed)
     asked = []
-    ask = direct._ask
-    direct._ask = lambda i, j, zmask: asked.append((i, j, zmask)) or ask(i, j, zmask)
+    first_separator = direct._first_separator
+
+    def logged(i, j, candidates, size, extra=0):
+        # the sets the call asked: every subset up to the separator it found
+        found = first_separator(i, j, candidates, size, extra)
+        for subset in combinations(candidates, size):
+            asked.append((i, j, sum(subset) | extra))
+            if asked[-1][2] == found:
+                break
+        return found
+
+    direct._first_separator = logged
     wrapped = LabelOnly(DecideOnlyNoisyOracle(g, seed))
     assert search_outcome(direct, direct.vertices) == search_outcome(wrapped, wrapped.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
     assert asked == [
         (index[x], index[y], sum(1 << index[v] for v in s)) for x, y, s in wrapped.calls
     ]
-    assert direct.calls == []  # the ask route bypasses is_independent
+    assert direct.calls == []  # the direct route bypasses is_independent
 
 
 class MarginalOracle(IndependenceOracle):

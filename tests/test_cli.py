@@ -2,11 +2,22 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from ccdkit import DataMatrix, Mark, parse_graph, parse_pag, random_graph, serialize_graph
+from ccdkit import (
+    DataMatrix,
+    FisherZOracle,
+    Mark,
+    SingularCovarianceWarning,
+    parse_graph,
+    parse_pag,
+    random_graph,
+    serialize_graph,
+    serialize_pag,
+)
 from ccdkit.ccd import ConflictRecord
 import ccdkit.cli as cli
 
@@ -126,6 +137,42 @@ def test_discover_strict_exits_3_on_conflicts(capsys, monkeypatch):
     assert code == 3
     section = out.split("# conflicts\n")[1].splitlines()
     assert section == [ConflictRecord("C", "A", "X", Mark.TAIL, Mark.ARROW).describe()]
+
+
+def test_discover_folds_query_warnings_into_one_line_per_reason(capsys, tmp_path, monkeypatch):
+    # one row is too few for every query: the 1,792 phase-A queries each
+    # printed a two-line warning; other warnings still show as they are
+    labels = [f"C{k}" for k in range(8)]
+    csv = tmp_path / "one.csv"
+    csv.write_text(",".join(labels) + "\n" + ",".join(str(float(k)) for k in range(8)) + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "ccdkit", "discover", "--data", str(csv), "--dump-state"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr.splitlines()[:-1] == [
+        "SingularCovarianceWarning: 1792 queries: need n_rows - |s| - 3 >= 1; "
+        "treating as dependent; first query (C0, C1 | [])"
+    ]
+    assert result.stderr.splitlines()[-1].startswith("elapsed: ")
+    real = cli.run_ccd
+
+    def also_warns(oracle, vertices):
+        warnings.warn("unrelated", UserWarning)
+        return real(oracle, vertices)
+
+    monkeypatch.setattr(cli, "run_ccd", also_warns)
+    with pytest.warns(UserWarning) as caught:
+        code, out, _ = run_cli(capsys, "discover", "--data", str(csv), "--dump-state")
+    assert (code, out) == (0, result.stdout)
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [
+        (UserWarning, "unrelated", __file__)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularCovarianceWarning)
+        pag, state = real(FisherZOracle(DataMatrix.from_csv(csv.read_text())), labels)
+    assert out == serialize_pag(pag) + cli._render_state(state)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,9 +22,17 @@ from ccdkit import (
     partial_correlation_recursive,
     witness_separator,
 )
-from ccdkit._reach import reach_set
+from ccdkit._reach import UnionMemo, reach_set
 
-from helpers import all_queries, exhaustive_graphs, graphs, random_query, reference_reach_set
+from helpers import (
+    LETTERS,
+    all_queries,
+    exhaustive_graphs,
+    graphs,
+    ordered_pairs,
+    random_query,
+    reference_reach_set,
+)
 
 
 def test_d_connected_rejects_bad_queries(two_cycle):
@@ -109,8 +118,71 @@ def test_bounce_rule_reaches_what_the_ancestor_rule_reaches(g, data):
     z_mask = data.draw(st.integers(0, 2**n - 1), label="z_mask")
     for x in range(n):
         z = z_mask & ~(1 << x)
-        got = reach_set(g._parent_masks, g._child_masks, 1 << x, z)
+        got = reach_set(g._parent_unions, g._child_unions, 1 << x, z)
         assert got == reference_reach_set(g, 1 << x, z)
+
+
+def test_kernel_equals_the_ancestor_rule_on_every_graph_up_to_three_vertices():
+    # every source set x and every z disjoint from it, each asked of fresh
+    # memos and again of the warm memos of the same graph
+    for n in range(1, 4):
+        for g in exhaustive_graphs(tuple(LETTERS[:n])):
+            for fresh in (True, False):
+                for x in range(1, 1 << n):
+                    for z in range(1 << n):
+                        if x & z:
+                            continue
+                        if fresh:
+                            parents = UnionMemo(g._parent_masks)
+                            children = UnionMemo(g._child_masks)
+                        else:
+                            parents, children = g._parent_unions, g._child_unions
+                        got = reach_set(parents, children, x, z)
+                        assert got == reference_reach_set(g, x, z), (g, x, z)
+
+
+def test_union_memos_belong_to_one_graph():
+    # two graphs on the same labels, equal ones included, never share a memo,
+    # so a union filled for one never answers the other
+    chain = DirectedGraph(("A", "B", "C"), {("A", "B"), ("B", "C")})
+    fork = DirectedGraph(("A", "B", "C"), {("B", "A"), ("B", "C")})
+    twin = DirectedGraph(("A", "B", "C"), {("A", "B"), ("B", "C")})
+    assert twin == chain
+    memos = [m for g in (chain, fork, twin) for m in (g._parent_unions, g._child_unions)]
+    assert len({id(m) for m in memos}) == len(memos)
+    for g in (chain, fork, twin, chain, fork):
+        for x, y, s in all_queries(g.vertices):
+            assert d_connected(g, x, y, s) == brute_force_d_connected(g, x, y, s)
+    assert chain._parent_unions[0b111] == 0b011
+    assert fork._parent_unions[0b111] == 0b010
+
+
+def test_threads_sharing_one_graph_get_the_brute_force_answers():
+    labels = tuple(LETTERS[:7])
+    rng = random.Random(7)
+    g = DirectedGraph(labels, {e for e in ordered_pairs(labels) if rng.random() < 0.3})
+    queries = list(all_queries(labels))
+    expected = [brute_force_d_connected(g, x, y, s) for x, y, s in queries]
+    results = {}
+
+    def worker(k):
+        order = list(range(len(queries)))
+        random.Random(k).shuffle(order)
+        results[k] = {q: d_connected(g, *queries[q]) for q in order}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(8):
+        assert [results[k][q] for q in range(len(queries))] == expected
 
 
 def test_large_graph_uses_python_backend():

@@ -1,6 +1,8 @@
+import linecache
 import random
 import threading
 import warnings
+from itertools import combinations
 from statistics import NormalDist
 
 import numpy as np
@@ -27,7 +29,8 @@ from ccdkit import (
     sem_from_graph,
 )
 
-from helpers import all_queries, graphs, two_cycle_graph
+import ccdkit.ccd
+from helpers import DecideOnlyNoisyOracle, all_queries, graphs, two_cycle_graph
 
 
 def test_graph_oracle_matches_separation(two_cycle):
@@ -146,6 +149,57 @@ def test_packed_memo_key_counts_each_distinct_query_once(n, rng):
                 min(i, j), max(i, j), zmask
             )
     assert oracle.stats.total() == len({(min(i, j), max(i, j), z) for i, j, z in asked})
+
+
+def per_subset_loop(oracle, i, j, candidates, size, extra):
+    """A level asked one set at a time through ``_decide``: the memo and
+    the stats updated per set, the first separating set returned."""
+    w = oracle._width
+    for subset in combinations(candidates, size):
+        zmask = sum(subset) | extra
+        key = zmask << 2 * w | min(i, j) << w | max(i, j)
+        if key not in oracle._memo:
+            oracle._memo[key] = bool(oracle._decide(i, j, zmask))
+            oracle.stats.counts[oracle._phase.label, zmask.bit_count()] += 1
+        if oracle._memo[key]:
+            return zmask
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_vertices=2, max_vertices=6), st.integers(0, 2**32 - 1), st.data())
+def test_first_separator_equals_a_per_subset_loop_over_decide(g, seed, data):
+    n = len(g.vertices)
+    i, j = data.draw(st.permutations(range(n)), label="order")[:2]
+    others = data.draw(st.permutations([v for v in range(n) if v not in (i, j)]), label="others")
+    k = data.draw(st.integers(0, len(others)), label="candidate count")
+    candidates = [1 << v for v in sorted(others[:k])]
+    extra = sum(1 << v for v in others[k:] if data.draw(st.booleans(), label=f"extra {v}"))
+    size = data.draw(st.integers(0, len(candidates) + 1), label="size")
+    subsets = [sum(c) | extra for c in combinations(candidates, size)]
+    # some sets of the level are already in the memo, under another label
+    warm = data.draw(st.lists(st.sampled_from(subsets), max_size=3) if subsets else st.just([]))
+    label = data.draw(st.sampled_from((None, "A", "D")), label="phase")
+    runs = []
+    for entry in ("first_separator", "per_subset_loop"):
+        oracle = DecideOnlyNoisyOracle(g, seed, flip=0.3)
+        decided = []
+        decide = oracle._decide
+        oracle._decide = lambda a, b, z: decided.append((a, b, z)) or decide(a, b, z)
+        with oracle.phase("C"):
+            for zmask in warm:
+                per_subset_loop(oracle, j, i, (), 0, zmask)
+        del decided[:]
+        with oracle.phase(label):
+            if entry == "first_separator":
+                found = oracle._first_separator(i, j, candidates, size, extra)
+            else:
+                found = per_subset_loop(oracle, i, j, candidates, size, extra)
+        runs.append((found, decided, dict(oracle._memo), oracle.stats.rows()))
+    assert runs[0] == runs[1]
+    found, decided = runs[0][:2]
+    asked = subsets if found is None else subsets[: subsets.index(found) + 1]
+    assert {z for _, _, z in decided} <= set(asked)  # nothing past the separator
 
 
 def test_oracle_is_thread_safe(two_cycle):
@@ -348,6 +402,22 @@ def test_fisher_z_oracle_counts_too_small_samples_as_dependent():
         assert not oracle.is_independent("A", "B", ("C", "D", "E"))
     with pytest.warns(SingularCovarianceWarning):
         run_ccd(FisherZOracle(data, alpha=0.9), data.labels)
+
+
+def test_singular_warning_is_attributed_to_the_asking_code():
+    # stacklevel 4 skips _decide, _first_separator and is_independent, so a
+    # direct query warns at the caller's line, and a search at run_ccd's
+    # call of the phase that asked
+    data = DataMatrix(tuple("ABCD"), np.random.default_rng(3).standard_normal((1, 4)))
+    with pytest.warns(SingularCovarianceWarning) as caught:
+        FisherZOracle(data).is_independent("A", "B", ("C",))
+    assert [w.filename for w in caught] == [__file__]
+    assert linecache.getline(__file__, caught[0].lineno).strip().startswith("FisherZOracle(data)")
+    with pytest.warns(SingularCovarianceWarning) as caught:
+        run_ccd(FisherZOracle(data), data.labels)
+    assert {(w.filename, linecache.getline(w.filename, w.lineno).strip()) for w in caught} == {
+        (ccdkit.ccd.__file__, "phase_a(state, oracle)")
+    }
 
 
 @pytest.mark.parametrize("n_rows", [1, 3])
