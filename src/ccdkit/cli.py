@@ -9,9 +9,10 @@ in the vertex count.
 
 Exit codes: 0 success (or a positive predicate answer), 1 negative
 predicate answer, 2 usage or file errors, 3 data-quality problems (bad
-numeric content, singular models, conflicts under --strict). Everything
-deterministic goes to stdout; timing and conflict diagnostics go to
-stderr, so stdout is byte-identical across runs on identical inputs.
+numeric content, singular models, conflicts under --strict, a class with
+more than 4^7 candidates). Everything deterministic goes to stdout;
+timing and conflict diagnostics go to stderr, so stdout is
+byte-identical across runs on identical inputs.
 ``discover --data`` prints one stderr line per distinct reason for which
 queries counted as dependent, with the count and the first query, in
 place of one ``SingularCovarianceWarning`` per query.
@@ -121,8 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equiv", help="compare two graphs or enumerate a class")
     p.add_argument("--graph", metavar="FILE", action="append", default=[], help="repeat for the comparison form")
-    p.add_argument("--class", dest="enumerate_class", action="store_true", help="print every member of the class")
-    p.add_argument("--max-vertices", type=_positive_int, default=4, help="guard for class enumeration (default 4)")
+    p.add_argument("--class", dest="enumerate_class", action="store_true", help="print every member of a class of at most 4^7 candidates")
     p.set_defaults(handler=cmd_equiv)
 
     p = sub.add_parser("verify", help="check a PAG's claims against a graph")
@@ -203,7 +203,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
             print("error: --class takes exactly one --graph", file=sys.stderr)
             return EXIT_USAGE
         g = parse_graph(_read(args.graph[0]))
-        members = enumerate_equiv_class(g, max_vertices=args.max_vertices)
+        members = enumerate_equiv_class(g)
         sys.stdout.write("\n".join(serialize_graph(member) for member in members))
         return EXIT_OK
     if len(args.graph) != 2:

@@ -19,13 +19,14 @@ class sweep builds each candidate as parent and child masks, wraps them
 in the candidate's own ``UnionMemo`` pair, and makes a
 ``DirectedGraph`` only for the members.
 
-An edge a -> b is an active path given every conditioning set, so a
-member's edges join only pairs that the member never separates; as a
-member has the input's table, the input never separates them either.
-The class sweep therefore reads those pairs off the input's table and
-varies only the edges among them. The pairs come from the table, not
-from the input's edges: the two-cycle A -> X <-> Y <- B has a member
-with the edge A -> Y.
+An edge a -> b is an active path given every conditioning set, and a
+member has the input's table, so a member's edges join only pairs that
+the input never separates: the virtually adjacent pairs that
+``DirectedGraph.adjacent_in_graph`` reports (Richardson 1996), the rule
+``verify`` uses. The class sweep varies only the edges among these k
+pairs (the two-cycle A -> X <-> Y <- B has a member with the edge
+A -> Y) and refuses more than ``_CANDIDATE_LIMIT`` = 4^7 candidates
+before it builds any table.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 _FINGERPRINT_LIMIT = 12
+_CANDIDATE_LIMIT = 4**7
 
 
 def _check_size(n: int) -> None:
@@ -116,43 +118,32 @@ def all_graphs(labels: Sequence[str]) -> Iterator[DirectedGraph]:
         yield DirectedGraph(labels, edges)
 
 
-def _never_separated(table: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """The pairs (a, b), a < b, that no row of a separation table separates.
-
-    The rows are read in the order ``_separations`` yields them: over z
-    in increasing order, then over every vertex outside z but the
-    largest.
-    """
-    separated = [0] * n
-    rows = iter(table)
-    for z in range(1 << n):
-        outside = [v for v in range(n) if not z >> v & 1]
-        for x in outside[:-1]:
-            separated[x] |= next(rows)
-    return [(a, b) for a in range(n) for b in range(a + 1, n) if not separated[a] >> b & 1]
-
-
-def enumerate_equiv_class(g: DirectedGraph, max_vertices: int = 4) -> list[DirectedGraph]:
+def enumerate_equiv_class(g: DirectedGraph) -> list[DirectedGraph]:
     """All graphs Markov equivalent to g, sorted by their edge lists.
 
-    Only candidates whose edges join pairs that g never separates are
-    compared with g's separation table: 4^k of them for k such pairs,
-    where a sweep of every directed graph would visit 2^(n(n-1)). Raise
-    ``max_vertices`` explicitly to go past four vertices.
+    Only candidates whose edges join the k pairs that
+    ``g.adjacent_in_graph`` reports are compared with g's separation
+    table: 4^k of them, where a sweep of every directed graph would visit
+    2^(n(n-1)). More than ``_CANDIDATE_LIMIT`` = 4^7 candidates (k >= 8)
+    raise ValueError, as do more than twelve vertices.
     """
     labels = g.vertices
     n = len(labels)
-    if n > max_vertices:
-        raise ValueError(
-            f"class enumeration over {n} vertices exceeds the "
-            f"guard of {max_vertices}; raise max_vertices to force it"
-        )
     _check_size(n)
+    pairs = [
+        (a, b) for a, b in combinations(range(n), 2) if g.adjacent_in_graph(labels[a], labels[b])
+    ]
+    k = len(pairs)
+    if 4**k > _CANDIDATE_LIMIT:
+        raise ValueError(
+            f"class enumeration would compare 4^{k} candidates for k = {k} "
+            f"adjacent pairs; the limit is {_CANDIDATE_LIMIT} (4^7)"
+        )
     target = tuple(_separations(g._parent_unions, g._child_unions))
-    arcs = [arc for a, b in _never_separated(target, n) for arc in ((a, b), (b, a))]
+    arcs = [arc for a, b in pairs for arc in ((a, b), (b, a))]
     members = []
     for mask in range(2 ** len(arcs)):
-        edges = [arc for k, arc in enumerate(arcs) if mask >> k & 1]
+        edges = [arc for bit, arc in enumerate(arcs) if mask >> bit & 1]
         parents = [0] * n
         children = [0] * n
         for a, b in edges:

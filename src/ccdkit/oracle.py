@@ -41,6 +41,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import sys
 import threading
 import warnings
 from array import array
@@ -443,6 +445,7 @@ def partial_correlation_recursive(
 
 
 _TOO_FEW_ROWS = "need n_rows - |s| - 3 >= 1"
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 def fisher_z_statistic(r: float, n_rows: int, cond_size: int) -> float:
@@ -502,12 +505,16 @@ class FisherZOracle(IndependenceOracle):
             z = fisher_z_statistic(self._partial(i, j, zmask), self._n_rows, size)
         except ValueError as exc:  # too few rows for |s|, or a singular block
             names = self.vertices
+            # warn at the first frame outside this package: the code that asked
+            level, frame = 1, sys._getframe()
+            while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 SingularCovarianceWarning(
                     f"query ({names[i]}, {names[j]} | {[names[k] for k in _bits(zmask)]}): "
                     f"{exc}; treating as dependent"
                 ),
-                stacklevel=4,  # skips _first_separator, then is_independent or the phase
+                stacklevel=level,
             )
             return False
         return abs(z) <= self._critical

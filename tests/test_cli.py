@@ -312,13 +312,13 @@ def test_equiv_class_lists_members(capsys):
     assert all(m.vertices == ("A", "B", "X", "Y") for m in members)
 
 
-@pytest.mark.parametrize("guard", ["-1", "0"])
-def test_equiv_class_rejects_a_nonpositive_guard(capsys, guard):
-    code, out, err = run_cli(
-        capsys, "equiv", "--class", "--graph", TWO_CYCLE, "--max-vertices", guard
-    )
-    assert (code, out) == (2, "")
-    assert "must be a positive integer" in err
+def test_equiv_class_refuses_more_than_the_candidate_limit(capsys, tmp_path):
+    labels = [f"V{i}" for i in range(9)]
+    chain = tmp_path / "chain9.graph"
+    chain.write_text("".join(f"{a} -> {b}\n" for a, b in zip(labels, labels[1:])))
+    code, out, err = run_cli(capsys, "equiv", "--class", "--graph", str(chain))
+    assert (code, out) == (3, "")
+    assert "k = 8 adjacent pairs" in err
 
 
 def test_verify_sound_pag(capsys, tmp_path, golden):

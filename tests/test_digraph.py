@@ -27,6 +27,12 @@ def test_self_loop_rejected():
         DirectedGraph(("A",), {("A", "A")})
 
 
+def test_adjacency_of_a_vertex_with_itself_is_undefined():
+    g = DirectedGraph(("A", "B"), {("A", "B")})
+    with pytest.raises(ValueError, match="distinct vertices"):
+        g.adjacent_in_graph("A", "A")
+
+
 @pytest.mark.parametrize("label", ["", "two words", "a\tb", "#lead", "->", "x,y"])
 def test_bad_labels_rejected(label):
     with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccdkit import (
     DirectedGraph,
     all_graphs,
     enumerate_equiv_class,
+    equiv,
     fingerprint,
     markov_equivalent,
 )
@@ -95,12 +98,26 @@ def test_two_cycle_class_is_the_mirror_pair(two_cycle):
     )
 
 
-def test_enumeration_guard():
-    big = DirectedGraph(tuple("ABCDE"), set())
-    with pytest.raises(ValueError, match="max_vertices"):
-        enumerate_equiv_class(big)
-    small = DirectedGraph(("A", "B", "C"), set())
-    assert enumerate_equiv_class(small, max_vertices=3)
+def _chain(n):
+    labels = tuple(f"V{i}" for i in range(n))
+    return DirectedGraph(labels, set(zip(labels, labels[1:])))
+
+
+def test_enumeration_guard(monkeypatch):
+    # the guard counts candidates, not vertices: five isolated vertices
+    # have k = 0 adjacent pairs, an 8-vertex chain k = 7
+    empty = DirectedGraph(tuple("ABCDE"), set())
+    assert enumerate_equiv_class(empty) == [empty]
+    chain = _chain(8)
+    members = enumerate_equiv_class(chain)
+    assert len(members) == 15 and chain in members
+    # a 9-vertex chain has k = 8, 4^8 candidates, and is refused before
+    # any separation table is built
+    tables = []
+    monkeypatch.setattr(equiv, "_separations", lambda *memos: tables.append(memos))
+    with pytest.raises(ValueError, match=r"k = 8 adjacent pairs; the limit is 16384"):
+        enumerate_equiv_class(_chain(9))
+    assert tables == []
 
 
 def test_edge_additions_break_conditional_independence(two_cycle):
@@ -142,7 +159,37 @@ def test_an_isolated_fifth_vertex_keeps_the_two_cycle_class(two_cycle):
         [DirectedGraph(labels, two_cycle.edges), DirectedGraph(labels, mirror)],
         key=_edge_list,
     )
-    assert enumerate_equiv_class(DirectedGraph(labels, two_cycle.edges), max_vertices=5) == expected
+    assert enumerate_equiv_class(DirectedGraph(labels, two_cycle.edges)) == expected
+
+
+def _adjacent_pairs(g):
+    return {(x, y) for x, y in combinations(g.vertices, 2) if g.adjacent_in_graph(x, y)}
+
+
+def test_adjacent_pairs_are_the_pairs_the_fingerprint_never_separates():
+    # Richardson's virtual-adjacency lemma, which class enumeration rests on
+    for labels in ("AB", "ABC", "ABCD"):
+        for g in all_graphs(tuple(labels)):
+            separated = {(x, y) for x, y, _ in fingerprint(g)}
+            assert _adjacent_pairs(g) == set(combinations(g.vertices, 2)) - separated
+
+
+@settings(max_examples=25, deadline=None)
+@given(graphs(min_vertices=5, max_vertices=6))
+def test_class_enumeration_beyond_four_vertices(g):
+    assume(len(_adjacent_pairs(g)) <= 7)
+    members = enumerate_equiv_class(g)
+    assert g in members
+    assert [_edge_list(m) for m in members] == sorted(_edge_list(m) for m in members)
+    target = fingerprint(g)
+    step = -(-len(members) // 20)  # at most 20 members checked
+    assert all(fingerprint(m) == target for m in members[::step])
+    neighbours = {g.edges ^ {pair} for pair in ordered_pairs(g.vertices)}
+    neighbours |= {(g.edges - {(a, b)}) | {(b, a)} for a, b in g.edges}
+    for edges in neighbours:
+        h = DirectedGraph(g.vertices, edges)
+        if fingerprint(h) == target:
+            assert h in members
 
 
 @settings(max_examples=200)

@@ -405,19 +405,29 @@ def test_fisher_z_oracle_counts_too_small_samples_as_dependent():
 
 
 def test_singular_warning_is_attributed_to_the_asking_code():
-    # stacklevel 4 skips _decide, _first_separator and is_independent, so a
-    # direct query warns at the caller's line, and a search at run_ccd's
-    # call of the phase that asked
+    # the warning names the first frame outside ccdkit: the line of a
+    # direct query, the run_ccd line of a search on either route, and an
+    # override's own super() call
     data = DataMatrix(tuple("ABCD"), np.random.default_rng(3).standard_normal((1, 4)))
+
+    def sources(caught):
+        return {(w.filename, linecache.getline(w.filename, w.lineno).strip()) for w in caught}
+
     with pytest.warns(SingularCovarianceWarning) as caught:
         FisherZOracle(data).is_independent("A", "B", ("C",))
-    assert [w.filename for w in caught] == [__file__]
-    assert linecache.getline(__file__, caught[0].lineno).strip().startswith("FisherZOracle(data)")
+    assert sources(caught) == {(__file__, 'FisherZOracle(data).is_independent("A", "B", ("C",))')}
+    for vertices in (data.labels, data.labels[:3]):  # the id route, then the label route
+        with pytest.warns(SingularCovarianceWarning) as caught:
+            run_ccd(FisherZOracle(data), vertices)
+        assert sources(caught) == {(__file__, "run_ccd(FisherZOracle(data), vertices)")}
+
+    class Overriding(FisherZOracle):
+        def is_independent(self, x, y, s=()):
+            return super().is_independent(x, y, s)
+
     with pytest.warns(SingularCovarianceWarning) as caught:
-        run_ccd(FisherZOracle(data), data.labels)
-    assert {(w.filename, linecache.getline(w.filename, w.lineno).strip()) for w in caught} == {
-        (ccdkit.ccd.__file__, "phase_a(state, oracle)")
-    }
+        run_ccd(Overriding(data), data.labels)
+    assert sources(caught) == {(__file__, "return super().is_independent(x, y, s)")}
 
 
 @pytest.mark.parametrize("n_rows", [1, 3])
@@ -479,6 +489,28 @@ def test_data_matrix_validation():
         DataMatrix(("X", "Y"), np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         DataMatrix(("X", "Y"), np.zeros(4))
+
+
+def test_data_matrix_label_count_must_match_the_columns():
+    with pytest.raises(ValueError, match="label count must match column count"):
+        DataMatrix(("X", "Y", "Z"), np.zeros((3, 2)))
+
+
+def test_partial_correlation_needs_rows_and_variance():
+    data = DataMatrix(("X", "Y", "Z"), np.random.default_rng(5).standard_normal((3, 3)))
+    for route in (partial_correlation, partial_correlation_recursive):
+        with pytest.raises(ValueError, match="need more rows"):
+            route(data, "X", "Y", ("Z",))
+    values = np.random.default_rng(5).standard_normal((10, 2))
+    constant = DataMatrix(("X", "Y"), np.column_stack([values[:, 0], np.ones(10)]))
+    with pytest.raises(SingularCovarianceError, match="zero variance"):
+        partial_correlation_recursive(constant, "X", "Y")
+
+
+def test_base_oracle_leaves_the_decision_to_subclasses():
+    oracle = IndependenceOracle(("A", "B"))
+    with pytest.raises(NotImplementedError):
+        oracle.is_independent("A", "B")
 
 
 def test_data_matrix_csv_round_trip():

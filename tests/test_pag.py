@@ -68,6 +68,15 @@ def test_remove_edge_drops_triples_on_it():
     assert psi.underlines == frozenset()
 
 
+def test_edge_queries_reject_a_loop_and_an_absent_edge():
+    psi = complete_pag("A", "B", "C")
+    with pytest.raises(ValueError, match="joins a vertex to itself"):
+        psi.has_edge("A", "A")
+    psi.remove_edge("A", "B")
+    with pytest.raises(ValueError, match="edge B-A is not present"):
+        psi.remove_edge("B", "A")
+
+
 def test_underline_requires_both_edges():
     psi = complete_pag("A", "B", "C")
     psi.remove_edge("A", "B")
@@ -125,6 +134,13 @@ def test_structural_equality():
     b.set_mark("A", "B", Mark.TAIL)
     assert a != b
     assert a.copy() == a
+
+
+def test_pag_is_unequal_to_other_types_and_summarised_by_repr():
+    psi = complete_pag("A", "B", "C")
+    psi.add_underline("A", "B", "C")
+    assert psi != object()
+    assert repr(psi) == "Pag(vertices=3, edges=3, underlines=1, dotted=0)"
 
 
 def test_serialize_glyphs():

@@ -52,6 +52,12 @@ def test_graph_of_model_empty():
     assert LinearSem(("A", "B"), {}, {}).graph() == DirectedGraph(("A", "B"), set())
 
 
+def test_model_without_vertices_solves_and_is_stable():
+    sem = LinearSem((), {}, {})
+    assert sem.implied_covariance().shape == (0, 0)
+    assert sem.is_stable()
+
+
 def test_graph_of_model_two_cycle():
     sem = LinearSem(
         ("A", "B", "X", "Y"),
