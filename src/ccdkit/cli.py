@@ -8,14 +8,14 @@ CSV; ``equiv`` compares two graphs or enumerates an equivalence class;
 in the vertex count.
 
 Exit codes: 0 success (or a positive predicate answer), 1 negative
-predicate answer, 2 usage or file errors, 3 data-quality problems (bad
-numeric content, singular models, conflicts under --strict, a class with
-more than 4^7 candidates). Everything deterministic goes to stdout;
-timing and conflict diagnostics go to stderr, so stdout is
-byte-identical across runs on identical inputs.
-``discover --data`` prints one stderr line per distinct reason for which
-queries counted as dependent, with the count and the first query, in
-place of one ``SingularCovarianceWarning`` per query.
+predicate answer, 2 usage or file errors (overlapping ``dsep`` vertices
+included), 3 data-quality problems (bad numeric content, singular models,
+conflicts under --strict, a class with more than 4^7 candidates).
+Everything deterministic goes to stdout; timing and conflict diagnostics
+go to stderr, so stdout is byte-identical across runs on identical inputs.
+``discover --data`` silences ``SingularCovarianceWarning`` and prints one
+stderr line per reason in ``OracleStats.degenerate``, with the count of
+queries and the first one; other warnings show as the filters say.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import argparse
 import sys
 import time
 import warnings
-from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -145,10 +144,13 @@ def cmd_discover(args: argparse.Namespace) -> int:
         oracle = FisherZOracle(data, 0.01 if args.alpha is None else args.alpha)
     started = time.perf_counter()
     try:
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularCovarianceWarning)
             pag, state = run_ccd(oracle, oracle.vertices)
     finally:
-        _report_warnings(caught)
+        for reason, (count, query) in oracle.stats.degenerate.items():
+            print(f"SingularCovarianceWarning: {count} queries: {reason}; treating as "
+                  f"dependent; first query {query}", file=sys.stderr)
     elapsed = time.perf_counter() - started
     sys.stdout.write(serialize_pag(pag) + (_render_state(state) if args.dump_state else ""))
     if args.dot:
@@ -161,31 +163,15 @@ def cmd_discover(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_warnings(caught: list[warnings.WarningMessage]) -> None:
-    """Show the warnings a search recorded, each query warning folded into
-    one line per reason; others are shown as they would have been."""
-    counts: Counter = Counter()
-    first: dict[str, str] = {}
-    for w in caught:
-        if not issubclass(w.category, SingularCovarianceWarning):
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-            continue
-        # "query (x, y | [s]): reason; treating as dependent"; no reason holds ": "
-        query, _, reason = str(w.message).rpartition(": ")
-        counts[reason] += 1
-        first.setdefault(reason, query)
-    for reason, count in counts.items():
-        print(
-            f"SingularCovarianceWarning: {count} queries: {reason}; first {first[reason]}",
-            file=sys.stderr,
-        )
-
-
 def cmd_dsep(args: argparse.Namespace) -> int:
     graph = parse_graph(_read(args.graph))
     given = [v for v in (part.strip() for part in args.given.split(",")) if v]
     decide = brute_force_d_connected if args.brute_force else d_connected
-    connected = decide(graph, args.x, args.y, given)
+    try:
+        connected = decide(graph, args.x, args.y, given)
+    except ValueError as exc:  # x, y and the given set not pairwise disjoint
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print("d-connected" if connected else "d-separated")
     return EXIT_OK if connected else EXIT_NEGATIVE
 

@@ -34,7 +34,8 @@ share one residual routine and one set of degenerate-covariance checks;
 entry, ``FisherZOracle.is_independent``; ``fisher_z_statistic`` is the
 statistic alone. ``partial_correlation_recursive`` stays an independent
 cross-check; it applies the same 1e-12 bound to a variable the set
-determines.
+determines. A query it cannot test counts as dependent, per reason in
+``OracleStats.degenerate``; only the first of each reason warns.
 """
 from __future__ import annotations
 
@@ -86,9 +87,12 @@ class SingularCovarianceWarning(UserWarning):
 
 @dataclass
 class OracleStats:
-    """Distinct-query counts grouped by phase label and conditioning-set size."""
+    """Distinct-query counts grouped by phase label and conditioning-set size,
+    and per reason a statistical query counted as dependent, in first-seen
+    order, ``degenerate[reason] = [count, first query as "(x, y | [s])"]``."""
 
     counts: Counter = field(default_factory=Counter)
+    degenerate: dict[str, list] = field(default_factory=dict)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -197,10 +201,10 @@ class IndependenceOracle:
 class GraphOracle(IndependenceOracle):
     """Exact oracle: independent iff d-separated in the given graph.
 
-    Each kernel call yields every vertex d-connected to one endpoint given
-    the conditioning set; that reach set is cached per (endpoint,
-    conditioning set), so queries sharing either endpoint and the set are
-    answered without another fixpoint.
+    Each kernel call yields every vertex d-connected to the first-named
+    endpoint given the conditioning set; that reach set is cached per
+    (endpoint, conditioning set), so queries sharing that endpoint and the
+    set are answered without another fixpoint.
     """
 
     def __init__(self, graph: DirectedGraph):
@@ -209,15 +213,11 @@ class GraphOracle(IndependenceOracle):
         self._reach: dict[int, int] = {}  # keyed zmask << w | endpoint
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
-        cached = self._reach
-        base = zmask << self._width
-        reach = cached.get(base | i)
+        key = zmask << self._width | i
+        reach = self._reach.get(key)
         if reach is None:
-            other = cached.get(base | j)
-            if other is not None:  # d-connection is symmetric
-                return not other >> i & 1
             g = self.graph  # memos built on first use keep construction cheap
-            reach = cached[base | i] = reach_set(g._parent_unions, g._child_unions, 1 << i, zmask)
+            reach = self._reach[key] = reach_set(g._parent_unions, g._child_unions, 1 << i, zmask)
         return not reach >> j & 1
 
 
@@ -470,11 +470,12 @@ class FisherZOracle(IndependenceOracle):
     and a singular block is cached as such; so is a block one of whose
     members the others determine to within 1e-12 of its variance. Too few
     rows for the test (N - |s| - 3 < 1), checked first, or a degenerate
-    block makes the query count as dependent and emits
-    SingularCovarianceWarning naming that reason, so a small sample or a
-    deterministic linear dependence degrades the answer instead of
-    aborting the search. A one-row sample has no covariance; the oracle
-    builds without one, since every query lacks rows.
+    block makes the query count as dependent under that reason in
+    ``stats.degenerate``, so a small sample or a deterministic linear
+    dependence degrades the answer instead of aborting the search. The
+    first such query of each reason also emits SingularCovarianceWarning
+    naming the query and the reason. A one-row sample has no covariance;
+    the oracle builds without one, since every query lacks rows.
     """
 
     def __init__(self, data: DataMatrix, alpha: float = 0.01):
@@ -504,18 +505,23 @@ class FisherZOracle(IndependenceOracle):
                 raise ValueError(_TOO_FEW_ROWS)
             z = fisher_z_statistic(self._partial(i, j, zmask), self._n_rows, size)
         except ValueError as exc:  # too few rows for |s|, or a singular block
+            reason = str(exc)
+            record = self.stats.degenerate.get(reason)
+            if record is not None:  # only the first query of a reason warns
+                record[0] += 1
+                return False
             names = self.vertices
+            query = f"({names[i]}, {names[j]} | {[names[k] for k in _bits(zmask)]})"
             # warn at the first frame outside this package: the code that asked
             level, frame = 1, sys._getframe()
             while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
                 level, frame = level + 1, frame.f_back
             warnings.warn(
-                SingularCovarianceWarning(
-                    f"query ({names[i]}, {names[j]} | {[names[k] for k in _bits(zmask)]}): "
-                    f"{exc}; treating as dependent"
-                ),
+                SingularCovarianceWarning(f"query {query}: {reason}; treating as dependent"),
                 stacklevel=level,
             )
+            # recorded after the warning, which an "error" filter raises
+            self.stats.degenerate[reason] = [1, query]
             return False
         return abs(z) <= self._critical
 

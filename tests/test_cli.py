@@ -141,21 +141,27 @@ def test_discover_strict_exits_3_on_conflicts(capsys, monkeypatch):
 
 def test_discover_folds_query_warnings_into_one_line_per_reason(capsys, tmp_path, monkeypatch):
     # one row is too few for every query: the 1,792 phase-A queries each
-    # printed a two-line warning; other warnings still show as they are
+    # printed a two-line warning; the line reads the oracle's counts, so
+    # the caller's warning filters change nothing, and other warnings
+    # still show as they are
     labels = [f"C{k}" for k in range(8)]
     csv = tmp_path / "one.csv"
     csv.write_text(",".join(labels) + "\n" + ",".join(str(float(k)) for k in range(8)) + "\n")
-    result = subprocess.run(
-        [sys.executable, "-m", "ccdkit", "discover", "--data", str(csv), "--dump-state"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert result.stderr.splitlines()[:-1] == [
-        "SingularCovarianceWarning: 1792 queries: need n_rows - |s| - 3 >= 1; "
-        "treating as dependent; first query (C0, C1 | [])"
-    ]
-    assert result.stderr.splitlines()[-1].startswith("elapsed: ")
+    outputs = set()
+    for flags in ([], ["-W", "error"], ["-W", "ignore"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "ccdkit", "discover", "--data", str(csv), "--dump-state"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, (flags, result.stderr)
+        assert result.stderr.splitlines()[:-1] == [
+            "SingularCovarianceWarning: 1792 queries: need n_rows - |s| - 3 >= 1; "
+            "treating as dependent; first query (C0, C1 | [])"
+        ]
+        assert result.stderr.splitlines()[-1].startswith("elapsed: ")
+        outputs.add(result.stdout)
+    assert outputs == {result.stdout}
     real = cli.run_ccd
 
     def also_warns(oracle, vertices):
@@ -204,6 +210,13 @@ def test_dsep_unknown_vertex_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "dsep", "--graph", TWO_CYCLE, "A", "Q")
     assert code == 2
     assert "unknown vertex" in err
+
+
+@pytest.mark.parametrize("query", [["A", "A"], ["A", "X", "--given", "A"]], ids=["same", "given"])
+def test_dsep_overlapping_vertices_are_usage_error(capsys, query):
+    code, out, err = run_cli(capsys, "dsep", "--graph", TWO_CYCLE, *query)
+    assert (code, out) == (2, "")
+    assert err == "error: x, y and z must be pairwise disjoint\n"
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -434,21 +434,35 @@ def test_singular_warning_is_attributed_to_the_asking_code():
 def test_too_few_rows_is_the_named_reason_for_every_query(n_rows):
     # one row has no sample covariance, and on three rows any two
     # conditioning columns determine the rest: the oracle builds without
-    # numpy warnings, and every query warns that rows are lacking, not
-    # that the covariance is singular or determines a variable
+    # numpy warnings, and every query counts as lacking rows, not as a
+    # singular covariance or a determined variable; only the first query
+    # warns, and the stats count every one under that reason
     values = np.random.default_rng(3).standard_normal((n_rows, 4))
     data = DataMatrix(("A", "B", "C", "D"), values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         oracle = FisherZOracle(data)
-    for x, y, s in all_queries(data.labels):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    queries = list(all_queries(data.labels))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for x, y, s in queries:
             assert not oracle.is_independent(x, y, s)
-        assert [(w.category, str(w.message)) for w in caught] == [(
-            SingularCovarianceWarning,
-            f"query ({x}, {y} | {list(s)}): need n_rows - |s| - 3 >= 1; treating as dependent",
-        )]
+    assert [(w.category, str(w.message)) for w in caught] == [(
+        SingularCovarianceWarning,
+        "query (A, B | []): need n_rows - |s| - 3 >= 1; treating as dependent",
+    )]
+    assert oracle.stats.degenerate == {"need n_rows - |s| - 3 >= 1": [len(queries), "(A, B | [])"]}
+
+
+def test_search_on_too_few_rows_warns_once_and_counts_every_query():
+    # each of the 1,792 distinct phase-A queries lacks rows; under the
+    # default filter each used to warn with its own text
+    data = DataMatrix(tuple(f"C{k}" for k in range(8)), np.arange(8.0).reshape(1, 8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        _, state = run_ccd(FisherZOracle(data), data.labels)
+    assert [w.category for w in caught] == [SingularCovarianceWarning]
+    assert state.stats.degenerate == {"need n_rows - |s| - 3 >= 1": [1792, "(C0, C1 | [])"]}
 
 
 def test_fisher_z_oracle_alpha_validation():
@@ -628,9 +642,9 @@ def degenerate_data(draw):
 
 
 def _reference_answer(data, cov, critical, x, y, s):
-    """(answer, r, warning text) by the per-query route of the public
-    functions; too few rows is the reason named before a degenerate
-    covariance."""
+    """(answer, r, reason the query counts as dependent) by the per-query
+    route of the public functions; too few rows is the reason named before
+    a degenerate covariance."""
     reason = "need n_rows - |s| - 3 >= 1" if data.n_rows - len(s) - 3 < 1 else None
     try:
         r = partial_correlation_from_covariance(cov, data.labels, x, y, s)
@@ -638,7 +652,7 @@ def _reference_answer(data, cov, critical, x, y, s):
         r = exc
         reason = reason or str(exc)
     if reason:
-        return False, r, f"query ({x}, {y} | {sorted(s)}): {reason}; treating as dependent"
+        return False, r, reason
     return abs(fisher_z_statistic(r, data.n_rows, len(s))) <= critical, r, None
 
 
@@ -653,39 +667,47 @@ def test_cached_fisher_z_oracle_equals_per_query_route(case):
     critical = NormalDist().inv_cdf(1.0 - 0.2 / 2.0)
     index = {v: i for i, v in enumerate(oracle.vertices)}
     asked = set()
+    degenerate = {}  # the reference record: reason -> [count, first query]
     for x, y, s in queries:
-        expected, r, message = _reference_answer(data, cov, critical, x, y, s)
+        expected, r, reason = _reference_answer(data, cov, critical, x, y, s)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert oracle.is_independent(x, y, s) == expected
         key = (frozenset((x, y)), s)
         first = key not in asked  # later asks hit the memo
         asked.add(key)
-        assert [str(w.message) for w in caught if w.category is SingularCovarianceWarning] == (
-            [message] if first and message else []
-        )
+        messages = []
+        if first and reason:
+            query = f"({x}, {y} | {sorted(s)})"
+            if reason not in degenerate:  # only the first query of a reason warns
+                messages = [f"query {query}: {reason}; treating as dependent"]
+            degenerate.setdefault(reason, [0, query])[0] += 1
+        assert [str(w.message) for w in caught if w.category is SingularCovarianceWarning] == messages
         zmask = sum(1 << index[v] for v in s)
         if isinstance(r, SingularCovarianceError):
             with pytest.raises(SingularCovarianceError, match=str(r)):
                 oracle._partial(index[x], index[y], zmask)
         else:
             assert oracle._partial(index[x], index[y], zmask) == pytest.approx(r, abs=1e-12)
+    assert list(oracle.stats.degenerate.items()) == list(degenerate.items())
 
 
-def test_singular_conditioning_set_warns_on_every_pair(monkeypatch):
+def test_singular_conditioning_set_warns_once_and_counts_every_pair(monkeypatch):
     values = np.random.default_rng(6).standard_normal((50, 4))
     data = DataMatrix(("A", "B", "C", "D", "E"), np.insert(values, 2, 1.0, axis=1))
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
     oracle = FisherZOracle(data)
-    for x, y in (("A", "B"), ("E", "A"), ("B", "E")):
-        with pytest.warns(SingularCovarianceWarning) as caught:
+    with pytest.warns(SingularCovarianceWarning) as caught:
+        for x, y in (("A", "B"), ("E", "A"), ("B", "E")):
             assert not oracle.is_independent(x, y, ("C", "D"))
-        assert [str(w.message) for w in caught] == [
-            f"query ({x}, {y} | ['C', 'D']): conditioning covariance is singular; "
-            "treating as dependent"
-        ]
+    assert [str(w.message) for w in caught] == [
+        "query (A, B | ['C', 'D']): conditioning covariance is singular; treating as dependent"
+    ]
+    assert oracle.stats.degenerate == {
+        "conditioning covariance is singular": [3, "(A, B | ['C', 'D'])"]
+    }
     assert solves == [(2, 2)]  # solved once, then read back as the cached error
     oracle.is_independent("A", "B", ("D",))
     oracle.is_independent("E", "A", ("D",))
