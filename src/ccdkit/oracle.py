@@ -13,12 +13,14 @@ vertex indices. The internal ``_first_separator(i, j, candidates, size,
 extra)`` takes indices and asks a whole level of a separator search in
 one call: the set ``sum(subset) | extra`` for each size-``size`` subset
 of the candidate bitmasks, in ``combinations`` order, until one
-separates i from j. It alone reads and writes the memo and the
-statistics, and it takes the lock and reads the phase label once per
-call, not once per query. ``is_independent`` asks it one set. The search
-in ``ccd.py`` calls ``_first_separator`` directly when the oracle's
-class keeps the base ``is_independent`` and its vertices are the
-searched ones, so that its indices are the PAG's ids, and
+separates i from j. Its caller passes distinct one-vertex candidates,
+disjoint from ``extra``, none holding i or j, so all sets of one call
+have one size. It alone reads and writes the memo and the statistics,
+and it takes the lock, reads the phase label and updates the statistics
+once per call, not once per query. ``is_independent`` asks it one set.
+The search in ``ccd.py`` calls ``_first_separator`` directly when the
+oracle's class keeps the base ``is_independent`` and its vertices are
+the searched ones, so that its indices are the PAG's ids, and
 ``is_independent`` with labels otherwise, once per set in the same
 order, so an oracle that overrides ``is_independent`` still sees every
 query. The memo is keyed on one packed int per unordered pair and set;
@@ -162,8 +164,13 @@ class IndependenceOracle:
         order, or None when none does.
 
         The one entry that reads and writes the memo and the stats, each
-        distinct query counted under the size of its whole set. The memo
-        key packs the set and the unordered pair into one int,
+        distinct query counted under the size of its whole set. The caller
+        passes distinct one-vertex ``candidates``, disjoint from ``extra``,
+        none holding i or j, so every set of one call has the size
+        ``size + extra.bit_count()``; the stats are updated once per call,
+        with the call's new decisions, even when ``_decide`` raises (the
+        raising query is neither memoised nor counted). The memo key packs
+        the set and the unordered pair into one int,
         ``zmask << 2w | lo << w | hi`` with ``w`` bits per index.
         """
         w = self._width
@@ -171,17 +178,21 @@ class IndependenceOracle:
         memo = self._memo
         decide = self._decide
         with self._lock:
-            counts = self.stats.counts
             label = self._phase.label
-            for subset in combinations(candidates, size):
-                zmask = sum(subset) | extra
-                key = zmask << 2 * w | pair
-                answer = memo.get(key)
-                if answer is None:
-                    answer = memo[key] = bool(decide(i, j, zmask))
-                    counts[label, zmask.bit_count()] += 1
-                if answer:
-                    return zmask
+            new = 0
+            try:
+                for subset in combinations(candidates, size):
+                    zmask = sum(subset) | extra
+                    key = zmask << 2 * w | pair
+                    answer = memo.get(key)
+                    if answer is None:
+                        answer = memo[key] = bool(decide(i, j, zmask))
+                        new += 1
+                    if answer:
+                        return zmask
+            finally:
+                if new:
+                    self.stats.counts[label, size + extra.bit_count()] += new
         return None
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:

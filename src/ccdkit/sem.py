@@ -165,7 +165,8 @@ def parse_sem(text: str) -> LinearSem:
 
     Lines are comments, ``var LABEL VALUE`` variance declarations, or
     ``Y <- X VALUE`` coefficient lines meaning X enters Y's equation with
-    that weight. Labels declare themselves on first mention.
+    that weight. Labels declare themselves on first mention. A second
+    variance or coefficient line for the same label or pair is an error.
     """
     coefs: dict[tuple[str, str], float] = {}
     variances: dict[str, float] = {}
@@ -173,6 +174,8 @@ def parse_sem(text: str) -> LinearSem:
         tokens = line.tokens
         if len(tokens) == 3 and tokens[0] == "var":
             label = line.label(tokens[1])
+            if label in variances:
+                raise line.error(f"duplicate variance for {label}")
             variances[label] = _sem_number(line, tokens[2])
         elif len(tokens) == 4 and tokens[1] == "<-":
             target, source = line.label(tokens[0]), line.label(tokens[2])

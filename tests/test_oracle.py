@@ -180,26 +180,41 @@ def test_first_separator_equals_a_per_subset_loop_over_decide(g, seed, data):
     # some sets of the level are already in the memo, under another label
     warm = data.draw(st.lists(st.sampled_from(subsets), max_size=3) if subsets else st.just([]))
     label = data.draw(st.sampled_from((None, "A", "D")), label="phase")
+    # _decide raises on the level's k-th new decision, as a warning under an
+    # "error" filter would; 0 never raises
+    fail_at = data.draw(st.integers(0, len(subsets)), label="raise at")
     runs = []
     for entry in ("first_separator", "per_subset_loop"):
         oracle = DecideOnlyNoisyOracle(g, seed, flip=0.3)
-        decided = []
-        decide = oracle._decide
-        oracle._decide = lambda a, b, z: decided.append((a, b, z)) or decide(a, b, z)
         with oracle.phase("C"):
             for zmask in warm:
                 per_subset_loop(oracle, j, i, (), 0, zmask)
-        del decided[:]
+        decided = []
+        decide = oracle._decide
+
+        def logged(a, b, z):
+            decided.append((a, b, z))
+            if len(decided) == fail_at:
+                raise RuntimeError("decide failed")
+            return decide(a, b, z)
+
+        oracle._decide = logged
         with oracle.phase(label):
-            if entry == "first_separator":
-                found = oracle._first_separator(i, j, candidates, size, extra)
-            else:
-                found = per_subset_loop(oracle, i, j, candidates, size, extra)
+            try:
+                if entry == "first_separator":
+                    found = oracle._first_separator(i, j, candidates, size, extra)
+                else:
+                    found = per_subset_loop(oracle, i, j, candidates, size, extra)
+            except RuntimeError:
+                found = "raised"
         runs.append((found, decided, dict(oracle._memo), oracle.stats.rows()))
     assert runs[0] == runs[1]
     found, decided = runs[0][:2]
-    asked = subsets if found is None else subsets[: subsets.index(found) + 1]
-    assert {z for _, _, z in decided} <= set(asked)  # nothing past the separator
+    if found == "raised":
+        assert len(decided) == fail_at
+    else:
+        asked = subsets if found is None else subsets[: subsets.index(found) + 1]
+        assert {z for _, _, z in decided} <= set(asked)  # nothing past the separator
 
 
 def test_oracle_is_thread_safe(two_cycle):

@@ -194,6 +194,7 @@ def test_serialize_layout():
         "X -> Y 0.5",
         "var",
         "X <- Y 0.5\nX <- Y 0.3",
+        "var X 1.0\nvar X 2.0",
         "X <- Y abc",
         "var X -1.0",
     ],
