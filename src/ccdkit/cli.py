@@ -9,13 +9,16 @@ in the vertex count.
 
 Exit codes: 0 success (or a positive predicate answer), 1 negative
 predicate answer, 2 usage or file errors (overlapping ``dsep`` vertices
-included), 3 data-quality problems (bad numeric content, singular models,
-conflicts under --strict, a class with more than 4^7 candidates).
+and an input file that is not UTF-8 text included), 3 data-quality
+problems (bad numeric content, singular models, conflicts under
+--strict, a class with more than 4^7 candidates).
 Everything deterministic goes to stdout; timing and conflict diagnostics
 go to stderr, so stdout is byte-identical across runs on identical inputs.
 ``discover --data`` silences ``SingularCovarianceWarning`` and prints one
 stderr line per reason in ``OracleStats.degenerate``, with the count of
 queries and the first one; other warnings show as the filters say.
+Only ``discover --data`` and ``simulate`` import ``fisherz`` and ``sem``,
+and numpy with them; the other commands start without numpy.
 """
 from __future__ import annotations
 
@@ -27,12 +30,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .ccd import CcdState, run_ccd
-from .digraph import GraphParseError, UnknownVertexError, parse_graph, serialize_graph
+from .digraph import ParseError, UnknownVertexError, parse_graph, serialize_graph
 from .dsep import brute_force_d_connected, d_connected
 from .equiv import enumerate_equiv_class, markov_equivalent
-from .oracle import DataMatrix, FisherZOracle, GraphOracle, SingularCovarianceWarning
-from .pag import PagParseError, parse_pag, serialize_pag, to_dot, verify_pag_against_graph
-from .sem import SemParseError, SingularModelError, parse_sem
+from .oracle import GraphOracle, IndependenceOracle
+from .pag import parse_pag, serialize_pag, to_dot, verify_pag_against_graph
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -138,15 +140,20 @@ def cmd_discover(args: argparse.Namespace) -> int:
         if args.alpha is not None:
             print("error: --alpha requires --data", file=sys.stderr)
             return EXIT_USAGE
-        oracle = GraphOracle(parse_graph(_read(args.graph)))
-    else:
-        data = DataMatrix.from_csv(_read(args.data))
-        oracle = FisherZOracle(data, 0.01 if args.alpha is None else args.alpha)
+        return _discover(args, GraphOracle(parse_graph(_read(args.graph))))
+    from .fisherz import DataMatrix, FisherZOracle, SingularCovarianceWarning
+
+    data = DataMatrix.from_csv(_read(args.data))
+    oracle = FisherZOracle(data, 0.01 if args.alpha is None else args.alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularCovarianceWarning)
+        return _discover(args, oracle)
+
+
+def _discover(args: argparse.Namespace, oracle: IndependenceOracle) -> int:
     started = time.perf_counter()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SingularCovarianceWarning)
-            pag, state = run_ccd(oracle, oracle.vertices)
+        pag, state = run_ccd(oracle, oracle.vertices)
     finally:
         for reason, (count, query) in oracle.stats.degenerate.items():
             print(f"SingularCovarianceWarning: {count} queries: {reason}; treating as "
@@ -177,6 +184,8 @@ def cmd_dsep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sem import parse_sem
+
     model = parse_sem(_read(args.model))
     data = model.simulate(args.samples, args.seed)
     Path(args.out).write_text(data.to_csv())
@@ -217,7 +226,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a file error, not bad content: exit 2
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -228,13 +240,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (GraphParseError, PagParseError, SemParseError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnknownVertexError as exc:
         print(f"error: unknown vertex {exc.args[0]!r}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularModelError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,7 +15,8 @@ bitmask or raises UnknownVertexError for its least unknown member in
 ``str`` order, ``_as_vertex_set`` reads a set argument (a bare label is
 a one-vertex set), and ``_read_lines`` is the frame of the graph, PAG
 and model file formats: it skips blank and ``#`` lines and reports each
-error as ``line N: ...`` in the caller's parse error type.
+error as ``line N: ...`` in the caller's parse error type, a subclass
+of ``ParseError``.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ __all__ = [
     "FORMAT_HEADER",
     "DirectedGraph",
     "GraphParseError",
+    "ParseError",
     "UnknownVertexError",
     "parse_graph",
     "serialize_graph",
@@ -43,7 +45,12 @@ class UnknownVertexError(KeyError):
     """An operation named a vertex that is not in the graph."""
 
 
-class GraphParseError(ValueError):
+class ParseError(ValueError):
+    """A graph, PAG or model file could not be parsed; the base of each
+    format's own parse error, the type ``_read_lines`` reports in."""
+
+
+class GraphParseError(ParseError):
     """A graph file could not be parsed."""
 
 
@@ -89,7 +96,7 @@ class _Line(NamedTuple):
     number: int
     raw: str
     tokens: list[str]
-    error_type: type[ValueError]
+    error_type: type[ParseError]
 
     def error(self, message: object) -> ValueError:
         return self.error_type(f"line {self.number}: {message}")
@@ -101,7 +108,7 @@ class _Line(NamedTuple):
             raise self.error(exc) from None
 
 
-def _read_lines(text: str, error_type: type[ValueError]) -> Iterator[_Line]:
+def _read_lines(text: str, error_type: type[ParseError]) -> Iterator[_Line]:
     """Each line of ``text`` that is not blank and does not start with '#'."""
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

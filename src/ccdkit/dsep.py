@@ -15,15 +15,16 @@ applies the two activity clauses directly. The suite holds the two
 implementations equal on every query it generates; neither is ever
 collapsed into the other.
 
-Every query entry, here and in ``oracle.py``, validates in one order:
-each argument becomes a set once through ``digraph._as_vertex_set`` (a
-bare label is a one-vertex set; an unhashable member raises TypeError),
-then ``_check_sets`` or ``_check_endpoints`` raise ValueError, and only
-then does ``digraph._id_of`` or ``digraph._mask_of`` reject an unknown
-label with UnknownVertexError. Both deciders read a query through
-``_read_query``, which maps x, then y, then the conditioning set. Of
-several unknown labels in one set, the least in ``str`` order is named,
-whatever the hash seed.
+Every query entry, here and in ``oracle.py`` and ``fisherz.py``,
+validates in one order: each argument becomes a set once through
+``digraph._as_vertex_set`` (a bare label is a one-vertex set; an
+unhashable member raises TypeError), then ``_check_sets`` or
+``_check_endpoints`` raise ValueError, and only then does
+``digraph._id_of`` or ``digraph._mask_of`` reject an unknown label with
+UnknownVertexError. Both deciders read a query through ``_read_query``,
+which maps x, then y, then the conditioning set. Of several unknown
+labels in one set, the least in ``str`` order is named, whatever the
+hash seed.
 """
 from __future__ import annotations
 

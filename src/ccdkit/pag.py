@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .digraph import FORMAT_HEADER, DirectedGraph, _Line, _check_label, _id_of, _read_lines
+from .digraph import FORMAT_HEADER, DirectedGraph, ParseError, _Line, _check_label, _id_of, _read_lines
 
 __all__ = [
     "Mark",
@@ -58,7 +58,7 @@ class MarkConflict(ValueError):
         )
 
 
-class PagParseError(ValueError):
+class PagParseError(ParseError):
     """A PAG file could not be parsed."""
 
 
@@ -339,13 +339,18 @@ def _is_glyph_pair(token: str) -> bool:
 _DOT_ARROW = {Mark.TAIL: "none", Mark.ARROW: "normal", Mark.CIRCLE: "odot"}
 
 
+def _dot_id(label: str) -> str:
+    """A label as a quoted DOT ID; a label may hold '"' and '\\'."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(pag: Pag) -> str:
     """Graphviz rendering; triple annotations travel as comments."""
     lines = ["digraph pag {", "  edge [dir=both];"]
-    lines.extend(f'  "{v}";' for v in pag.vertices)
+    lines.extend(f"  {_dot_id(v)};" for v in pag.vertices)
     for a, b, ma, mb in pag.edge_records():
         lines.append(
-            f'  "{a}" -> "{b}" '
+            f"  {_dot_id(a)} -> {_dot_id(b)} "
             f"[arrowtail={_DOT_ARROW[ma]}, arrowhead={_DOT_ARROW[mb]}];"
         )
     lines.extend(f"  // underline: {a} {b} {c}" for a, b, c in sorted(pag.underlines))

@@ -16,8 +16,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .digraph import FORMAT_HEADER, DirectedGraph, _Line, _check_label, _read_lines
-from .oracle import DataMatrix
+from .digraph import FORMAT_HEADER, DirectedGraph, ParseError, _Line, _check_label, _read_lines
+from .fisherz import DataMatrix
 
 __all__ = [
     "LinearSem",
@@ -38,7 +38,7 @@ class UnstableModelWarning(UserWarning):
     """Sampling a model whose feedback does not settle to an equilibrium."""
 
 
-class SemParseError(ValueError):
+class SemParseError(ParseError):
     """A model file could not be parsed."""
 
 

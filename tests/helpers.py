@@ -20,7 +20,8 @@ from ccdkit import (
 )
 from ccdkit.ccd import CcdState, _harden
 from ccdkit.digraph import _check_label
-from ccdkit.oracle import IndependenceOracle, partial_correlation_from_covariance
+from ccdkit.fisherz import partial_correlation_from_covariance
+from ccdkit.oracle import IndependenceOracle
 
 LETTERS = "ABCDEFGH"
 

@@ -225,6 +225,27 @@ def test_missing_file_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discover", "--graph", "{bad}"],
+        ["discover", "--data", "{bad}"],
+        ["dsep", "--graph", "{bad}", "A", "B"],
+        ["verify", "--pag", "{bad}", "--graph", TWO_CYCLE],
+        ["simulate", "--model", "{bad}", "--samples", "5", "--seed", "0", "--out", "{out}"],
+        ["equiv", "--class", "--graph", "{bad}"],
+    ],
+    ids=["discover-graph", "discover-data", "dsep", "verify-pag", "simulate-model", "equiv-class"],
+)
+def test_input_file_that_is_not_utf8_is_usage_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    argv = [arg.replace("{bad}", str(bad)).replace("{out}", str(tmp_path / "out.csv")) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert str(bad) in err
+
+
 def test_malformed_graph_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("A -> \n")
@@ -395,3 +416,58 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 1
     assert result.stdout.strip() == "d-separated"
+
+
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+
+graph, pag, model, csv = sys.argv[1:]
+import ccdkit
+import ccdkit.cli as cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+exact = [
+    run("discover", "--graph", graph),
+    run("dsep", "--graph", graph, "A", "B"),
+    run("verify", "--pag", pag, "--graph", graph),
+    run("equiv", "--class", "--graph", graph),
+]
+print(exact, "numpy" in sys.modules, set(ccdkit.__all__) <= set(dir(ccdkit)))
+statistical = [
+    run("simulate", "--model", model, "--samples", "200", "--seed", "0", "--out", csv),
+    run("discover", "--data", csv),
+]
+namespace = {}
+exec("from ccdkit import *", namespace)
+print(statistical, "numpy" in sys.modules, set(ccdkit.__all__) <= set(namespace))
+"""
+
+
+def test_exact_path_does_not_import_numpy(tmp_path):
+    model = tmp_path / "two_cycle.sem"
+    model.write_text("X <- A 0.5\nX <- Y 0.5\nY <- B 0.5\nY <- X 0.5\n")
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT, TWO_CYCLE, str(GOLDEN / "two_cycle.pag"),
+         str(model), str(tmp_path / "two_cycle.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.stderr == ""
+    assert result.stdout.splitlines() == ["[0, 1, 0, 0] False True", "[0, 0] True True"]
+
+
+def test_package_names_resolve_on_first_access():
+    import ccdkit
+    import ccdkit.fisherz
+    import ccdkit.sem
+
+    for name in ccdkit.__all__:
+        getattr(ccdkit, name)
+    assert set(ccdkit.__all__) <= set(dir(ccdkit))
+    assert ccdkit.FisherZOracle is ccdkit.fisherz.FisherZOracle
+    assert ccdkit.parse_sem is ccdkit.sem.parse_sem
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ccdkit.no_such_name

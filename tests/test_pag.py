@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,27 @@ def test_to_dot_marks(two_cycle):
     assert '"A" -> "X" [arrowtail=none, arrowhead=normal];' in dot
     assert '"X" -> "Y" [arrowtail=none, arrowhead=none];' in dot
     assert "// dotted: A X B" in dot
+
+
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_to_dot_escapes_quotes_and_backslashes_in_labels():
+    graph = DirectedGraph(edges=frozenset({("A", 'X"1'), ('X"1', "B\\"), ("B\\", '\\"C')}))
+    pag, _ = run_ccd(GraphOracle(graph), graph.vertices)
+    vertices, edges = [], []
+    for line in to_dot(pag).splitlines():
+        if line.lstrip().startswith("//"):
+            continue
+        rest = DOT_STRING.sub("", line)
+        assert '"' not in rest  # every quoted ID closes on its line
+        ids = [re.sub(r"\\(.)", r"\1", token[1:-1]) for token in DOT_STRING.findall(line)]
+        if "->" in rest:
+            edges.append(tuple(ids))
+        elif ids:
+            vertices.extend(ids)
+    assert vertices == list(pag.vertices)
+    assert edges == [(a, b) for a, b, _, _ in pag.edge_records()]
 
 
 def test_to_dot_circle_glyph():
