@@ -5,8 +5,9 @@ weighted sum of the vertices with edges into it plus an independent
 zero-mean Gaussian error. Writing B for the coefficient matrix (rows
 index equations) and W for the diagonal of error variances, solving the
 simultaneous system gives covariance (I - B)^-1 W (I - B)^-T; sampling
-draws error rows and solves the same linear system. Nothing requires
-acyclicity, only that I - B is invertible.
+draws error rows and multiplies them by (I - B)^-T, inverted once per
+call, in one matrix product. Nothing requires acyclicity, only that
+I - B is invertible.
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ class LinearSem:
         object.__setattr__(self, "vertices", tuple(sorted(verts)))
         object.__setattr__(self, "coefficients", coefs)
         object.__setattr__(self, "error_variances", variances)
-        self._solve(np.eye(len(self.vertices)))  # solvability is a load-time check
+        self._inverse()  # solvability is a load-time check
 
     def b_matrix(self) -> np.ndarray:
         k = len(self.vertices)
@@ -91,12 +92,13 @@ class LinearSem:
             b[index[target], index[source]] = value
         return b
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _inverse(self) -> np.ndarray:
+        """(I - B)^-1 over ``vertices`` order."""
         k = len(self.vertices)
         if k == 0:
-            return np.zeros_like(rhs)
+            return np.zeros((0, 0))
         try:
-            return np.linalg.solve(np.eye(k) - self.b_matrix(), rhs)
+            return np.linalg.solve(np.eye(k) - self.b_matrix(), np.eye(k))
         except np.linalg.LinAlgError as exc:
             raise SingularModelError("the equation system is singular") from exc
 
@@ -109,13 +111,14 @@ class LinearSem:
 
     def implied_covariance(self) -> np.ndarray:
         """Population covariance over ``vertices`` order."""
-        inv = self._solve(np.eye(len(self.vertices)))
+        inv = self._inverse()
         noise = np.diag([self.error_variances[v] for v in self.vertices])
         return inv @ noise @ inv.T
 
     def simulate(self, n_samples: int, seed: int) -> DataMatrix:
-        """Draw rows by solving the equation system on independent errors.
+        """Draw rows of independent errors and multiply them by (I - B)^-T.
 
+        Each output row x then solves x = B x + e for its error row e.
         Solvability is the hard requirement; an unstable model (spectral
         radius of B at or above one) still samples but only describes an
         equilibrium that no dynamic process reaches, so it warns.
@@ -130,8 +133,9 @@ class LinearSem:
             )
         rng = np.random.default_rng(seed)
         scale = np.sqrt([self.error_variances[v] for v in self.vertices])
-        errors = rng.standard_normal((n_samples, len(self.vertices))) * scale
-        return DataMatrix(self.vertices, self._solve(errors.T).T)
+        errors = rng.standard_normal((n_samples, len(self.vertices)))
+        errors *= scale
+        return DataMatrix(self.vertices, errors @ self._inverse().T)
 
     def is_stable(self) -> bool:
         """Spectral radius of the coefficient matrix strictly below one."""

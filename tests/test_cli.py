@@ -182,14 +182,34 @@ def test_discover_folds_query_warnings_into_one_line_per_reason(capsys, tmp_path
 
 
 @pytest.mark.parametrize(
-    "text", ["A,B\n", "A,B\n1.0,x\n"], ids=["header-only", "non-numeric-cell"]
+    "text, message",
+    [
+        ("A,B\n", "CSV needs a header row and at least one data row"),
+        ("A,B\n1.0,x\n", "CSV line 2 has a non-numeric or missing cell"),
+        ("A,B\n1,2\n\n3\n", "CSV line 4 has 1 cells, expected 2"),
+        ("A,B\n1,2\n\nx,3\n", "CSV line 4 has a non-numeric or missing cell"),
+    ],
+    ids=["header-only", "non-numeric-cell", "ragged-row-after-blank", "non-numeric-after-blank"],
 )
-def test_discover_bad_csv_content_is_data_error(capsys, tmp_path, text):
+def test_discover_bad_csv_content_is_data_error(capsys, tmp_path, text, message):
+    # an error names the file line, blank lines counted
     csv = tmp_path / "d.csv"
     csv.write_text(text)
     code, out, err = run_cli(capsys, "discover", "--data", str(csv))
     assert (code, out) == (3, "")
-    assert err.startswith("error: CSV ")
+    assert err == f"error: {message}\n"
+
+
+def test_discover_drops_a_byte_order_mark(capsys, tmp_path):
+    rows = np.random.default_rng(4).standard_normal((50, 2)).tolist()
+    text = "\ufeffA,B\r\n" + "".join(f"{x!r},{y!r}\r\n" for x, y in rows)
+    csv = tmp_path / "bom.csv"
+    csv.write_bytes(text.encode("utf-8"))
+    assert csv.read_bytes().startswith(b"\xef\xbb\xbfA,B\r\n")
+    assert DataMatrix.from_csv(text).labels == ("A", "B")
+    code, out, _ = run_cli(capsys, "discover", "--data", str(csv))
+    assert code == 0
+    assert out.splitlines()[1:3] == ["vertex A", "vertex B"]
 
 
 def test_dsep_exit_codes(capsys):

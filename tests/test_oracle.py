@@ -1,6 +1,9 @@
+import csv
+import io
 import linecache
 import random
 import threading
+import tracemalloc
 import warnings
 from itertools import combinations
 from statistics import NormalDist
@@ -586,6 +589,57 @@ def test_data_matrix_csv_strips_header_whitespace():
 def test_data_matrix_csv_rejects_ragged_rows():
     with pytest.raises(ValueError):
         DataMatrix.from_csv("X,Y\n1.0,2.0\n3.0\n")
+
+
+def reference_from_csv(text):
+    """The plain list-of-rows parse that ``from_csv`` streams: every row read
+    through ``io.StringIO``, blank rows dropped, then one float per cell."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    labels = tuple(cell.strip() for cell in rows[0])
+    return labels, np.array([[float(cell) for cell in row] for row in rows[1:]])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X,Y\r\n1.5,-2\r\n3e-3,4\r\n",
+        "X,Y\n1.5,-2\n3e-3,4",
+        "\nX,Y\n\n1.5,-2\n\n\n3e-3,4\n\n",
+        "X,Y\r\n\r\n1.5,-2\r\n\r\n3e-3,4",
+        '"a\rb","c\nd","e\x0cf","g\u2028h"\n1,2,3,4\n5,6,7,8\n',
+        '"a\r\nb",c\x0c\r\n1,2\r\n',
+    ],
+    ids=["crlf", "no-final-newline", "blank-lines", "crlf-blank-lines",
+         "quoted-line-breaks", "quoted-crlf"],
+)
+def test_data_matrix_csv_parses_as_the_list_of_rows_reader(text):
+    labels, values = reference_from_csv(text)
+    data = DataMatrix.from_csv(text)
+    assert data.labels == labels
+    assert np.array_equal(data.values, values)
+
+
+def test_data_matrix_csv_drops_one_byte_order_mark():
+    assert DataMatrix.from_csv("\ufeff\ufeffA,B\n1,2\n").labels == ("\ufeffA", "B")
+
+
+def test_data_matrix_csv_errors_name_the_line_where_the_record_ends():
+    with pytest.raises(ValueError, match="^CSV line 5 has a non-numeric or missing cell$"):
+        DataMatrix.from_csv('A,B\n1,2\n\n"3\n",x\n')
+    with pytest.raises(ValueError, match="header row and at least one data row"):
+        DataMatrix.from_csv("\n\nA,B\n\n")
+
+
+def test_data_matrix_csv_parse_peak_memory_is_near_the_values():
+    text = DataMatrix(tuple("ABCDEFGH"), np.random.default_rng(5).standard_normal((20000, 8))).to_csv()
+    tracemalloc.start()
+    try:
+        data = DataMatrix.from_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.values.shape == (20000, 8)
+    assert peak < 2 * data.values.nbytes
 
 
 def test_data_matrix_columns_selects_by_label():

@@ -11,6 +11,7 @@ from ccdkit import (
     UnstableModelWarning,
     parse_sem,
     partial_correlation_from_covariance,
+    random_graph,
     sem_from_graph,
     serialize_sem,
 )
@@ -101,6 +102,31 @@ def test_simulate_requires_positive_sample_count():
     with pytest.raises(ValueError):
         two_cycle_sem().simulate(0, seed=1)
     assert two_cycle_sem().simulate(1, seed=1).n_rows == 1
+
+
+def solved_samples(sem, n, seed):
+    """Rows drawn as ``simulate`` draws them, one solve of I - B per row."""
+    k = len(sem.vertices)
+    scale = np.sqrt([sem.error_variances[v] for v in sem.vertices])
+    errors = np.random.default_rng(seed).standard_normal((n, k)) * scale
+    return np.linalg.solve(np.eye(k) - sem.b_matrix(), errors.T).T
+
+
+def test_simulate_matches_a_solve_per_row():
+    labels = [f"V{k:02d}" for k in range(16)]
+    wide = sem_from_graph(random_graph(labels, 0.12, random.Random(1608)), 0.4)
+    scaled = LinearSem((), {("X", "A"): 0.5, ("Y", "X"): -0.7, ("X", "Y"): 0.6}, {"X": 2.5})
+    for sem in (two_cycle_sem(), scaled, wide):
+        assert sem.is_stable()
+        data = sem.simulate(2000, seed=11)
+        assert data.labels == sem.vertices
+        assert np.max(np.abs(data.values - solved_samples(sem, 2000, 11))) < 1e-12
+
+
+def test_model_without_vertices_simulates():
+    data = LinearSem((), {}, {}).simulate(3, seed=0)
+    assert data.labels == ()
+    assert data.values.shape == (3, 0)
 
 
 def test_simulate_is_deterministic_per_seed():
