@@ -8,13 +8,16 @@ search over a known graph starts without numpy; the package loads it on
 first use of one of its names.
 
 The statistical oracle and the public ``partial_correlation`` functions
-share one residual routine and one set of degenerate-covariance checks;
-``partial_correlation`` reads its columns' sample covariance through
-``partial_correlation_from_covariance``. A Fisher-z decision has one
-entry, ``FisherZOracle.is_independent``; ``fisher_z_statistic`` is the
-statistic alone. ``partial_correlation_recursive`` stays an independent
-cross-check; it applies the same 1e-12 bound to a variable the set
-determines. A query it cannot test counts as dependent, per reason in
+share one residual routine, a symmetric sweep step (Goodnight 1979) on a
+packed upper triangle, and one set of degenerate-covariance checks. Both
+sweep a conditioning set's members in label order, so they compute r
+bit-for-bit alike. ``partial_correlation`` reads its columns' sample
+covariance through ``partial_correlation_from_covariance``. A Fisher-z
+decision has one entry, ``FisherZOracle.is_independent``;
+``fisher_z_statistic`` is the statistic alone.
+``partial_correlation_recursive`` stays an independent cross-check; it
+applies the same 1e-12 bound to a variable the set determines. A query
+it cannot test counts as dependent, per reason in
 ``OracleStats.degenerate``; only the first of each reason warns.
 """
 from __future__ import annotations
@@ -103,7 +106,8 @@ class DataMatrix:
         Whitespace around each header cell is dropped, so a label with
         leading or trailing whitespace does not survive a round trip. One
         leading UTF-8 byte-order mark is dropped too. Blank lines are
-        skipped, and an error names the file line on which the bad record
+        skipped. Every error, a record the csv module cannot read included,
+        is a ValueError that names the file line on which the bad record
         ends. Lines are read lazily and each row goes straight into one
         packed float buffer, which becomes ``values`` without a copy. Apart
         from ``text``, the parse's peak allocation on a large table is
@@ -111,16 +115,19 @@ class DataMatrix:
         """
         reader = csv.reader(_lines(text, 1 if text.startswith("\ufeff") else 0))
         rows = filter(None, reader)  # a blank line reads as []
-        labels = tuple(cell.strip() for cell in next(rows, ()))
-        width = len(labels)
-        values = array("d")
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(f"CSV line {reader.line_num} has {len(row)} cells, expected {width}")
-            try:
-                values.extend([float(cell) for cell in row])
-            except ValueError:
-                raise ValueError(f"CSV line {reader.line_num} has a non-numeric or missing cell") from None
+        try:
+            labels = tuple(cell.strip() for cell in next(rows, ()))
+            width = len(labels)
+            values = array("d")
+            for row in rows:
+                if len(row) != width:
+                    raise ValueError(f"CSV line {reader.line_num} has {len(row)} cells, expected {width}")
+                try:
+                    values.extend([float(cell) for cell in row])
+                except ValueError:
+                    raise ValueError(f"CSV line {reader.line_num} has a non-numeric or missing cell") from None
+        except csv.Error as exc:  # say, a cell past the field size limit
+            raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
         if not values:
             raise ValueError("CSV needs a header row and at least one data row")
         return cls(labels, np.frombuffer(values).reshape(-1, width))
@@ -182,36 +189,55 @@ def _partial_from_residual(
     return min(1.0, max(-1.0, r))
 
 
-def _inverse(block: np.ndarray) -> np.ndarray | None:
-    """The inverse of a conditioning covariance block, or None when the
-    block is singular, numerically included.
+class _Triangle:
+    """Index arrays of the packed upper triangle of a symmetric n x n matrix,
+    the one layout in which a residual covariance is kept and swept."""
 
-    A member whose variance inflation ``A_cc (A^-1)_cc`` passes 1e12, that
-    is one the rest of the set determines to within 1e-12 of its variance,
-    makes the block singular, by the same fraction that makes a queried
-    variable determined. LU inverts such a block, say one holding a column
-    and a scaled copy of it, without complaint, and what it returns is
-    rounding noise.
+    def __init__(self, n: int):
+        ids = np.arange(n)
+        self.rows, self.cols = np.nonzero(ids[:, None] <= ids)  # np.triu_indices(n)
+        # (i, j) with i <= j sits at offset[i] + j
+        self.offset = tuple(i * n - i * (i + 1) // 2 for i in range(n))
+        low, high = np.minimum.outer(ids, ids), np.maximum.outer(ids, ids)
+        # line[k]: where row k of the full matrix sits, (k, m) at (min, max)
+        self.line = low * n - low * (low + 1) // 2 + high
+        self.diagonal = self.line[ids, ids]
+
+
+def _sweep(
+    layout: _Triangle, packed: np.ndarray, variances: np.ndarray, k: int, swept: list[int]
+) -> np.ndarray | None:
+    """One symmetric sweep step: the packed covariance swept on the set
+    ``swept`` becomes the one swept on that set plus k, or None when the
+    larger set's block is singular, numerically included.
+
+    A matrix swept on Z holds -S[Z, Z]^-1 on its Z block and the residual
+    covariance S - S[:, Z] S[Z, Z]^-1 S[Z, :] outside Z's rows and columns.
+    The pivot p = R_kk is k's residual variance given Z, and it must lie in
+    (0, inf). A member whose variance inflation S_mm (S[Z, Z]^-1)_mm passes
+    1e12, that is one the rest of the set determines to within 1e-12 of its
+    variance, makes the block singular, by the same fraction that makes a
+    queried variable determined; k's inflation is S_kk / p, checked before
+    anything is divided by p. Each entry's update reads only its own row's
+    and column's entries, so sweeping a set's members one at a time in
+    ascending index order gives the same floats whatever other rows the
+    matrix holds: a submatrix that keeps the rows' order sweeps to a
+    submatrix of the full sweep.
     """
-    try:
-        inverse = np.linalg.solve(block, np.eye(len(block)))
-    except np.linalg.LinAlgError:
+    line = layout.line[k]
+    c = packed[line]
+    p = float(c[k])
+    if not (0.0 < p < math.inf and 0.0 < float(variances[k]) / p <= 1e12):
         return None
-    inflation = np.diagonal(block) * np.diagonal(inverse)
-    if not all(0.0 < v <= 1e12 for v in inflation.tolist()):  # NaN fails too
-        return None
-    return inverse
-
-
-def _residual(cov: np.ndarray, cond: list[int]) -> np.ndarray | None:
-    """The residual covariance S - S[:, Z] S[Z, Z]^-1 S[Z, :] of every
-    variable given the non-empty set Z of indices ``cond``, or None when the
-    block S[Z, Z] is singular, numerically included."""
-    rows = cov[cond]
-    inverse = _inverse(rows[:, cond])
-    if inverse is None:
-        return None
-    return cov - rows.T @ (inverse @ rows)
+    b = c / p  # c[rows] * c[cols] / p overflows at scales where this does not
+    out = packed - c[layout.rows] * b[layout.cols]
+    out[line] = b
+    out[layout.diagonal[k]] = -1.0 / p
+    if swept:
+        inflation = (variances * out[layout.diagonal]).tolist()  # -S_mm (S[Z, Z]^-1)_mm on Z
+        if not all(-1e12 <= inflation[m] < 0.0 for m in swept):  # NaN fails too
+            return None
+    return out
 
 
 def _query_names(x: str, y: str, s: Iterable[str] | str) -> tuple[str, str, tuple[str, ...]]:
@@ -244,18 +270,33 @@ def partial_correlation_from_covariance(
 ) -> float:
     """Partial correlation read off a covariance matrix over ``labels``.
 
-    Uses the conditional (Schur-complement) covariance of the pair, which
-    needs only the conditioning block to be invertible; a block that is
-    numerically singular, or a variable that the conditioning set
+    Sweeps the conditioning set's members into the covariance one at a
+    time, which yields the conditional (Schur-complement) covariance of the
+    pair and needs only the conditioning block to be invertible; a block
+    that is numerically singular, or a variable that the conditioning set
     determines exactly, is reported as singular.
     """
     x, y, cond = _query_names(x, y, s)
     index = {label: i for i, label in enumerate(labels)}
-    idx = [_id_of(index, v) for v in (x, y, *cond)]
+    ids = {v: _id_of(index, v) for v in (x, y, *cond)}
+    # in label order, as FisherZOracle holds its vertices, so that both sweep
+    # the same entries in the same order and compute r bit-for-bit alike
+    names = sorted(ids)
+    idx = [ids[v] for v in names]
     cov = np.asarray(cov, dtype=float)[np.ix_(idx, idx)]
-    top = _residual(cov, list(range(2, len(idx)))) if cond else cov
-    residual = None if top is None else (float(top[0, 0]), float(top[1, 1]), float(top[0, 1]))
-    return _partial_from_residual(float(cov[0, 0]), float(cov[1, 1]), residual)
+    layout = _Triangle(len(names))
+    variances = np.diagonal(cov)
+    packed = cov[layout.rows, layout.cols]
+    swept: list[int] = []
+    for k in [names.index(v) for v in cond]:
+        packed = _sweep(layout, packed, variances, k, swept)
+        if packed is None:
+            break
+        swept.append(k)
+    i, j = names.index(x), names.index(y)
+    ii, jj, ij = layout.diagonal[i], layout.diagonal[j], layout.offset[i] + j
+    residual = None if packed is None else (float(packed[ii]), float(packed[jj]), float(packed[ij]))
+    return _partial_from_residual(float(variances[i]), float(variances[j]), residual)
 
 
 def partial_correlation_recursive(
@@ -319,20 +360,23 @@ class FisherZOracle(IndependenceOracle):
     """Statistical oracle testing partial correlations on one data matrix.
 
     The covariance of all columns is computed once up front. The first
-    query with a given conditioning set inverts that set's block and
-    caches the residual covariance
-    R = S - S[:, Z] S[Z, Z]^-1 S[Z, :] as its packed upper triangle; every
-    query with the same set then reads r = R_xy / sqrt(R_xx R_yy) from it
-    with plain float arithmetic. The empty set reads the covariance itself,
-    and a singular block is cached as such; so is a block one of whose
-    members the others determine to within 1e-12 of its variance. Too few
-    rows for the test (N - |s| - 3 < 1), checked first, or a degenerate
-    block makes the query count as dependent under that reason in
-    ``stats.degenerate``, so a small sample or a deterministic linear
-    dependence degrades the answer instead of aborting the search. The
-    first such query of each reason also emits SingularCovarianceWarning
-    naming the query and the reason. A one-row sample has no covariance;
-    the oracle builds without one, since every query lacks rows.
+    query with a given conditioning set Z sweeps Z's highest member into
+    the cached triangle of the rest of Z, its parent set, which is built
+    first by the same rule when not cached. That one O(n^2) step caches the
+    residual covariance R = S - S[:, Z] S[Z, Z]^-1 S[Z, :], the swept
+    matrix outside Z, as one packed upper triangle per set; every query
+    with the same set then reads r = R_xy / sqrt(R_xx R_yy) from it with
+    plain float arithmetic. The empty set reads the covariance itself, and
+    a singular block is cached as such, as is every set built on it; so is
+    a block one of whose members the others determine to within 1e-12 of
+    its variance. Too few rows for the test (N - |s| - 3 < 1), checked
+    first, or a degenerate block makes the query count as dependent under
+    that reason in ``stats.degenerate``, so a small sample or a
+    deterministic linear dependence degrades the answer instead of aborting
+    the search. The first such query of each reason also emits
+    SingularCovarianceWarning naming the query and the reason. A one-row
+    sample has no covariance; the oracle builds without one, since every
+    query lacks rows.
     """
 
     def __init__(self, data: DataMatrix, alpha: float = 0.01):
@@ -350,10 +394,10 @@ class FisherZOracle(IndependenceOracle):
         else:  # no sample covariance, and every query lacks rows anyway
             cov = np.full((n, n), np.nan)
         self._cov = cov[np.ix_(column, column)]  # in vertex order
-        self._upper = np.triu_indices(n)
-        # (i, j) with i <= j sits at offset[i] + j of a packed triangle
-        self._offset = tuple(i * n - i * (i + 1) // 2 for i in range(n))
-        self._residual: dict[int, array | None] = {0: array("d", self._cov[self._upper].tobytes())}
+        self._variances = np.diagonal(self._cov)
+        self._layout = layout = _Triangle(n)
+        packed = self._cov[layout.rows, layout.cols]
+        self._residual: dict[int, array | None] = {0: array("d", packed.tobytes())}
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         size = zmask.bit_count()
@@ -390,15 +434,26 @@ class FisherZOracle(IndependenceOracle):
             packed = self._residual[zmask] = self._packed_residual(zmask)
         if i > j:
             i, j = j, i
-        offset = self._offset
+        offset = self._layout.offset
         ii, jj = offset[i] + i, offset[j] + j
         base = self._residual[0]
         residual = None if packed is None else (packed[ii], packed[jj], packed[offset[i] + j])
         return _partial_from_residual(base[ii], base[jj], residual)
 
     def _packed_residual(self, zmask: int) -> array | None:
-        """Packed upper triangle of the residual covariance given the set, or
-        None when the set's covariance block is singular, numerically
-        included."""
-        residual = _residual(self._cov, list(_bits(zmask)))
-        return None if residual is None else array("d", residual[self._upper].tobytes())
+        """Packed upper triangle of the residual covariance given the
+        non-empty set, or None when the set's covariance block is singular,
+        numerically included: the set's highest member swept into the
+        cached triangle of the rest of the set, which is computed first by
+        the same rule when it is not cached. A set whose rest is singular is
+        singular too."""
+        top = zmask.bit_length() - 1
+        rest = zmask ^ (1 << top)
+        try:
+            packed = self._residual[rest]
+        except KeyError:
+            packed = self._residual[rest] = self._packed_residual(rest)
+        if packed is None:
+            return None
+        swept = _sweep(self._layout, np.frombuffer(packed), self._variances, top, list(_bits(rest)))
+        return None if swept is None else array("d", swept.tobytes())

@@ -3,6 +3,7 @@ and all-tuples reference scans of the search phases."""
 import itertools
 import random
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -310,6 +311,22 @@ def faithful_sem(graph, rng, low=0.4, high=0.7, min_partial=0.05):
         if ok:
             return sem, redraws
         redraws += 1
+
+
+def solved_residual(cov, cond):
+    """The residual covariance S - S[:, Z] S[Z, Z]^-1 S[Z, :] given the
+    index list ``cond``, by one LU solve: an independent reference for the
+    sweep. None when the block is singular: LU fails on it, or a member's
+    variance inflation S_mm (S[Z, Z]^-1)_mm falls outside (0, 1e12]."""
+    rows = cov[cond]
+    block = rows[:, cond]
+    try:
+        inverse = np.linalg.solve(block, np.eye(len(cond)))
+    except np.linalg.LinAlgError:
+        return None
+    if not all(0.0 < v <= 1e12 for v in (np.diagonal(block) * np.diagonal(inverse)).tolist()):
+        return None
+    return cov - rows.T @ (inverse @ rows)
 
 
 def subsets(items):

@@ -188,8 +188,10 @@ def test_discover_folds_query_warnings_into_one_line_per_reason(capsys, tmp_path
         ("A,B\n1.0,x\n", "CSV line 2 has a non-numeric or missing cell"),
         ("A,B\n1,2\n\n3\n", "CSV line 4 has 1 cells, expected 2"),
         ("A,B\n1,2\n\nx,3\n", "CSV line 4 has a non-numeric or missing cell"),
+        ("A,B\n" + "1" * 200_000 + ",2\n", "CSV line 2: field larger than field limit (131072)"),
     ],
-    ids=["header-only", "non-numeric-cell", "ragged-row-after-blank", "non-numeric-after-blank"],
+    ids=["header-only", "non-numeric-cell", "ragged-row-after-blank", "non-numeric-after-blank",
+         "cell-past-field-limit"],
 )
 def test_discover_bad_csv_content_is_data_error(capsys, tmp_path, text, message):
     # an error names the file line, blank lines counted

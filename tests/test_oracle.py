@@ -1,16 +1,17 @@
 import csv
 import io
 import linecache
+import math
 import random
 import threading
 import tracemalloc
 import warnings
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccdkit import (
@@ -33,7 +34,8 @@ from ccdkit import (
 )
 
 import ccdkit.ccd
-from helpers import DecideOnlyNoisyOracle, all_queries, graphs, two_cycle_graph
+from ccdkit.fisherz import _sweep, _Triangle
+from helpers import DecideOnlyNoisyOracle, all_queries, graphs, solved_residual, two_cycle_graph
 
 
 def test_graph_oracle_matches_separation(two_cycle):
@@ -323,6 +325,76 @@ def test_partial_correlation_survives_extreme_scales(scale):
             partial_correlation(data, "X", "Y", s), abs=1e-12
         )
         assert not FisherZOracle(scaled).is_independent("X", "Y", s)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 10),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((None, "constant", "copy", "near-copy")),
+    st.data(),
+)
+def test_sweep_residual_matches_solved_schur_complement(n, seed, degenerate, data):
+    # S = F F^T with F random rows on scales e^-3..e^3; a zero row of F is a
+    # constant column, a scaled row of F a column that copies another. An
+    # exact copy mostly leaves a pivot of 0 or below; a copy off by 1e-7 per
+    # entry leaves a positive one and an inflation near 1e14, which only the
+    # inflation bound catches.
+    rng = np.random.default_rng(seed)
+    factor = rng.standard_normal((n, n + 2)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
+    m = data.draw(st.integers(0, n - 1))
+    tied = {m}
+    if degenerate == "constant":
+        factor[m] = 0.0
+    elif degenerate:
+        assume(n > 1)
+        source = data.draw(st.integers(0, n - 1).filter(lambda v: v != m))
+        factor[m] = data.draw(st.sampled_from((-3.0, -1.0, 0.5, 2.0, 1e3))) * factor[source]
+        if degenerate == "near-copy":
+            factor[m] *= 1.0 + 1e-7 * rng.standard_normal(n + 2)
+        tied.add(source)
+    cov = factor @ factor.T
+    cond = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    layout = _Triangle(n)
+    variances = np.diagonal(cov)
+    packed = cov[layout.rows, layout.cols]
+    swept = []
+    for k in cond:
+        packed = _sweep(layout, packed, variances, k, swept)
+        if packed is None:
+            break
+        swept.append(k)
+    reference = solved_residual(cov, cond)
+    assert (packed is None) == (reference is None)
+    if degenerate and tied <= set(cond):
+        assert packed is None
+    if packed is None:
+        return
+    rest = [i for i in range(n) if i not in cond]
+    for i, j in combinations_with_replacement(rest, 2):
+        value = packed[layout.offset[i] + j]
+        assert abs(value - reference[i, j]) <= 1e-12 * math.sqrt(variances[i] * variances[j])
+
+
+def test_partial_is_the_same_float_cold_or_after_its_parents():
+    values = np.random.default_rng(21).standard_normal((60, 6))
+    values[:, 3] += values[:, 0] - values[:, 5]
+    data = DataMatrix(("F", "B", "E", "A", "D", "C"), values)
+    shared = FisherZOracle(data)  # asked every query, in all_queries order
+    warm = FisherZOracle(data)
+    index = {v: i for i, v in enumerate(shared.vertices)}
+    for x, y, s in all_queries(data.labels):
+        if len(s) != 3:
+            continue
+        i, j = index[x], index[y]
+        zmask = sum(1 << index[v] for v in s)
+        for size in (1, 2):  # every parent and sibling subset first, highest labels first
+            for part in sorted(combinations(s, size), reverse=True):
+                warm._partial(i, j, sum(1 << index[v] for v in part))
+        r = FisherZOracle(data)._partial(i, j, zmask)  # asked cold
+        assert warm._partial(i, j, zmask) == r
+        assert shared._partial(i, j, zmask) == r
+        assert partial_correlation_from_covariance(shared._cov, shared.vertices, x, y, s) == r
 
 
 def test_partial_correlation_recursive_agrees():
@@ -630,6 +702,20 @@ def test_data_matrix_csv_errors_name_the_line_where_the_record_ends():
         DataMatrix.from_csv("\n\nA,B\n\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A,B\r1,2\n", "CSV line 1: new-line character seen in unquoted field"),
+        ("A,B\n" + "1" * 200_000 + ",2\n", "CSV line 2: field larger than field limit"),
+        ('A,B\n1,2\n\n"' + "1" * 200_000 + '",2\n', "CSV line 4: field larger than field limit"),
+    ],
+    ids=["bare-cr-unquoted", "huge-cell", "huge-quoted-cell-after-blank"],
+)
+def test_data_matrix_csv_reader_errors_are_value_errors(text, message):
+    with pytest.raises(ValueError, match="^" + message):
+        DataMatrix.from_csv(text)
+
+
 def test_data_matrix_csv_parse_peak_memory_is_near_the_values():
     text = DataMatrix(tuple("ABCDEFGH"), np.random.default_rng(5).standard_normal((20000, 8))).to_csv()
     tracemalloc.start()
@@ -764,9 +850,14 @@ def test_cached_fisher_z_oracle_equals_per_query_route(case):
 def test_singular_conditioning_set_warns_once_and_counts_every_pair(monkeypatch):
     values = np.random.default_rng(6).standard_normal((50, 4))
     data = DataMatrix(("A", "B", "C", "D", "E"), np.insert(values, 2, 1.0, axis=1))
-    solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    factored = []  # the conditioning set of every _packed_residual call, by label
+    packed_residual = FisherZOracle._packed_residual
+
+    def counted(self, zmask):
+        factored.append([v for k, v in enumerate(self.vertices) if zmask >> k & 1])
+        return packed_residual(self, zmask)
+
+    monkeypatch.setattr(FisherZOracle, "_packed_residual", counted)
     oracle = FisherZOracle(data)
     with pytest.warns(SingularCovarianceWarning) as caught:
         for x, y in (("A", "B"), ("E", "A"), ("B", "E")):
@@ -777,7 +868,12 @@ def test_singular_conditioning_set_warns_once_and_counts_every_pair(monkeypatch)
     assert oracle.stats.degenerate == {
         "conditioning covariance is singular": [3, "(A, B | ['C', 'D'])"]
     }
-    assert solves == [(2, 2)]  # solved once, then read back as the cached error
+    # {C, D} sweeps D into its parent {C}, which is factored first and is
+    # singular, so {C, D} is cached singular without a sweep of its own;
+    # each set is factored once, then read back from the cache
+    assert factored == [["C", "D"], ["C"]]
+    assert oracle._residual[0b100] is None and oracle._residual[0b1100] is None
     oracle.is_independent("A", "B", ("D",))
     oracle.is_independent("E", "A", ("D",))
-    assert solves == [(2, 2), (1, 1)]
+    assert not oracle.is_independent("A", "B", ("C",))
+    assert factored == [["C", "D"], ["C"], ["D"]]
