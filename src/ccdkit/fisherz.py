@@ -13,8 +13,9 @@ packed upper triangle, and one set of degenerate-covariance checks. Both
 sweep a conditioning set's members in label order, so they compute r
 bit-for-bit alike. ``partial_correlation`` reads its columns' sample
 covariance through ``partial_correlation_from_covariance``. A Fisher-z
-decision has one entry, ``FisherZOracle.is_independent``;
-``fisher_z_statistic`` is the statistic alone.
+decision has one entry, ``FisherZOracle.is_independent``, which compares
+|r| with a threshold per set size and computes the statistic only near
+it; ``fisher_z_statistic`` is the statistic alone, kept for reporting.
 ``partial_correlation_recursive`` stays an independent cross-check; it
 applies the same 1e-12 bound to a variable the set determines. A query
 it cannot test counts as dependent, per reason in
@@ -30,7 +31,7 @@ import sys
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
@@ -204,6 +205,15 @@ class _Triangle:
         self.diagonal = self.line[ids, ids]
 
 
+@lru_cache(maxsize=16)
+def _triangle(n: int) -> _Triangle:
+    """The one shared, read-only ``_Triangle`` of each size n."""
+    layout = _Triangle(n)
+    for index in (layout.rows, layout.cols, layout.line, layout.diagonal):
+        index.flags.writeable = False
+    return layout
+
+
 def _sweep(
     layout: _Triangle, packed: np.ndarray, variances: np.ndarray, k: int, swept: list[int]
 ) -> np.ndarray | None:
@@ -284,7 +294,7 @@ def partial_correlation_from_covariance(
     names = sorted(ids)
     idx = [ids[v] for v in names]
     cov = np.asarray(cov, dtype=float)[np.ix_(idx, idx)]
-    layout = _Triangle(len(names))
+    layout = _triangle(len(names))
     variances = np.diagonal(cov)
     packed = cov[layout.rows, layout.cols]
     swept: list[int] = []
@@ -343,6 +353,7 @@ def partial_correlation_recursive(
 
 
 _TOO_FEW_ROWS = "need n_rows - |s| - 3 >= 1"
+_INF, _sqrt = math.inf, math.sqrt  # bound once for FisherZOracle._decide
 _PACKAGE_DIR = os.path.dirname(__file__)
 
 
@@ -369,8 +380,19 @@ class FisherZOracle(IndependenceOracle):
     plain float arithmetic. The empty set reads the covariance itself, and
     a singular block is cached as such, as is every set built on it; so is
     a block one of whose members the others determine to within 1e-12 of
-    its variance. Too few rows for the test (N - |s| - 3 < 1), checked
-    first, or a degenerate block makes the query count as dependent under
+    its variance.
+
+    |atanh r| sqrt(N - |s| - 3) <= c holds exactly when |r| <= t =
+    tanh(c / sqrt(N - |s| - 3)). A table built up front holds, per set
+    size, the band [t (1 - 1e-9), t (1 + 1e-9)] around t: a query whose
+    residual is clean decides an |r| below the band as independent and one
+    above it as dependent, with one comparison. An r inside the band, where
+    rounding could tell the two forms apart, and every query that is not
+    clean take the route that computes the statistic with
+    ``fisher_z_statistic``, so every answer is that route's.
+
+    Too few rows for the test (N - |s| - 3 < 1), checked first, or a
+    degenerate block or endpoint makes the query count as dependent under
     that reason in ``stats.degenerate``, so a small sample or a
     deterministic linear dependence degrades the answer instead of aborting
     the search. The first such query of each reason also emits
@@ -395,11 +417,40 @@ class FisherZOracle(IndependenceOracle):
             cov = np.full((n, n), np.nan)
         self._cov = cov[np.ix_(column, column)]  # in vertex order
         self._variances = np.diagonal(self._cov)
-        self._layout = layout = _Triangle(n)
+        self._layout = layout = _triangle(n)
         packed = self._cov[layout.rows, layout.cols]
         self._residual: dict[int, array | None] = {0: array("d", packed.tobytes())}
+        # per set size k, the band around tanh(c / sqrt(N - k - 3)) outside
+        # which one comparison decides; None where N - k - 3 < 1
+        self._bands: list[tuple[float, float] | None] = [None] * n
+        for k in range(min(n, self._n_rows - 3)):
+            t = math.tanh(self._critical / math.sqrt(self._n_rows - k - 3))
+            self._bands[k] = (t * (1.0 - 1e-9), t * (1.0 + 1e-9))
+        # per vertex, the residual variance at or below which a set
+        # determines it; inf for a column without variance
+        self._floor = [v * 1e-12 if v > 0.0 else math.inf for v in self._variances.tolist()]
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
+        band = self._bands[zmask.bit_count()]
+        if band is not None:  # enough rows for the test
+            try:
+                packed = self._residual[zmask]
+            except KeyError:
+                packed = self._residual[zmask] = self._packed_residual(zmask)
+            if packed is not None:
+                offset, floor = self._layout.offset, self._floor
+                var_i, var_j = packed[offset[i] + i], packed[offset[j] + j]
+                if floor[i] < var_i and floor[j] < var_j:  # so both are positive
+                    product = var_i * var_j
+                    if 0.0 < product < _INF:
+                        cov = packed[offset[i] + j] if i < j else packed[offset[j] + i]
+                        r = abs(cov) / _sqrt(product)
+                        if r < band[0]:
+                            return True
+                        if band[1] < r < _INF:
+                            return False
+        # too few rows, a degenerate covariance or an r inside the band:
+        # the route that computes z and names the reason of a degenerate query
         size = zmask.bit_count()
         try:
             if self._n_rows - size - 3 < 1:  # named before a degenerate block

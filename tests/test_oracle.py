@@ -6,8 +6,11 @@ import random
 import threading
 import tracemalloc
 import warnings
+from array import array
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -817,6 +820,13 @@ def test_cached_fisher_z_oracle_equals_per_query_route(case):
     data, seed = case
     queries = [q for x, y, s in all_queries(data.labels) for q in ((x, y, s), (y, x, s))]
     random.Random(seed).shuffle(queries)
+    assert_oracle_follows_reference(data, queries)
+
+
+def assert_oracle_follows_reference(data, queries):
+    """Ask ``queries`` in order of one FisherZOracle(data, alpha=0.2); each
+    answer, warning, ``_partial`` value or error and the final
+    ``stats.degenerate`` record must be those of ``_reference_answer``."""
     oracle = FisherZOracle(data, alpha=0.2)
     cov = np.cov(data.values, rowvar=False, ddof=1)
     critical = NormalDist().inv_cdf(1.0 - 0.2 / 2.0)
@@ -845,6 +855,107 @@ def test_cached_fisher_z_oracle_equals_per_query_route(case):
         else:
             assert oracle._partial(index[x], index[y], zmask) == pytest.approx(r, abs=1e-12)
     assert list(oracle.stats.degenerate.items()) == list(degenerate.items())
+
+
+@pytest.mark.parametrize("scaled", [1, 2])
+@pytest.mark.parametrize("exponent", [-200, -160, -110, 0, 110, 155, 200])
+def test_fisher_z_guards_follow_the_reference_at_extreme_scales(exponent, scaled):
+    # one or two columns scaled by 10^e, so that a variance, or the product
+    # of two, under- or overflows, beside a constant column, a copy and a
+    # copy off by 1e-7 that the copied column determines to within 1e-12
+    values = np.random.default_rng(31).standard_normal((60, 4))
+    values[:, 1] += values[:, 0]
+    near = values[:, 2] + 1e-7 * values[:, 3]
+    values = np.column_stack([values[:, :3], np.full(60, 2.5), values[:, 2], near])
+    values[:, :scaled] *= 10.0**exponent
+    data = DataMatrix(("D", "A", "E", "B", "C", "F"), values)
+    queries = [q for x, y, s in all_queries(data.labels) for q in ((x, y, s), (y, x, s))]
+    random.Random(exponent).shuffle(queries)
+    with np.errstate(all="ignore"):
+        assert_oracle_follows_reference(data, queries)
+
+
+@dataclass(frozen=True, eq=False)
+class _RowCount(DataMatrix):
+    """Samples that report ``rows`` rows, so that a test can build the band
+    table of a large N from a few real rows."""
+
+    rows: int = 0
+
+    @property
+    def n_rows(self) -> int:
+        return self.rows
+
+
+# the smallest alpha whose critical value NormalDist can compute, 8.21: it
+# puts t_0 at N = 4 within 1.5e-7 of 1; no alpha the oracle accepts rounds
+# t_k to 1.0, which needs c / sqrt(N - k - 3) above 19
+SMALLEST_ALPHA = 1.2e-16
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(4, 10**6),
+    st.integers(0, 8),
+    st.one_of(st.sampled_from((SMALLEST_ALPHA, 0.01, 0.05)), st.floats(SMALLEST_ALPHA, 0.99)),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_fisher_z_band_decides_as_the_statistic(n_rows, k, alpha, offsets, negative):
+    # the residual of (X, Y) given k others holds R_XX = R_YY = 1 and R_XY = r,
+    # so the oracle reads |r| itself; an r it settles by the threshold alone
+    # must get the answer of |z| <= c
+    assume(n_rows - k - 3 >= 1)
+    labels = tuple(f"V{m}" for m in range(k + 2))
+    data = _RowCount(labels, np.random.default_rng(k).standard_normal((k + 5, k + 2)), n_rows)
+    oracle = FisherZOracle(data, alpha)
+    t = math.tanh(oracle._critical / math.sqrt(n_rows - k - 3))
+    edges = oracle._bands[k]
+    candidates = [0.0, 1.0, *(t + u * 1e-6 * t for u in offsets)]
+    for edge in edges:
+        candidates += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)]
+    zmask = (1 << k + 2) - 4  # every vertex but V0 and V1
+    layout = _Triangle(k + 2)
+    identity = np.eye(k + 2)[layout.rows, layout.cols]
+    settled = 0
+    for r in candidates:
+        r = -r if negative else r
+        oracle._residual[zmask] = packed = array("d", identity)
+        packed[layout.offset[0] + 1] = r
+        expected = abs(fisher_z_statistic(r, n_rows, k)) <= oracle._critical
+        with mock.patch("ccdkit.fisherz.fisher_z_statistic", side_effect=fisher_z_statistic) as z:
+            assert oracle._decide(0, 1, zmask) == expected
+            assert oracle._decide(1, 0, zmask) == expected
+        if not z.called:
+            settled += 1
+        elif not edges[0] <= abs(r) <= edges[1]:
+            pytest.fail(f"r = {r!r} outside the band {edges} took the statistic")
+    assert settled >= 2  # at least r = 0 and r = 1
+
+
+def test_search_memo_equals_the_per_query_route():
+    # a complete acyclic model on 12 variables: phase A keeps most pairs
+    # adjacent and asks conditioning sets of every size up to 10
+    labels = tuple(f"V{m:02d}" for m in range(12))
+    g = DirectedGraph(labels, {(a, b) for m, a in enumerate(labels) for b in labels[m + 1:]})
+    data = sem_from_graph(g, 0.4).simulate(20000, seed=1)
+    oracle = FisherZOracle(data)
+    try:
+        run_ccd(oracle, oracle.vertices)
+    except ValueError as exc:
+        # phase D aborts on some sample-data runs, at a triple phase B
+        # underlined; the memo keeps every decision made up to it
+        assert "already underlined" in str(exc)
+    cov = np.cov(data.values, rowvar=False, ddof=1)
+    w = oracle._width
+    sizes = set()
+    for key, answer in oracle._memo.items():
+        zmask, lo, hi = key >> 2 * w, key >> w & (1 << w) - 1, key & (1 << w) - 1
+        s = [v for m, v in enumerate(oracle.vertices) if zmask >> m & 1]
+        r = partial_correlation_from_covariance(cov, data.labels, oracle.vertices[lo], oracle.vertices[hi], s)
+        assert answer == (abs(fisher_z_statistic(r, data.n_rows, len(s))) <= oracle._critical)
+        sizes.add(len(s))
+    assert sizes == set(range(11))
 
 
 def test_singular_conditioning_set_warns_once_and_counts_every_pair(monkeypatch):
