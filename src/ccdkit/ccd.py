@@ -184,8 +184,12 @@ def phase_a(state: CcdState, oracle: IndependenceOracle) -> CcdState:
     tested against every size-n subset of x's current neighbours other
     than y; an independent answer deletes the edge and records the subset
     for the pair. Neighbour sets reflect deletions immediately. y walks
-    x's neighbour list, read once per x (only x-y is deleted meanwhile):
-    a sweep costs O(sum of squared degrees) plus its queries.
+    x's neighbour list, read once per x (only x-y is deleted meanwhile).
+    A pair whose x has no n neighbours besides y is skipped before its
+    candidate list is built, and at n = 0, whose one subset is empty, no
+    list is built: the empty set goes to the oracle as its one set. A
+    sweep at n >= 1 costs O(sum of squared degrees) plus its queries, the
+    n = 0 sweep O(sum of degrees) plus its queries.
     """
     psi = state.psi
     adj = psi._adj
@@ -195,9 +199,9 @@ def phase_a(state: CcdState, oracle: IndependenceOracle) -> CcdState:
         while any(len(nb) > n for nb in adj):
             for x, nb in enumerate(adj):
                 for y in tuple(nb):
-                    candidates = [1 << v for v in nb if v != y]
-                    if len(candidates) < n:
+                    if len(nb) <= n:  # fewer than n neighbours besides y
                         continue
+                    candidates = [1 << v for v in nb if v != y] if n else ()
                     zmask = first_separator(x, y, candidates, n)
                     if zmask is not None:
                         psi._remove_edge(x, y)

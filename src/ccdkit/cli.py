@@ -84,8 +84,9 @@ def _nonnegative_int(text: str) -> int:
 
 def _alpha(text: str) -> float:
     value = float(text)
-    if not 0.0 < value < 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError("alpha must be strictly between 0 and 1")
+    # FisherZOracle's rule; NaN fails too
+    if not (0.0 < value < 1.0 and 1.0 - value / 2.0 < 1.0):
+        raise argparse.ArgumentTypeError("alpha must be strictly between 0 and 1, and above 2**-53")
     return value
 
 

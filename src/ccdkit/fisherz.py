@@ -402,8 +402,9 @@ class FisherZOracle(IndependenceOracle):
     """
 
     def __init__(self, data: DataMatrix, alpha: float = 0.01):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be strictly between 0 and 1")
+        # at alpha <= 2**-53, 1 - alpha/2 rounds to 1.0, which has no normal quantile
+        if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
+            raise ValueError(f"alpha must be strictly between 0 and 1, and above 2**-53, got {alpha!r}")
         super().__init__(data.labels)
         self.data = data
         self.alpha = float(alpha)

@@ -15,9 +15,15 @@ one call: the set ``sum(subset) | extra`` for each size-``size`` subset
 of the candidate bitmasks, in ``combinations`` order, until one
 separates i from j. Its caller passes distinct one-vertex candidates,
 disjoint from ``extra``, none holding i or j, so all sets of one call
-have one size. It alone reads and writes the memo and the statistics,
-and it takes the lock, reads the phase label and updates the statistics
-once per call, not once per query. ``is_independent`` asks it one set.
+have one size. It alone reads and writes the memo and the statistics.
+A call that asks one set (``size`` 0, the set ``extra``), as
+``is_independent``, phases C and F and level 0 of phases A and D do,
+reads the memo before it takes the lock: a dict read is atomic and an
+entry never changes once written, so a hit returns with no lock, no
+phase label and no counting. A miss takes the lock, reads the memo
+again, and decides, memoises and counts the query under it. A larger
+level takes the lock, reads the phase label and updates the statistics
+once per call, not once per query.
 The search in ``ccd.py`` calls ``_first_separator`` directly when the
 oracle's class keeps the base ``is_independent`` and its vertices are
 the searched ones, so that its indices are the PAG's ids, and
@@ -25,9 +31,9 @@ the searched ones, so that its indices are the PAG's ids, and
 order, so an oracle that overrides ``is_independent`` still sees every
 query. The memo is keyed on one packed int per unordered pair and set;
 statistics count each distinct query once, attributed to the search
-phase that first asked it. The memo, the caches and the counters sit
-behind a lock, and the phase label belongs to the thread that set it, so
-an oracle instance can be shared across threads.
+phase that first asked it. The memo, the caches and the counters are
+written only under a lock, and the phase label belongs to the thread
+that set it, so an oracle instance can be shared across threads.
 """
 from __future__ import annotations
 
@@ -129,15 +135,29 @@ class IndependenceOracle:
         distinct query counted under the size of its whole set. The caller
         passes distinct one-vertex ``candidates``, disjoint from ``extra``,
         none holding i or j, so every set of one call has the size
-        ``size + extra.bit_count()``; the stats are updated once per call,
-        with the call's new decisions, even when ``_decide`` raises (the
-        raising query is neither memoised nor counted). The memo key packs
-        the set and the unordered pair into one int,
-        ``zmask << 2w | lo << w | hi`` with ``w`` bits per index.
+        ``size + extra.bit_count()``. With ``size`` 0 the one set is
+        ``extra``: the memo is read first without the lock, and only a miss
+        takes it, reads the memo again and decides and counts the query.
+        Otherwise the lock is held for the whole level and the stats are
+        updated once per call, with the call's new decisions, even when
+        ``_decide`` raises. Either way the raising query is neither
+        memoised nor counted. The memo key packs the set and the unordered
+        pair into one int, ``zmask << 2w | lo << w | hi`` with ``w`` bits
+        per index.
         """
         w = self._width
         pair = i << w | j if i < j else j << w | i
         memo = self._memo
+        if size == 0:  # one set, extra
+            key = extra << 2 * w | pair
+            answer = memo.get(key)
+            if answer is None:
+                with self._lock:
+                    answer = memo.get(key)
+                    if answer is None:
+                        answer = memo[key] = bool(self._decide(i, j, extra))
+                        self.stats.counts[self._phase.label, extra.bit_count()] += 1
+            return extra if answer else None
         decide = self._decide
         with self._lock:
             label = self._phase.label

@@ -155,6 +155,8 @@ class Pag:
         del marks[i, j], marks[j, i]
         self._adj[i].remove(j)
         self._adj[j].remove(i)
+        if not (self._underlines or self._dotted):
+            return
         # triples are claims about their two edges; drop any that lost one
         gone = {i, j}
         for triples in (self._underlines, self._dotted):

@@ -83,13 +83,23 @@ def test_discover_alpha_requires_data(capsys):
     assert "--alpha" in err
 
 
-@pytest.mark.parametrize("alpha", ["0", "1.5", "nan", "-0.1"])
+# at 1e-17 and 2**-53, 1 - alpha/2 rounds to 1.0
+@pytest.mark.parametrize("alpha", ["0", "1.5", "nan", "-0.1", "1e-17", "1.1102230246251565e-16"])
 def test_discover_alpha_outside_the_unit_interval_is_usage_error(capsys, tmp_path, alpha):
     csv = tmp_path / "d.csv"
     csv.write_text("A,B\n1.0,2.0\n2.0,1.0\n3.0,5.0\n")
     code, out, err = run_cli(capsys, "discover", "--data", str(csv), "--alpha", alpha)
     assert (code, out) == (2, "")
     assert "alpha must be strictly between 0 and 1" in err
+
+
+def test_discover_accepts_the_smallest_alphas_the_library_builds(capsys, tmp_path):
+    csv = tmp_path / "d.csv"
+    csv.write_text("A,B\n1.0,2.0\n2.0,1.0\n3.0,5.0\n4.0,3.0\n")
+    for alpha in ("1.1102230246251568e-16", "2.3e-16"):
+        code, out, _ = run_cli(capsys, "discover", "--data", str(csv), "--alpha", alpha)
+        assert code == 0
+        assert out.startswith("# ccd-kit format")
 
 
 def test_discover_graph_and_data_mutually_exclusive(capsys, tmp_path):

@@ -4,6 +4,7 @@ import linecache
 import math
 import random
 import threading
+import time
 import tracemalloc
 import warnings
 from array import array
@@ -226,19 +227,94 @@ def test_first_separator_equals_a_per_subset_loop_over_decide(g, seed, data):
 
 
 def test_oracle_is_thread_safe(two_cycle):
-    oracle = GraphOracle(two_cycle)
     queries = list(all_queries(two_cycle.vertices))
+    serial = GraphOracle(two_cycle)
+    expected = [serial.is_independent(x, y, s) for x, y, s in queries]
+    oracle = GraphOracle(two_cycle)
+    decide = oracle._decide
+
+    def slow_decide(i, j, zmask):
+        time.sleep(0.001)  # the other threads miss the memo and queue at the lock
+        return decide(i, j, zmask)
+
+    oracle._decide = slow_decide
+    start = threading.Barrier(8)
+    answers = []
 
     def worker():
-        for x, y, s in queries:
-            oracle.is_independent(x, y, s)
+        start.wait(timeout=10)
+        answers.append([oracle.is_independent(x, y, s) for x, y, s in queries])
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    assert answers == [expected] * 8
     assert oracle.stats.total() == len(queries)
+    assert oracle.stats.rows() == serial.stats.rows()
+    assert oracle._memo == serial._memo
+
+
+def one_set_query(oracle, x, y, s):
+    """(i, j, zmask) of the query (x, y | s) on the oracle's indices."""
+    index = oracle.vertices.index
+    return index(x), index(y), sum(1 << index(v) for v in s)
+
+
+def refuse_to_decide(i, j, zmask):
+    raise AssertionError(f"decided ({i}, {j} | {zmask:b}) again")
+
+
+def test_one_set_hit_returns_the_memoised_answer_without_deciding(two_cycle):
+    oracle = GraphOracle(two_cycle)
+    i, j, separating = one_set_query(oracle, "A", "B", ("X", "Y"))
+    connecting = one_set_query(oracle, "A", "B", ("X",))[2]
+    assert oracle._first_separator(i, j, (), 0, separating) == separating
+    assert oracle._first_separator(i, j, (), 0, connecting) is None
+    # a hit neither decides nor takes the lock
+    oracle._decide = refuse_to_decide
+    oracle._lock = mock.MagicMock(**{"__enter__.side_effect": AssertionError("took the lock")})
+    for a, b in ((i, j), (j, i)):
+        assert oracle._first_separator(a, b, (), 0, separating) == separating
+        assert oracle._first_separator(a, b, (), 0, connecting) is None
+    assert oracle.is_independent("B", "A", ("Y", "X"))
+    assert not oracle.is_independent("B", "A", ("X",))
+
+
+def test_one_set_hit_under_another_phase_changes_no_memo_or_count(two_cycle):
+    oracle = GraphOracle(two_cycle)
+    i, j, zmask = one_set_query(oracle, "A", "B", ("X",))
+    with oracle.phase("A"):
+        assert oracle._first_separator(i, j, (), 0, zmask) is None
+        assert oracle.is_independent("A", "B")
+    memo, rows = dict(oracle._memo), oracle.stats.rows()
+    assert rows == [("A", 0, 1), ("A", 1, 1)]
+    oracle._decide = refuse_to_decide
+    for label in ("C", "F", None):
+        with oracle.phase(label):
+            assert oracle._first_separator(j, i, (), 0, zmask) is None
+            assert oracle._first_separator(i, j, (), 0, 0) == 0
+            assert oracle.is_independent("B", "A")
+    assert oracle._memo == memo
+    assert oracle.stats.rows() == rows
+
+
+def test_one_set_miss_whose_decide_raises_memoises_and_counts_nothing(two_cycle):
+    oracle = GraphOracle(two_cycle)
+    i, j, zmask = one_set_query(oracle, "A", "B", ("X", "Y"))
+    oracle._decide = mock.Mock(side_effect=RuntimeError("decide failed"))
+    with oracle.phase("C"):
+        with pytest.raises(RuntimeError):
+            oracle._first_separator(i, j, (), 0, zmask)
+        with pytest.raises(RuntimeError):
+            oracle.is_independent("A", "B", ("X", "Y"))
+    assert oracle._memo == {}
+    assert oracle.stats.rows() == []
+    del oracle._decide  # the class's decision again: the query is a miss
+    with oracle.phase("C"):
+        assert oracle._first_separator(j, i, (), 0, zmask) == zmask
+    assert oracle.stats.rows() == [("C", 2, 1)]
 
 
 def test_phase_label_belongs_to_the_thread_that_set_it(two_cycle):
@@ -563,6 +639,15 @@ def test_fisher_z_oracle_alpha_validation():
         FisherZOracle(rng_data(n=50), alpha=0.0)
     with pytest.raises(ValueError):
         FisherZOracle(rng_data(n=50), alpha=1.0)
+    for alpha in (1e-17, 1.1e-16, 2.0**-53):  # 1 - alpha/2 rounds to 1.0
+        with pytest.raises(ValueError, match=rf"above 2\*\*-53, got {alpha!r}"):
+            FisherZOracle(rng_data(n=50), alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [math.nextafter(2.0**-53, 1.0), 2.3e-16])
+def test_fisher_z_oracle_builds_just_above_the_smallest_alpha(alpha):
+    oracle = FisherZOracle(rng_data(n=50), alpha=alpha)
+    assert oracle._critical == pytest.approx(8.2095, abs=1e-4)
 
 
 def test_fisher_z_oracle_agrees_with_direct_function():

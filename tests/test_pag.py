@@ -67,6 +67,13 @@ def test_remove_edge_drops_triples_on_it():
     psi.add_underline("A", "B", "C")
     psi.remove_edge("B", "C")
     assert psi.underlines == frozenset()
+    # a dotted underline alone is dropped too
+    psi = complete_pag("A", "B", "C")
+    psi.set_mark("B", "A", Mark.ARROW)
+    psi.set_mark("B", "C", Mark.ARROW)
+    psi.add_dotted_underline("A", "B", "C")
+    psi.remove_edge("A", "B")
+    assert psi.dotted_underlines == frozenset()
 
 
 def test_edge_queries_reject_a_loop_and_an_absent_edge():
