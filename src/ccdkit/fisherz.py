@@ -8,14 +8,16 @@ search over a known graph starts without numpy; the package loads it on
 first use of one of its names.
 
 The statistical oracle and the public ``partial_correlation`` functions
-share one residual routine, a symmetric sweep step (Goodnight 1979) on a
-packed upper triangle, and one set of degenerate-covariance checks. Both
-sweep a conditioning set's members in label order, so they compute r
-bit-for-bit alike. ``partial_correlation`` reads its columns' sample
-covariance through ``partial_correlation_from_covariance``. A Fisher-z
-decision has one entry, ``FisherZOracle.is_independent``, which compares
-|r| with a threshold per set size and computes the statistic only near
-it; ``fisher_z_statistic`` is the statistic alone, kept for reporting.
+share one residual store, which keeps per conditioning set the packed
+upper triangle of the residual covariance, built by symmetric sweep steps
+(Goodnight 1979), and one set of degenerate-covariance checks.
+``partial_correlation_from_covariance`` builds a store over its labels in
+label order, as the oracle holds its vertices, so the two compute r
+bit-for-bit alike; ``partial_correlation`` reads its columns' sample
+covariance through it. A Fisher-z decision has one entry,
+``FisherZOracle.is_independent``, which compares |r| with a threshold per
+set size and computes the statistic only near it; ``fisher_z_statistic``
+is the statistic alone, kept for reporting.
 ``partial_correlation_recursive`` stays an independent cross-check; it
 applies the same 1e-12 bound to a variable the set determines. A query
 it cannot test counts as dependent, per reason in
@@ -250,6 +252,45 @@ def _sweep(
     return out
 
 
+class _Residuals(dict):
+    """``self[zmask]`` is the packed upper triangle of the residual covariance
+    given the set ``zmask``, as ``array("d")``, or None when the set's block
+    is singular; ``self[0]`` is the covariance itself. A set is swept on its
+    first lookup, its highest member into the entry of the rest of the set,
+    which is looked up first by the same rule; so members are swept in
+    ascending index order whichever set is asked first.
+    """
+
+    __slots__ = ("layout", "variances")  # a dict subclass's __dict__ attributes read slower
+
+    def __init__(self, cov: np.ndarray):
+        super().__init__()
+        self.layout = layout = _triangle(len(cov))
+        self.variances = np.diagonal(cov)
+        self[0] = array("d", cov[layout.rows, layout.cols].tobytes())
+
+    def __missing__(self, zmask: int) -> array | None:
+        top = zmask.bit_length() - 1
+        rest = zmask ^ (1 << top)
+        packed = self[rest]
+        if packed is not None:
+            swept = _sweep(self.layout, np.frombuffer(packed), self.variances, top, list(_bits(rest)))
+            packed = None if swept is None else array("d", swept.tobytes())
+        self[zmask] = packed
+        return packed
+
+    def partial(self, i: int, j: int, zmask: int) -> float:
+        """Partial correlation of rows i and j given the set ``zmask``."""
+        packed = self[zmask]
+        if i > j:
+            i, j = j, i
+        offset = self.layout.offset
+        ii, jj = offset[i] + i, offset[j] + j
+        base = self[0]
+        residual = None if packed is None else (packed[ii], packed[jj], packed[offset[i] + j])
+        return _partial_from_residual(base[ii], base[jj], residual)
+
+
 def _query_names(x: str, y: str, s: Iterable[str] | str) -> tuple[str, str, tuple[str, ...]]:
     s = _as_vertex_set(s)  # a bare label is one vertex
     cond = tuple(sorted(s))
@@ -280,33 +321,28 @@ def partial_correlation_from_covariance(
 ) -> float:
     """Partial correlation read off a covariance matrix over ``labels``.
 
-    Sweeps the conditioning set's members into the covariance one at a
-    time, which yields the conditional (Schur-complement) covariance of the
-    pair and needs only the conditioning block to be invertible; a block
-    that is numerically singular, or a variable that the conditioning set
-    determines exactly, is reported as singular.
+    ``cov`` is square with one row and column per label, in the order of
+    ``labels``, which are unique; any other shape or a repeated label raises
+    ValueError. Sweeps the conditioning set's members into the covariance
+    one at a time, which yields the conditional (Schur-complement)
+    covariance of the pair and needs only the conditioning block to be
+    invertible; a block that is numerically singular, or a variable that
+    the conditioning set determines exactly, is reported as singular.
     """
-    x, y, cond = _query_names(x, y, s)
+    cov = np.asarray(cov, dtype=float)
     index = {label: i for i, label in enumerate(labels)}
+    if cov.shape != (len(labels), len(labels)):
+        raise ValueError(f"cov has shape {cov.shape}; {len(labels)} labels need a square of that side")
+    if len(index) != len(labels):
+        raise ValueError("labels must be unique")
+    x, y, cond = _query_names(x, y, s)
     ids = {v: _id_of(index, v) for v in (x, y, *cond)}
     # in label order, as FisherZOracle holds its vertices, so that both sweep
     # the same entries in the same order and compute r bit-for-bit alike
     names = sorted(ids)
     idx = [ids[v] for v in names]
-    cov = np.asarray(cov, dtype=float)[np.ix_(idx, idx)]
-    layout = _triangle(len(names))
-    variances = np.diagonal(cov)
-    packed = cov[layout.rows, layout.cols]
-    swept: list[int] = []
-    for k in [names.index(v) for v in cond]:
-        packed = _sweep(layout, packed, variances, k, swept)
-        if packed is None:
-            break
-        swept.append(k)
-    i, j = names.index(x), names.index(y)
-    ii, jj, ij = layout.diagonal[i], layout.diagonal[j], layout.offset[i] + j
-    residual = None if packed is None else (float(packed[ii]), float(packed[jj]), float(packed[ij]))
-    return _partial_from_residual(float(variances[i]), float(variances[j]), residual)
+    zmask = sum(1 << names.index(v) for v in cond)
+    return _Residuals(cov[np.ix_(idx, idx)]).partial(names.index(x), names.index(y), zmask)
 
 
 def partial_correlation_recursive(
@@ -370,17 +406,17 @@ def fisher_z_statistic(r: float, n_rows: int, cond_size: int) -> float:
 class FisherZOracle(IndependenceOracle):
     """Statistical oracle testing partial correlations on one data matrix.
 
-    The covariance of all columns is computed once up front. The first
-    query with a given conditioning set Z sweeps Z's highest member into
-    the cached triangle of the rest of Z, its parent set, which is built
-    first by the same rule when not cached. That one O(n^2) step caches the
-    residual covariance R = S - S[:, Z] S[Z, Z]^-1 S[Z, :], the swept
-    matrix outside Z, as one packed upper triangle per set; every query
-    with the same set then reads r = R_xy / sqrt(R_xx R_yy) from it with
-    plain float arithmetic. The empty set reads the covariance itself, and
-    a singular block is cached as such, as is every set built on it; so is
-    a block one of whose members the others determine to within 1e-12 of
-    its variance.
+    The covariance of all columns is computed once up front. One residual
+    store, the kind ``partial_correlation_from_covariance`` reads too,
+    keeps per conditioning set Z the packed upper triangle of the residual
+    covariance R = S - S[:, Z] S[Z, Z]^-1 S[Z, :]. The first query with Z
+    builds it by one O(n^2) sweep step, Z's highest member swept into the
+    entry of the rest of Z, built first by the same rule when not stored;
+    every query with the same set then reads r = R_xy / sqrt(R_xx R_yy)
+    from it with plain float arithmetic. The empty set reads the covariance
+    itself, and a singular block is stored as such, as is every set built
+    on it; so is a block one of whose members the others determine to
+    within 1e-12 of its variance.
 
     |atanh r| sqrt(N - |s| - 3) <= c holds exactly when |r| <= t =
     tanh(c / sqrt(N - |s| - 3)). A table built up front holds, per set
@@ -391,11 +427,11 @@ class FisherZOracle(IndependenceOracle):
     clean take the route that computes the statistic with
     ``fisher_z_statistic``, so every answer is that route's.
 
-    Too few rows for the test (N - |s| - 3 < 1), checked first, or a
-    degenerate block or endpoint makes the query count as dependent under
-    that reason in ``stats.degenerate``, so a small sample or a
-    deterministic linear dependence degrades the answer instead of aborting
-    the search. The first such query of each reason also emits
+    Too few rows for the test (N - |s| - 3 < 1, a size without a band),
+    checked first, or a degenerate block or endpoint makes the query count
+    as dependent under that reason in ``stats.degenerate``, so a small
+    sample or a deterministic linear dependence degrades the answer instead
+    of aborting the search. The first such query of each reason also emits
     SingularCovarianceWarning naming the query and the reason. A one-row
     sample has no covariance; the oracle builds without one, since every
     query lacks rows.
@@ -417,10 +453,7 @@ class FisherZOracle(IndependenceOracle):
         else:  # no sample covariance, and every query lacks rows anyway
             cov = np.full((n, n), np.nan)
         self._cov = cov[np.ix_(column, column)]  # in vertex order
-        self._variances = np.diagonal(self._cov)
-        self._layout = layout = _triangle(n)
-        packed = self._cov[layout.rows, layout.cols]
-        self._residual: dict[int, array | None] = {0: array("d", packed.tobytes())}
+        self._residual = _Residuals(self._cov)
         # per set size k, the band around tanh(c / sqrt(N - k - 3)) outside
         # which one comparison decides; None where N - k - 3 < 1
         self._bands: list[tuple[float, float] | None] = [None] * n
@@ -429,17 +462,15 @@ class FisherZOracle(IndependenceOracle):
             self._bands[k] = (t * (1.0 - 1e-9), t * (1.0 + 1e-9))
         # per vertex, the residual variance at or below which a set
         # determines it; inf for a column without variance
-        self._floor = [v * 1e-12 if v > 0.0 else math.inf for v in self._variances.tolist()]
+        self._floor = [v * 1e-12 if v > 0.0 else math.inf for v in self._residual.variances.tolist()]
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         band = self._bands[zmask.bit_count()]
         if band is not None:  # enough rows for the test
-            try:
-                packed = self._residual[zmask]
-            except KeyError:
-                packed = self._residual[zmask] = self._packed_residual(zmask)
+            residual = self._residual
+            packed = residual[zmask]
             if packed is not None:
-                offset, floor = self._layout.offset, self._floor
+                offset, floor = residual.layout.offset, self._floor
                 var_i, var_j = packed[offset[i] + i], packed[offset[j] + j]
                 if floor[i] < var_i and floor[j] < var_j:  # so both are positive
                     product = var_i * var_j
@@ -452,11 +483,10 @@ class FisherZOracle(IndependenceOracle):
                             return False
         # too few rows, a degenerate covariance or an r inside the band:
         # the route that computes z and names the reason of a degenerate query
-        size = zmask.bit_count()
         try:
-            if self._n_rows - size - 3 < 1:  # named before a degenerate block
+            if band is None:  # N - |s| - 3 < 1, named before a degenerate block
                 raise ValueError(_TOO_FEW_ROWS)
-            z = fisher_z_statistic(self._partial(i, j, zmask), self._n_rows, size)
+            z = fisher_z_statistic(self._residual.partial(i, j, zmask), self._n_rows, zmask.bit_count())
         except ValueError as exc:  # too few rows for |s|, or a singular block
             reason = str(exc)
             record = self.stats.degenerate.get(reason)
@@ -477,35 +507,3 @@ class FisherZOracle(IndependenceOracle):
             self.stats.degenerate[reason] = [1, query]
             return False
         return abs(z) <= self._critical
-
-    def _partial(self, i: int, j: int, zmask: int) -> float:
-        """Partial correlation of vertices i and j given the set ``zmask``."""
-        try:
-            packed = self._residual[zmask]
-        except KeyError:
-            packed = self._residual[zmask] = self._packed_residual(zmask)
-        if i > j:
-            i, j = j, i
-        offset = self._layout.offset
-        ii, jj = offset[i] + i, offset[j] + j
-        base = self._residual[0]
-        residual = None if packed is None else (packed[ii], packed[jj], packed[offset[i] + j])
-        return _partial_from_residual(base[ii], base[jj], residual)
-
-    def _packed_residual(self, zmask: int) -> array | None:
-        """Packed upper triangle of the residual covariance given the
-        non-empty set, or None when the set's covariance block is singular,
-        numerically included: the set's highest member swept into the
-        cached triangle of the rest of the set, which is computed first by
-        the same rule when it is not cached. A set whose rest is singular is
-        singular too."""
-        top = zmask.bit_length() - 1
-        rest = zmask ^ (1 << top)
-        try:
-            packed = self._residual[rest]
-        except KeyError:
-            packed = self._residual[rest] = self._packed_residual(rest)
-        if packed is None:
-            return None
-        swept = _sweep(self._layout, np.frombuffer(packed), self._variances, top, list(_bits(rest)))
-        return None if swept is None else array("d", swept.tobytes())

@@ -38,7 +38,7 @@ from ccdkit import (
 )
 
 import ccdkit.ccd
-from ccdkit.fisherz import _sweep, _Triangle
+from ccdkit.fisherz import _Residuals, _sweep, _triangle, _Triangle
 from helpers import DecideOnlyNoisyOracle, all_queries, graphs, solved_residual, two_cycle_graph
 
 
@@ -462,18 +462,20 @@ def test_partial_is_the_same_float_cold_or_after_its_parents():
     shared = FisherZOracle(data)  # asked every query, in all_queries order
     warm = FisherZOracle(data)
     index = {v: i for i, v in enumerate(shared.vertices)}
+    sizes = set()
     for x, y, s in all_queries(data.labels):
-        if len(s) != 3:
-            continue
         i, j = index[x], index[y]
         zmask = sum(1 << index[v] for v in s)
-        for size in (1, 2):  # every parent and sibling subset first, highest labels first
+        # the public function first, before any oracle holds the set
+        r = partial_correlation_from_covariance(shared._cov, shared.vertices, x, y, s)
+        for size in range(1, len(s)):  # every parent and sibling subset first, highest labels first
             for part in sorted(combinations(s, size), reverse=True):
-                warm._partial(i, j, sum(1 << index[v] for v in part))
-        r = FisherZOracle(data)._partial(i, j, zmask)  # asked cold
-        assert warm._partial(i, j, zmask) == r
-        assert shared._partial(i, j, zmask) == r
-        assert partial_correlation_from_covariance(shared._cov, shared.vertices, x, y, s) == r
+                warm._residual.partial(i, j, sum(1 << index[v] for v in part))
+        assert FisherZOracle(data)._residual.partial(i, j, zmask) == r  # asked cold
+        assert warm._residual.partial(i, j, zmask) == r
+        assert shared._residual.partial(i, j, zmask) == r
+        sizes.add(len(s))
+    assert sizes == set(range(5))
 
 
 def test_partial_correlation_recursive_agrees():
@@ -483,6 +485,37 @@ def test_partial_correlation_recursive_agrees():
         direct = partial_correlation(data, x, y, s)
         recursive = partial_correlation_recursive(data, x, y, s)
         assert direct == pytest.approx(recursive, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "shape, labels, s",
+    [
+        ((2, 3), ("A", "B"), ()),  # not square
+        ((2, 2), ("A", "B", "C"), ("C",)),  # a label without a row
+        ((3, 3), ("A", "B"), ()),  # a row without a label
+        ((3,), ("A", "B", "C"), ()),  # not two-dimensional
+        ((1, 3, 3), ("A", "B", "C"), ()),
+        ((3, 3), ("A", "B", "A"), ()),  # a repeated label
+        ((4, 4), ("A", "B", "C", "B"), ("C",)),
+    ],
+)
+def test_partial_correlation_from_covariance_rejects_a_cov_that_does_not_fit_its_labels(shape, labels, s):
+    cov = np.full(shape, 0.5)
+    if cov.ndim == 2:
+        np.fill_diagonal(cov, 1.0)
+    with mock.patch("ccdkit.fisherz._sweep") as sweep, pytest.raises(ValueError) as caught:
+        partial_correlation_from_covariance(cov, labels, "A", "B", s)
+    assert caught.type is ValueError  # not a degenerate covariance
+    assert not sweep.called
+
+
+def test_one_read_only_layout_per_size():
+    layout = _triangle(5)
+    assert _triangle(5) is layout
+    assert _Residuals(np.eye(5)).layout is _Residuals(np.ones((5, 5))).layout is layout
+    for index in (layout.rows, layout.cols, layout.line, layout.diagonal):
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 1
 
 
 def test_partial_correlation_from_covariance_matches_sample_route():
@@ -910,7 +943,7 @@ def test_cached_fisher_z_oracle_equals_per_query_route(case):
 
 def assert_oracle_follows_reference(data, queries):
     """Ask ``queries`` in order of one FisherZOracle(data, alpha=0.2); each
-    answer, warning, ``_partial`` value or error and the final
+    answer, warning, ``_residual.partial`` value or error and the final
     ``stats.degenerate`` record must be those of ``_reference_answer``."""
     oracle = FisherZOracle(data, alpha=0.2)
     cov = np.cov(data.values, rowvar=False, ddof=1)
@@ -936,9 +969,9 @@ def assert_oracle_follows_reference(data, queries):
         zmask = sum(1 << index[v] for v in s)
         if isinstance(r, SingularCovarianceError):
             with pytest.raises(SingularCovarianceError, match=str(r)):
-                oracle._partial(index[x], index[y], zmask)
+                oracle._residual.partial(index[x], index[y], zmask)
         else:
-            assert oracle._partial(index[x], index[y], zmask) == pytest.approx(r, abs=1e-12)
+            assert oracle._residual.partial(index[x], index[y], zmask) == pytest.approx(r, abs=1e-12)
     assert list(oracle.stats.degenerate.items()) == list(degenerate.items())
 
 
@@ -1046,14 +1079,14 @@ def test_search_memo_equals_the_per_query_route():
 def test_singular_conditioning_set_warns_once_and_counts_every_pair(monkeypatch):
     values = np.random.default_rng(6).standard_normal((50, 4))
     data = DataMatrix(("A", "B", "C", "D", "E"), np.insert(values, 2, 1.0, axis=1))
-    factored = []  # the conditioning set of every _packed_residual call, by label
-    packed_residual = FisherZOracle._packed_residual
+    factored = []  # the conditioning set of every residual sweep, by label
+    missing = _Residuals.__missing__
 
     def counted(self, zmask):
-        factored.append([v for k, v in enumerate(self.vertices) if zmask >> k & 1])
-        return packed_residual(self, zmask)
+        factored.append([v for k, v in enumerate(data.labels) if zmask >> k & 1])
+        return missing(self, zmask)
 
-    monkeypatch.setattr(FisherZOracle, "_packed_residual", counted)
+    monkeypatch.setattr(_Residuals, "__missing__", counted)
     oracle = FisherZOracle(data)
     with pytest.warns(SingularCovarianceWarning) as caught:
         for x, y in (("A", "B"), ("E", "A"), ("B", "E")):
