@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 from .digraph import _bits, _id_of
 from .oracle import IndependenceOracle, OracleStats
-from .pag import Mark, MarkConflict, Pag
+from .pag import Mark, Pag
 
 __all__ = [
     "CcdState",
@@ -122,13 +122,15 @@ class CcdState:
 
 
 def _harden(state: CcdState, phase: str, at: int, other: int, mark: Mark) -> None:
-    """Write a mark by PAG ids; a rejected write becomes a ConflictRecord."""
-    try:
-        state.psi._set_mark(at, other, mark)
-    except MarkConflict as exc:
-        state.conflicts.append(
-            ConflictRecord(phase, exc.at, exc.other, existing=exc.existing, attempted=mark)
-        )
+    """Write a mark by PAG ids under ``Pag.set_mark``'s rule, without raising
+    on a rejected write: a circle hardens in place, the same mark is a
+    no-op, and a different hardened mark stays while the write is appended
+    to ``state.conflicts`` as a ConflictRecord. An absent edge raises
+    ``Pag._set_mark``'s error."""
+    existing = state.psi._set_mark(at, other, mark)
+    if existing is not None:
+        names = state.psi.vertices
+        state.conflicts.append(ConflictRecord(phase, names[at], names[other], existing, mark))
 
 
 def _route(oracle: IndependenceOracle, psi: Pag) -> Callable[..., int | None]:

@@ -217,11 +217,13 @@ def _triangle(n: int) -> _Triangle:
 
 
 def _sweep(
-    layout: _Triangle, packed: np.ndarray, variances: np.ndarray, k: int, swept: list[int]
-) -> np.ndarray | None:
+    layout: _Triangle, packed: array, variances: Sequence[float], k: int, swept: Iterable[int]
+) -> array | None:
     """One symmetric sweep step: the packed covariance swept on the set
-    ``swept`` becomes the one swept on that set plus k, or None when the
-    larger set's block is singular, numerically included.
+    ``swept`` becomes the one swept on that set plus k, as ``array("d")``,
+    or None when the larger set's block is singular, numerically included.
+    ``packed`` is any float64 buffer of the triangle, ``variances`` the
+    unswept diagonal.
 
     A matrix swept on Z holds -S[Z, Z]^-1 on its Z block and the residual
     covariance S - S[:, Z] S[Z, Z]^-1 S[Z, :] outside Z's rows and columns.
@@ -230,35 +232,40 @@ def _sweep(
     1e12, that is one the rest of the set determines to within 1e-12 of its
     variance, makes the block singular, by the same fraction that makes a
     queried variable determined; k's inflation is S_kk / p, checked before
-    anything is divided by p. Each entry's update reads only its own row's
-    and column's entries, so sweeping a set's members one at a time in
-    ascending index order gives the same floats whatever other rows the
-    matrix holds: a submatrix that keeps the rows' order sweeps to a
-    submatrix of the full sweep.
+    anything is divided by p, and each other member's is read off its own
+    diagonal entry of the result, so the check costs one product per member
+    of ``swept``. Each entry's update reads only its own row's and column's
+    entries, so sweeping a set's members one at a time in ascending index
+    order gives the same floats whatever other rows the matrix holds: a
+    submatrix that keeps the rows' order sweeps to a submatrix of the full
+    sweep.
     """
+    base = np.frombuffer(packed)
     line = layout.line[k]
-    c = packed[line]
+    c = base[line]
     p = float(c[k])
-    if not (0.0 < p < math.inf and 0.0 < float(variances[k]) / p <= 1e12):
+    if not (0.0 < p < math.inf and 0.0 < variances[k] / p <= 1e12):
         return None
     b = c / p  # c[rows] * c[cols] / p overflows at scales where this does not
-    out = packed - c[layout.rows] * b[layout.cols]
+    out = base - c[layout.rows] * b[layout.cols]
     out[line] = b
     out[layout.diagonal[k]] = -1.0 / p
-    if swept:
-        inflation = (variances * out[layout.diagonal]).tolist()  # -S_mm (S[Z, Z]^-1)_mm on Z
-        if not all(-1e12 <= inflation[m] < 0.0 for m in swept):  # NaN fails too
+    result = array("d", out.tobytes())
+    offset = layout.offset
+    for m in swept:  # -S_mm (S[Z, Z]^-1)_mm; NaN fails too
+        if not -1e12 <= variances[m] * result[offset[m] + m] < 0.0:
             return None
-    return out
+    return result
 
 
 class _Residuals(dict):
     """``self[zmask]`` is the packed upper triangle of the residual covariance
     given the set ``zmask``, as ``array("d")``, or None when the set's block
-    is singular; ``self[0]`` is the covariance itself. A set is swept on its
-    first lookup, its highest member into the entry of the rest of the set,
-    which is looked up first by the same rule; so members are swept in
-    ascending index order whichever set is asked first.
+    is singular; ``self[0]`` is the covariance itself, and ``variances`` its
+    diagonal as a list of floats. A set is swept on its first lookup, its
+    highest member into the entry of the rest of the set, which is looked
+    up first by the same rule; so members are swept in ascending index
+    order whichever set is asked first.
     """
 
     __slots__ = ("layout", "variances")  # a dict subclass's __dict__ attributes read slower
@@ -266,7 +273,7 @@ class _Residuals(dict):
     def __init__(self, cov: np.ndarray):
         super().__init__()
         self.layout = layout = _triangle(len(cov))
-        self.variances = np.diagonal(cov)
+        self.variances = np.diagonal(cov).tolist()
         self[0] = array("d", cov[layout.rows, layout.cols].tobytes())
 
     def __missing__(self, zmask: int) -> array | None:
@@ -274,8 +281,7 @@ class _Residuals(dict):
         rest = zmask ^ (1 << top)
         packed = self[rest]
         if packed is not None:
-            swept = _sweep(self.layout, np.frombuffer(packed), self.variances, top, list(_bits(rest)))
-            packed = None if swept is None else array("d", swept.tobytes())
+            packed = _sweep(self.layout, packed, self.variances, top, _bits(rest))
         self[zmask] = packed
         return packed
 
@@ -462,7 +468,7 @@ class FisherZOracle(IndependenceOracle):
             self._bands[k] = (t * (1.0 - 1e-9), t * (1.0 + 1e-9))
         # per vertex, the residual variance at or below which a set
         # determines it; inf for a column without variance
-        self._floor = [v * 1e-12 if v > 0.0 else math.inf for v in self._residual.variances.tolist()]
+        self._floor = [v * 1e-12 if v > 0.0 else math.inf for v in self._residual.variances]
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         band = self._bands[zmask.bit_count()]

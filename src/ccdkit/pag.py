@@ -177,18 +177,24 @@ class Pag:
         A circle may harden into a tail or an arrow; re-setting the
         current mark is a no-op; any other change raises MarkConflict.
         """
-        self._set_mark(*self._ids(at, other), mark)
+        existing = self._set_mark(*self._ids(at, other), mark)
+        if existing is not None:
+            raise MarkConflict(at, other, existing, mark)
         return self
 
-    def _set_mark(self, i: int, j: int, mark: Mark) -> None:
+    def _set_mark(self, i: int, j: int, mark: Mark) -> Mark | None:
+        """``set_mark`` by ids, without raising on a conflict: None when the
+        mark is written or already set, else the different hardened mark
+        that stays. An absent edge raises ValueError."""
         current = self._marks.get((i, j))
         if current is mark:
-            return
+            return None
+        if current is Mark.CIRCLE:
+            self._marks[i, j] = mark
+            return None
         if current is None:
             raise self._edge_error(i, j, "not present")
-        if current is not Mark.CIRCLE:
-            raise MarkConflict(self._vertices[i], self._vertices[j], current, mark)
-        self._marks[i, j] = mark
+        return current
 
     def adjacent(self, x: str) -> tuple[str, ...]:
         v = self._vertices

@@ -1,4 +1,5 @@
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,17 @@ from ccdkit import (
     serialize_pag,
     verify_pag_against_graph,
 )
-from ccdkit.ccd import CcdState, phase_a, phase_b, phase_c, phase_d, phase_e, phase_f
+from ccdkit.ccd import (
+    CcdState,
+    ConflictRecord,
+    _harden,
+    phase_a,
+    phase_b,
+    phase_c,
+    phase_d,
+    phase_e,
+    phase_f,
+)
 from ccdkit.digraph import _bits
 
 from helpers import (
@@ -157,6 +168,38 @@ def test_conflicting_answers_are_recorded_not_fatal():
     descriptions = [record.describe() for record in state.conflicts]
     assert any("already tail" in d for d in descriptions)
     assert any("already arrow" in d for d in descriptions)
+
+
+def test_harden_writes_a_circle_and_records_a_conflicting_write_without_raising():
+    state = CcdState.initial(("A", "B", "C"))
+    psi = state.psi
+    a, b, c = map(psi.index, "ABC")
+    _harden(state, "B", b, a, Mark.ARROW)  # a circle hardens
+    assert psi.mark_at("B", "A") is Mark.ARROW
+    _harden(state, "C", b, a, Mark.ARROW)  # the same mark again: nothing to record
+    assert state.conflicts == []
+    with mock.patch("ccdkit.pag.MarkConflict", side_effect=AssertionError("a MarkConflict was built")):
+        _harden(state, "E", b, a, Mark.TAIL)
+    assert psi.mark_at("B", "A") is Mark.ARROW
+    assert state.conflicts == [ConflictRecord("E", "B", "A", existing=Mark.ARROW, attempted=Mark.TAIL)]
+    assert state.conflicts[0].describe() == "phase E: tail rejected at B on edge B-A (already arrow)"
+    assert psi.mark_at("A", "B") is psi.mark_at("B", "C") is psi.mark_at("C", "B") is Mark.CIRCLE
+    _harden(state, "F", c, a, Mark.TAIL)
+    assert psi.mark_at("C", "A") is Mark.TAIL and len(state.conflicts) == 1
+
+
+def test_harden_on_an_absent_edge_raises_the_pag_error():
+    state = CcdState.initial(("A", "B", "C"))
+    psi = state.psi
+    psi.remove_edge("A", "C")
+    a, c = psi.index("A"), psi.index("C")
+    with pytest.raises(ValueError) as expected:
+        psi.copy()._set_mark(a, c, Mark.ARROW)
+    with pytest.raises(ValueError) as caught:
+        _harden(state, "B", a, c, Mark.ARROW)
+    assert caught.type is expected.type is ValueError
+    assert str(caught.value) == str(expected.value) == "edge A-C is not present"
+    assert state.conflicts == [] and not psi.has_edge("A", "C")
 
 
 def test_exact_oracle_never_conflicts():

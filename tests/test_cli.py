@@ -126,6 +126,22 @@ def test_discover_from_data_matches_oracle_mode(capsys, tmp_path, golden):
     assert out == golden("two_cycle.pag")
 
 
+def test_discover_data_dump_state_with_conflicts_golden(capsys, tmp_path, golden):
+    # perfbench's fisherz CLI model: random_graph(V00..V07, .25, Random(800)),
+    # every coefficient 0.4; its sample contradicts itself in phase B
+    csv = tmp_path / "fisherz8.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--model", str(GOLDEN / "fisherz8.sem"), "--samples", "20000",
+        "--seed", "0", "--out", str(csv),
+    )
+    assert code == 0
+    code, out, err = run_cli(capsys, "discover", "--data", str(csv), "--alpha", "0.01", "--dump-state")
+    assert code == 0
+    assert out == golden("fisherz8_dump.txt")
+    conflicts = [line for line in err.splitlines() if line.startswith("conflict: ")]
+    assert len(conflicts) == 4 and all(line.startswith("conflict: phase B: ") for line in conflicts)
+
+
 def test_discover_strict_exits_3_on_conflicts(capsys, monkeypatch):
     real = cli.run_ccd
 

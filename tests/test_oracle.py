@@ -435,7 +435,7 @@ def test_sweep_residual_matches_solved_schur_complement(n, seed, degenerate, dat
     cov = factor @ factor.T
     cond = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     layout = _Triangle(n)
-    variances = np.diagonal(cov)
+    variances = np.diagonal(cov).tolist()  # as _Residuals holds them
     packed = cov[layout.rows, layout.cols]
     swept = []
     for k in cond:
@@ -453,6 +453,35 @@ def test_sweep_residual_matches_solved_schur_complement(n, seed, degenerate, dat
     for i, j in combinations_with_replacement(rest, 2):
         value = packed[layout.offset[i] + j]
         assert abs(value - reference[i, j]) <= 1e-12 * math.sqrt(variances[i] * variances[j])
+
+
+def test_a_member_the_swept_set_determines_makes_it_singular():
+    # M = A + 1e-3 Z + 1e-7 e: swept A, then M, then Z, every pivot is
+    # positive and Z's own inflation is about 1e8, but given the rest of the
+    # set A and M are determined to about 1e-14 of their variances, so only
+    # the member bound finds the set singular
+    rng = np.random.default_rng(0)
+    a, z, e, *others = rng.standard_normal((6, 5000))
+    columns = np.column_stack([a, a + 1e-3 * z + 1e-7 * e, z, *others])
+    data = DataMatrix(("A", "M", "Z", "D", "F", "G"), columns)
+    oracle = FisherZOracle(data)
+    assert oracle.vertices == ("A", "D", "F", "G", "M", "Z")  # swept in the order A, M, Z
+    store, cov = oracle._residual, oracle._cov
+    layout, variances = store.layout, store.variances
+    parent = _sweep(layout, _sweep(layout, store[0], variances, 0, []), variances, 4, [0])
+    pivot = parent[layout.offset[5] + 5]
+    assert 1e7 < variances[5] / pivot < 1e9  # Z's own pivot and inflation pass
+    inverse = np.linalg.inv(cov[np.ix_([0, 4, 5], [0, 4, 5])])
+    assert variances[0] * inverse[0, 0] > 1e13 and variances[4] * inverse[1, 1] > 1e13
+    assert _sweep(layout, parent, variances, 5, [0, 4]) is None
+    assert store[0b10001] == parent and store[0b110001] is None
+    with pytest.warns(SingularCovarianceWarning) as caught:
+        for x, y in (("D", "F"), ("G", "D"), ("F", "G")):
+            assert not oracle.is_independent(x, y, ("Z", "A", "M"))
+    assert [str(w.message) for w in caught] == [
+        "query (D, F | ['A', 'M', 'Z']): conditioning covariance is singular; treating as dependent"
+    ]
+    assert oracle.stats.degenerate == {"conditioning covariance is singular": [3, "(D, F | ['A', 'M', 'Z'])"]}
 
 
 def test_partial_is_the_same_float_cold_or_after_its_parents():
