@@ -3,7 +3,8 @@
 The package bundles a d-separation engine that handles feedback loops, the
 constraint-based search that recovers a partial ancestral graph from an
 independence oracle, a linear-model simulator for generating test data, and
-brute-force equivalence tooling for small graphs.
+Markov-equivalence tooling: two graphs are compared by their PAGs, and a
+class is enumerated by brute force over its input's adjacent pairs.
 
 The exact path (graphs, d-separation, the exact oracle, the search, PAGs
 and equivalence) imports no numpy. The names of ``fisherz`` (the Fisher-z
@@ -12,7 +13,7 @@ in ``__all__`` but load, numpy with them, on first access.
 """
 from importlib import import_module
 
-from .ccd import CcdState, ConflictRecord, run_ccd
+from .ccd import CcdState, ConflictRecord, pag_of_graph, run_ccd
 from .digraph import (
     DirectedGraph,
     GraphParseError,
@@ -105,6 +106,7 @@ __all__ = [
     "fingerprint",
     "fisher_z_statistic",
     "markov_equivalent",
+    "pag_of_graph",
     "parse_graph",
     "parse_pag",
     "parse_sem",

@@ -29,6 +29,10 @@ as ``extra`` with no candidates.
   only the label interface, it asks ``is_independent`` with the PAG's
   labels, once per set, in the same order.
 
+``pag_of_graph`` gives the PAG of a known graph without phase A: the
+graph itself yields the skeleton and a separator for each removed pair,
+and phases B-F run as in ``run_ccd``.
+
 ``CcdState`` keeps what the phases hand on by ids: separators and
 supersets as masks, local sets as id tuples. Its ``sepset``, ``supset``
 and ``local`` attributes are label views built when read.
@@ -39,14 +43,15 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
-from .digraph import _bits, _id_of
-from .oracle import IndependenceOracle, OracleStats
+from .digraph import DirectedGraph, _bits, _id_of
+from .oracle import GraphOracle, IndependenceOracle, OracleStats
 from .pag import Mark, Pag
 
 __all__ = [
     "CcdState",
     "ConflictRecord",
     "run_ccd",
+    "pag_of_graph",
     "phase_a",
     "phase_b",
     "phase_c",
@@ -171,6 +176,32 @@ def run_ccd(oracle: IndependenceOracle, vertices: Iterable[str]) -> tuple[Pag, C
     """
     state = CcdState.initial(tuple(vertices), oracle.stats)
     phase_a(state, oracle)
+    return _orient(state, oracle)
+
+
+def pag_of_graph(g: DirectedGraph) -> tuple[Pag, CcdState]:
+    """The PAG of a known graph, as ``run_ccd(GraphOracle(g), g.vertices)``
+    finds it, and the state it was built in, without phase A's search.
+
+    The skeleton is g's virtual adjacency, ``g.adjacent_in_graph``: the
+    pairs that no set d-separates (Richardson 1996). Each other pair x, y
+    records An({x, y}) minus x and y, which d-separates it, as its
+    separator, and phases B-F run unchanged over a ``GraphOracle``. Equal
+    answers give equal runs, so Markov-equivalent graphs give equal PAGs.
+    """
+    labels = g.vertices
+    oracle = GraphOracle(g)
+    state = CcdState.initial(labels, oracle.stats)
+    ancestors = g._ancestor_masks
+    for x, y in combinations(range(len(labels)), 2):
+        if not g.adjacent_in_graph(labels[x], labels[y]):
+            state.psi._remove_edge(x, y)
+            state._sep[x, y] = (ancestors[x] | ancestors[y]) & ~(1 << x | 1 << y)
+    return _orient(state, oracle)
+
+
+def _orient(state: CcdState, oracle: IndependenceOracle) -> tuple[Pag, CcdState]:
+    """Phases B-F on the skeleton and separators in ``state``."""
     phase_b(state)
     phase_c(state, oracle)
     phase_d(state, oracle)

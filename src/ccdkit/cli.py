@@ -3,9 +3,10 @@
 Subcommands: ``discover`` runs the search from a graph file (exact oracle)
 or a CSV sample (Fisher-z oracle) and prints the resulting PAG; ``dsep``
 answers one d-connection query; ``simulate`` samples a linear model to
-CSV; ``equiv`` compares two graphs or enumerates an equivalence class;
-``verify`` checks a PAG's claims against a graph, each in time polynomial
-in the vertex count.
+CSV; ``equiv`` compares two graphs of any size by their PAGs, or
+enumerates an equivalence class of at most 4^7 candidates; ``verify``
+checks a PAG's claims against a graph, each in time polynomial in the
+vertex count.
 
 Exit codes: 0 success (or a positive predicate answer), 1 negative
 predicate answer, 2 usage or file errors (overlapping ``dsep`` vertices

@@ -1,39 +1,32 @@
-"""Brute-force Markov-equivalence tooling over small vertex sets.
+"""Markov-equivalence tooling: PAG comparison, and class enumeration by
+brute force over an input's adjacent pairs.
 
-The separation fingerprint of a graph is the complete table of separated
-(pair, conditioning set) combinations over singleton endpoints. Two
-graphs on one vertex set are Markov equivalent exactly when their
-fingerprints coincide, and an equivalence class is enumerated by sweeping
-the directed graphs whose edges join only pairs that the input never
-separates. Everything here is exponential by design and guarded
-accordingly.
+Two graphs on one vertex set are Markov equivalent exactly when they
+have the same PAG (Richardson 1996), so ``markov_equivalent`` compares
+the PAGs ``ccd.pag_of_graph`` builds. That takes polynomial time in the
+vertex count on graphs of bounded degree, whose phase D subset levels
+stay small, and has no vertex cap. ``fingerprint``, the complete table
+of separated (pair, conditioning set) combinations with one
+``d_connected`` call per entry, is exponential, limited to twelve
+vertices, and kept as the reference the tests compare against.
 
-``fingerprint`` decides each table entry with its own ``d_connected``
-call and stays the reference. ``markov_equivalent`` and
-``enumerate_equiv_class`` compare separation tables instead, which hold
-the same entries as bitmasks: for every conditioning mask z and every
-vertex x outside z with a larger vertex outside z, one reach set gives
-the mask of the larger vertices outside z that z separates from x. On 11
-vertices that is 9,217 kernel calls in place of 28,160 queries. The
-class sweep builds each candidate as parent and child masks, wraps them
-in the candidate's own ``UnionMemo`` pair, and makes a
-``DirectedGraph`` only for the members.
-
-An edge a -> b is an active path given every conditioning set, and a
-member has the input's table, so a member's edges join only pairs that
-the input never separates: the virtually adjacent pairs that
-``DirectedGraph.adjacent_in_graph`` reports (Richardson 1996), the rule
-``verify`` uses. The class sweep varies only the edges among these k
-pairs (the two-cycle A -> X <-> Y <- B has a member with the edge
-A -> Y) and refuses more than ``_CANDIDATE_LIMIT`` = 4^7 candidates
-before it builds any table.
+An edge a -> b is an active path given every conditioning set, so a
+member of a class has edges only between pairs that the input never
+separates: the virtually adjacent pairs that
+``DirectedGraph.adjacent_in_graph`` reports, the rule ``verify`` uses.
+``enumerate_equiv_class`` sweeps the 4^k directed graphs whose edges
+join only these k pairs (the two-cycle A -> X <-> Y <- B has a member
+with the edge A -> Y) and refuses more than ``_CANDIDATE_LIMIT`` = 4^7
+candidates before it builds any graph. Equal PAGs need equal skeletons,
+so a candidate whose virtual adjacencies differ from the input's is
+skipped before its PAG is built.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterator, Sequence
 
-from ._reach import UnionMemo, reach_set
+from .ccd import pag_of_graph
 from .digraph import DirectedGraph
 from .dsep import d_connected
 
@@ -48,15 +41,11 @@ _FINGERPRINT_LIMIT = 12
 _CANDIDATE_LIMIT = 4**7
 
 
-def _check_size(n: int) -> None:
-    if n > _FINGERPRINT_LIMIT:
-        raise ValueError(f"fingerprints are limited to {_FINGERPRINT_LIMIT} vertices")
-
-
 def fingerprint(g: DirectedGraph) -> frozenset[tuple[str, str, frozenset[str]]]:
     """All separated (x, y, conditioning set) triples with x < y."""
     verts = g.vertices
-    _check_size(len(verts))
+    if len(verts) > _FINGERPRINT_LIMIT:
+        raise ValueError(f"fingerprints are limited to {_FINGERPRINT_LIMIT} vertices")
     separated = set()
     for x, y in combinations(verts, 2):
         rest = [v for v in verts if v != x and v != y]
@@ -67,46 +56,9 @@ def fingerprint(g: DirectedGraph) -> frozenset[tuple[str, str, frozenset[str]]]:
     return frozenset(separated)
 
 
-def _separations(parents: UnionMemo, children: UnionMemo) -> Iterator[int]:
-    """The separation table of a graph on n vertices, one row at a time,
-    from its ``UnionMemo`` pair.
-
-    Rows run over conditioning masks z in increasing order and, within
-    one z, over the x outside z in increasing order that have a larger
-    vertex outside z; each row is the mask of those larger vertices
-    that are d-separated from x given z. Two graphs on the same vertices
-    yield equal rows throughout exactly when their fingerprints are
-    equal.
-    """
-    n = len(parents.masks)
-    full = (1 << n) - 1
-    for z in range(1 << n):
-        m = full & ~z
-        while m:
-            low = m & -m
-            m ^= low  # now the vertices outside z above x
-            if not m:
-                break
-            yield m & ~reach_set(parents, children, low, z)
-
-
 def markov_equivalent(g1: DirectedGraph, g2: DirectedGraph) -> bool:
-    """Same vertex set and identical separation fingerprints.
-
-    The fingerprints are compared as separation tables, row by row, and
-    the first row that differs answers False. Graphs on more than twelve
-    vertices raise ValueError, as ``fingerprint`` does.
-    """
-    if g1.vertices != g2.vertices:
-        return False
-    _check_size(len(g1.vertices))
-    return all(
-        a == b
-        for a, b in zip(
-            _separations(g1._parent_unions, g1._child_unions),
-            _separations(g2._parent_unions, g2._child_unions),
-        )
-    )
+    """Same vertex set and the same PAG from ``pag_of_graph``."""
+    return g1.vertices == g2.vertices and pag_of_graph(g1)[0] == pag_of_graph(g2)[0]
 
 
 def all_graphs(labels: Sequence[str]) -> Iterator[DirectedGraph]:
@@ -121,38 +73,30 @@ def all_graphs(labels: Sequence[str]) -> Iterator[DirectedGraph]:
 def enumerate_equiv_class(g: DirectedGraph) -> list[DirectedGraph]:
     """All graphs Markov equivalent to g, sorted by their edge lists.
 
-    Only candidates whose edges join the k pairs that
-    ``g.adjacent_in_graph`` reports are compared with g's separation
-    table: 4^k of them, where a sweep of every directed graph would visit
-    2^(n(n-1)). More than ``_CANDIDATE_LIMIT`` = 4^7 candidates (k >= 8)
-    raise ValueError, as do more than twelve vertices.
+    Only the 4^k candidates whose edges join the k pairs that
+    ``g.adjacent_in_graph`` reports are compared with g, where a sweep of
+    every directed graph would visit 2^(n(n-1)). A candidate whose
+    virtual adjacencies differ from g's is skipped before its PAG is
+    built. More than ``_CANDIDATE_LIMIT`` = 4^7 candidates (k >= 8) raise
+    ValueError before any PAG is built.
     """
     labels = g.vertices
-    n = len(labels)
-    _check_size(n)
-    pairs = [
-        (a, b) for a, b in combinations(range(n), 2) if g.adjacent_in_graph(labels[a], labels[b])
-    ]
-    k = len(pairs)
+    pairs = list(combinations(labels, 2))
+    skeleton = [g.adjacent_in_graph(x, y) for x, y in pairs]
+    adjacent = list(compress(pairs, skeleton))
+    k = len(adjacent)
     if 4**k > _CANDIDATE_LIMIT:
         raise ValueError(
             f"class enumeration would compare 4^{k} candidates for k = {k} "
             f"adjacent pairs; the limit is {_CANDIDATE_LIMIT} (4^7)"
         )
-    target = tuple(_separations(g._parent_unions, g._child_unions))
-    arcs = [arc for a, b in pairs for arc in ((a, b), (b, a))]
+    target = pag_of_graph(g)[0]
+    arcs = [arc for x, y in adjacent for arc in ((x, y), (y, x))]
     members = []
     for mask in range(2 ** len(arcs)):
-        edges = [arc for bit, arc in enumerate(arcs) if mask >> bit & 1]
-        parents = [0] * n
-        children = [0] * n
-        for a, b in edges:
-            parents[b] |= 1 << a
-            children[a] |= 1 << b
-        rows = _separations(UnionMemo(parents), UnionMemo(children))
-        if all(a == b for a, b in zip(rows, target)):
-            members.append(
-                DirectedGraph(labels, frozenset((labels[a], labels[b]) for a, b in edges))
-            )
+        h = DirectedGraph(labels, frozenset(arc for bit, arc in enumerate(arcs) if mask >> bit & 1))
+        same_skeleton = all(h.adjacent_in_graph(x, y) == s for (x, y), s in zip(pairs, skeleton))
+        if same_skeleton and pag_of_graph(h)[0] == target:
+            members.append(h)
     members.sort(key=lambda h: tuple(sorted(h.edges)))
     return members

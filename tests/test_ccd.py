@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from unittest import mock
 
@@ -11,7 +12,11 @@ from ccdkit import (
     IndependenceOracle,
     Mark,
     UnknownVertexError,
+    all_graphs,
     d_connected,
+    d_separated,
+    pag_of_graph,
+    random_graph,
     run_ccd,
     serialize_pag,
     verify_pag_against_graph,
@@ -274,6 +279,28 @@ def test_output_is_sound_for_its_graph(g):
     pag, state = run_on(g)
     assert state.conflicts == []
     assert verify_pag_against_graph(pag, g) == []
+
+
+def check_pag_of_graph(g):
+    # run_ccd is a function of the oracle's answers, so this equality makes
+    # pag_of_graph's PAG an invariant of g's Markov-equivalence class
+    pag, state = pag_of_graph(g)
+    assert pag == run_on(g)[0]
+    assert state.conflicts == []
+    assert all(d_separated(g, x, y, s) for (x, y), s in state.sepset.items())
+    assert verify_pag_against_graph(pag, g) == []
+
+
+def test_pag_of_graph_is_the_search_result_on_every_small_graph():
+    for labels in ("AB", "ABC", "ABCD"):
+        for g in all_graphs(tuple(labels)):
+            check_pag_of_graph(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=5, max_value=10), st.floats(0.05, 0.35), st.integers(0, 2**32))
+def test_pag_of_graph_is_the_search_result(n, p, seed):
+    check_pag_of_graph(random_graph([f"V{k}" for k in range(n)], p, random.Random(seed)))
 
 
 def run_phases(g, seed, run_a, run_c, run_e, run_f):

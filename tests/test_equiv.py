@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from ccdkit import (
     equiv,
     fingerprint,
     markov_equivalent,
+    random_graph,
 )
 
 from helpers import graphs, ordered_pairs, two_cycle_graph
@@ -112,12 +114,12 @@ def test_enumeration_guard(monkeypatch):
     members = enumerate_equiv_class(chain)
     assert len(members) == 15 and chain in members
     # a 9-vertex chain has k = 8, 4^8 candidates, and is refused before
-    # any separation table is built
-    tables = []
-    monkeypatch.setattr(equiv, "_separations", lambda *memos: tables.append(memos))
+    # any PAG is built
+    built = []
+    monkeypatch.setattr(equiv, "pag_of_graph", built.append)
     with pytest.raises(ValueError, match=r"k = 8 adjacent pairs; the limit is 16384"):
         enumerate_equiv_class(_chain(9))
-    assert tables == []
+    assert built == []
 
 
 def test_edge_additions_break_conditional_independence(two_cycle):
@@ -206,9 +208,15 @@ def test_markov_equivalent_agrees_with_fingerprints_after_one_edge_change(g1, da
     assert markov_equivalent(g2, g1) == markov_equivalent(g1, g2)
 
 
-def test_markov_equivalent_keeps_the_size_limit():
-    labels = tuple(f"V{i:02d}" for i in range(13))
-    g1 = DirectedGraph(labels, set())
-    g2 = DirectedGraph(labels, {("V00", "V01")})
-    with pytest.raises(ValueError, match="fingerprints are limited to 12 vertices"):
-        markov_equivalent(g1, g2)
+def test_equivalence_has_no_size_limit():
+    g16 = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
+    assert markov_equivalent(g16, DirectedGraph(g16.vertices, g16.edges))
+    x, y = next(p for p in combinations(g16.vertices, 2) if not g16.adjacent_in_graph(*p))
+    assert not markov_equivalent(g16, DirectedGraph(g16.vertices, g16.edges | {(x, y)}))
+    # the two-cycle and its mirror member, with twelve isolated vertices
+    two_cycle = two_cycle_graph()
+    labels = two_cycle.vertices + tuple(f"I{k:02d}" for k in range(12))
+    g = DirectedGraph(labels, two_cycle.edges)
+    mirror = DirectedGraph(labels, {("A", "Y"), ("B", "X"), ("X", "Y"), ("Y", "X")})
+    assert markov_equivalent(g, mirror)
+    assert enumerate_equiv_class(g) == sorted([g, mirror], key=_edge_list)
