@@ -21,8 +21,14 @@ allowed by the descendant rule, so both rules reach the same set of
 states, and the kernel needs no ancestor closure.
 
 One fixpoint from a source set yields every vertex the walk touches, so a
-single call answers the query for all targets at once: y is d-connected
-to x given z exactly when y's bit is set in the result. Vertex sets are
+single walk answers the query for all targets at once: y is d-connected
+to x given z exactly when y's bit is set in the result. Most callers ask
+about a few targets only, so ``walk`` stops as soon as it has seen a
+member of ``target`` and hands back its state, the seen set and the
+frontier per arrival direction. Passing that state in again resumes the
+walk where it stopped, for a later target; a walk that has reached its
+fixpoint has an empty frontier and answers every target from its seen
+sets. ``reach_set`` is the walk run to its fixpoint. Vertex sets are
 Python ints used as bitmasks over a fixed vertex order, so graphs of any
 width are supported and callers need not build a ``DirectedGraph``.
 
@@ -67,25 +73,44 @@ class UnionMemo(dict):
         return union
 
 
-def reach_set(
-    parents: Mapping[int, int], children: Mapping[int, int], x_mask: int, z_mask: int
-) -> int:
-    """Mask of every vertex outside x and z that is d-connected to x given z.
+def walk(
+    parents: Mapping[int, int],
+    children: Mapping[int, int],
+    z_mask: int,
+    state: tuple[int, int, int, int],
+    target: int = 0,
+) -> tuple[int, int, int, int]:
+    """Advance a walk given z until it has seen a member of ``target``, or
+    to its fixpoint when none is reachable or ``target`` is 0.
 
-    ``parents[s]`` and ``children[s]`` are the masks of every parent and
-    every child of the members of the set s, as ``UnionMemo`` gives them.
-    x and z must be disjoint: the walk starts as an ``out`` arrival at
-    each member of x, which passes it on to every parent and child
-    because the member lies outside z.
+    ``state`` is ``(seen_in, seen_out, front_in, front_out)``, the masks of
+    the states seen and of the frontier per arrival direction, and the
+    result is the state reached. A walk from the source set x starts at
+    ``(0, x, 0, x)``, an ``out`` arrival at each member of x, which passes
+    it on to every parent and child because the member lies outside z; x
+    and z must be disjoint. ``parents[s]`` and ``children[s]`` are the
+    masks of every parent and every child of the members of the set s, as
+    ``UnionMemo`` gives them. The frontier is empty exactly when the walk
+    has reached its fixpoint.
     """
     outside = ~z_mask
-    seen_in = front_in = 0
-    seen_out = front_out = x_mask
-    while front_in or front_out:
+    seen_in, seen_out, front_in, front_out = state
+    while (front_in or front_out) and not (seen_in | seen_out) & target:
         front_in, front_out = (
             children[(front_in | front_out) & outside] & ~seen_in,
             parents[front_in & z_mask | front_out & outside] & ~seen_out,
         )
         seen_in |= front_in
         seen_out |= front_out
+    return seen_in, seen_out, front_in, front_out
+
+
+def reach_set(
+    parents: Mapping[int, int], children: Mapping[int, int], x_mask: int, z_mask: int
+) -> int:
+    """Mask of every vertex outside x and z that is d-connected to x given z.
+
+    The walk from x run to its fixpoint; x and z must be disjoint.
+    """
+    seen_in, seen_out, _, _ = walk(parents, children, z_mask, (0, x_mask, 0, x_mask))
     return (seen_in | seen_out) & ~(x_mask | z_mask)

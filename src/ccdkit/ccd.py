@@ -183,18 +183,19 @@ def pag_of_graph(g: DirectedGraph) -> tuple[Pag, CcdState]:
     """The PAG of a known graph, as ``run_ccd(GraphOracle(g), g.vertices)``
     finds it, and the state it was built in, without phase A's search.
 
-    The skeleton is g's virtual adjacency, ``g.adjacent_in_graph``: the
-    pairs that no set d-separates (Richardson 1996). Each other pair x, y
-    records An({x, y}) minus x and y, which d-separates it, as its
-    separator, and phases B-F run unchanged over a ``GraphOracle``. Equal
-    answers give equal runs, so Markov-equivalent graphs give equal PAGs.
+    The skeleton is g's virtual adjacency, ``g._adjacent_masks``, the rule
+    ``g.adjacent_in_graph`` reads: the pairs that no set d-separates
+    (Richardson 1996). Each other pair x, y records An({x, y}) minus x and
+    y, which d-separates it, as its separator, and phases B-F run
+    unchanged over a ``GraphOracle``. Equal answers give equal runs, so
+    Markov-equivalent graphs give equal PAGs.
     """
     labels = g.vertices
     oracle = GraphOracle(g)
     state = CcdState.initial(labels, oracle.stats)
-    ancestors = g._ancestor_masks
+    ancestors, adjacent = g._ancestor_masks, g._adjacent_masks
     for x, y in combinations(range(len(labels)), 2):
-        if not g.adjacent_in_graph(labels[x], labels[y]):
+        if not adjacent[x] >> y & 1:
             state.psi._remove_edge(x, y)
             state._sep[x, y] = (ancestors[x] | ancestors[y]) & ~(1 << x | 1 << y)
     return _orient(state, oracle)

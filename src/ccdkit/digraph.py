@@ -134,6 +134,28 @@ def _closure(step: Sequence[int]) -> tuple[int, ...]:
     return tuple(reach)
 
 
+def _virtual_adjacency(
+    parents: Sequence[int], children: Sequence[int], ancestors: Sequence[int]
+) -> tuple[int, ...]:
+    """Per vertex, the mask of the vertices virtually adjacent to it: an edge
+    either way, or a common child that is an ancestor of one of the two.
+    No set d-separates such a pair (Richardson 1996), and every other pair
+    has a separator. The one copy of that rule, over a graph's parent,
+    child and ancestor masks."""
+    adjacent = list(map(int.__or__, parents, children))
+    for i, looped in enumerate(map(int.__and__, children, ancestors)):
+        # each child of i that is also an ancestor of i makes i adjacent
+        # to every other parent of that child
+        if looped:
+            for c in _bits(looped):
+                shared = parents[c]
+                adjacent[i] |= shared
+                for j in _bits(shared):
+                    adjacent[j] |= 1 << i
+            adjacent[i] &= ~(1 << i)
+    return tuple(adjacent)
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Labelled vertices plus directed edges between distinct vertices.
@@ -201,6 +223,10 @@ class DirectedGraph:
     def _ancestor_masks(self) -> tuple[int, ...]:
         return _closure(self._parent_masks)
 
+    @cached_property
+    def _adjacent_masks(self) -> tuple[int, ...]:
+        return _virtual_adjacency(self._parent_masks, self._child_masks, self._ancestor_masks)
+
     def _require(self, label: str) -> int:
         return _id_of(self._index, label)
 
@@ -241,10 +267,7 @@ class DirectedGraph:
         ix, iy = self._require(x), self._require(y)
         if ix == iy:
             raise ValueError("adjacency is defined for distinct vertices")
-        if (x, y) in self.edges or (y, x) in self.edges:
-            return True
-        common = self._child_masks[ix] & self._child_masks[iy]
-        return bool(common & (self._ancestor_masks[ix] | self._ancestor_masks[iy]))
+        return bool(self._adjacent_masks[ix] >> iy & 1)
 
     def has_directed_cycle(self) -> bool:
         for i, cmask in enumerate(self._child_masks):

@@ -8,12 +8,13 @@ joins a member of one to a member of the other. Paths here are walks
 without repeated vertices, and a 2-cycle contributes two distinct single
 steps between its endpoints.
 
-``d_connected`` is the fast engine, a reachability computation over
-(vertex, arrival-direction) states. ``brute_force_d_connected`` is the
-testing oracle of record: it enumerates every vertex-simple path and
-applies the two activity clauses directly. The suite holds the two
-implementations equal on every query it generates; neither is ever
-collapsed into the other.
+``d_connected`` is the fast engine, a reachability walk over
+(vertex, arrival-direction) states that stops at the first member of y
+it reaches. ``brute_force_d_connected`` is the testing oracle of
+record: it enumerates every vertex-simple path and applies the two
+activity clauses directly. The suite holds the two implementations
+equal on every query it generates; neither is ever collapsed into the
+other.
 
 Every query entry, here and in ``oracle.py`` and ``fisherz.py``,
 validates in one order: each argument becomes a set once through
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ._reach import reach_set
+from ._reach import walk
 from .digraph import DirectedGraph, _as_vertex_set, _mask_of
 
 __all__ = [
@@ -72,9 +73,11 @@ def d_connected(
     y: Iterable[str] | str,
     given: Iterable[str] | str = (),
 ) -> bool:
-    """True iff some x-member is d-connected to some y-member given ``given``."""
+    """True iff some x-member is d-connected to some y-member given ``given``;
+    the walk from x stops at the first member of y it reaches."""
     xm, ym, zm = _read_query(g, x, y, given)
-    return bool(reach_set(g._parent_unions, g._child_unions, xm, zm) & ym)
+    seen_in, seen_out, _, _ = walk(g._parent_unions, g._child_unions, zm, (0, xm, 0, xm), ym)
+    return bool((seen_in | seen_out) & ym)
 
 
 def d_separated(

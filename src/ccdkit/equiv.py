@@ -18,16 +18,17 @@ separates: the virtually adjacent pairs that
 join only these k pairs (the two-cycle A -> X <-> Y <- B has a member
 with the edge A -> Y) and refuses more than ``_CANDIDATE_LIMIT`` = 4^7
 candidates before it builds any graph. Equal PAGs need equal skeletons,
-so a candidate whose virtual adjacencies differ from the input's is
-skipped before its PAG is built.
+so a candidate whose virtual adjacencies, read from its masks by the
+rule ``DirectedGraph._adjacent_masks`` uses, differ from the input's is
+skipped before its graph is built.
 """
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .ccd import pag_of_graph
-from .digraph import DirectedGraph
+from .digraph import DirectedGraph, _closure, _virtual_adjacency
 from .dsep import d_connected
 
 __all__ = [
@@ -76,14 +77,13 @@ def enumerate_equiv_class(g: DirectedGraph) -> list[DirectedGraph]:
     Only the 4^k candidates whose edges join the k pairs that
     ``g.adjacent_in_graph`` reports are compared with g, where a sweep of
     every directed graph would visit 2^(n(n-1)). A candidate whose
-    virtual adjacencies differ from g's is skipped before its PAG is
-    built. More than ``_CANDIDATE_LIMIT`` = 4^7 candidates (k >= 8) raise
+    virtual adjacency masks differ from g's is skipped before its graph
+    is built. More than ``_CANDIDATE_LIMIT`` = 4^7 candidates (k >= 8) raise
     ValueError before any PAG is built.
     """
     labels = g.vertices
-    pairs = list(combinations(labels, 2))
-    skeleton = [g.adjacent_in_graph(x, y) for x, y in pairs]
-    adjacent = list(compress(pairs, skeleton))
+    skeleton = g._adjacent_masks
+    adjacent = [(x, y) for x, y in combinations(labels, 2) if g.adjacent_in_graph(x, y)]
     k = len(adjacent)
     if 4**k > _CANDIDATE_LIMIT:
         raise ValueError(
@@ -92,11 +92,19 @@ def enumerate_equiv_class(g: DirectedGraph) -> list[DirectedGraph]:
         )
     target = pag_of_graph(g)[0]
     arcs = [arc for x, y in adjacent for arc in ((x, y), (y, x))]
+    index = g._index
+    ids = [(index[a], index[b]) for a, b in arcs]
     members = []
     for mask in range(2 ** len(arcs)):
+        parents, children = [0] * len(labels), [0] * len(labels)
+        for bit, (a, b) in enumerate(ids):
+            if mask >> bit & 1:
+                parents[b] |= 1 << a
+                children[a] |= 1 << b
+        if _virtual_adjacency(parents, children, _closure(parents)) != skeleton:
+            continue
         h = DirectedGraph(labels, frozenset(arc for bit, arc in enumerate(arcs) if mask >> bit & 1))
-        same_skeleton = all(h.adjacent_in_graph(x, y) == s for (x, y), s in zip(pairs, skeleton))
-        if same_skeleton and pag_of_graph(h)[0] == target:
+        if pag_of_graph(h)[0] == target:
             members.append(h)
     members.sort(key=lambda h: tuple(sorted(h.edges)))
     return members

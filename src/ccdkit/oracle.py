@@ -2,8 +2,10 @@
 accounting every oracle shares.
 
 ``IndependenceOracle`` is the interface; ``GraphOracle`` answers by
-d-separation in a known graph and caches one reach set per (endpoint,
-conditioning set). The statistical oracle, ``FisherZOracle``, lives in
+d-separation in a known graph: a virtually adjacent pair at once, any
+other pair by a reachability walk that stops at the asked vertex and is
+kept, as one packed int, per (endpoint, conditioning set) for later
+queries to resume. The statistical oracle, ``FisherZOracle``, lives in
 ``fisherz.py`` with the rest of the numpy-backed code, so this module and
 the search that uses it load without numpy.
 
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from ._reach import reach_set
+from ._reach import walk
 from .digraph import DirectedGraph, _as_vertex_set, _id_of, _mask_of
 from .dsep import _check_endpoints
 
@@ -194,22 +196,41 @@ class IndependenceOracle:
 class GraphOracle(IndependenceOracle):
     """Exact oracle: independent iff d-separated in the given graph.
 
-    Each kernel call yields every vertex d-connected to the first-named
-    endpoint given the conditioning set; that reach set is cached per
-    (endpoint, conditioning set), so queries sharing that endpoint and the
-    set are answered without another fixpoint.
+    A pair the graph makes virtually adjacent (``_adjacent_masks``) is
+    dependent under every set and needs no walk. Any other query resumes
+    the walk from its first-named endpoint given the conditioning set, and
+    that walk goes only as far as the other endpoint: its state is kept
+    per (endpoint, conditioning set), packed into one int, so queries
+    sharing that endpoint and the set continue one walk instead of
+    starting another, and a target it has already seen costs no step.
     """
 
     def __init__(self, graph: DirectedGraph):
         super().__init__(graph.vertices)
         self.graph = graph
-        self._reach: dict[int, int] = {}  # keyed zmask << w | endpoint
+        self._n = len(graph.vertices)
+        # keyed zmask << w | endpoint; the state
+        # seen_in | seen_out << n | front_in << 2n | front_out << 3n
+        self._walks: dict[int, int] = {}
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
+        g = self.graph  # masks and memos built on first use keep construction cheap
+        if g._adjacent_masks[i] >> j & 1:
+            return False
+        n = self._n
         key = zmask << self._width | i
-        reach = self._reach.get(key)
-        if reach is None:
-            g = self.graph  # memos built on first use keep construction cheap
-            reach = self._reach[key] = reach_set(g._parent_unions, g._child_unions, 1 << i, zmask)
-        return not reach >> j & 1
-
+        state = self._walks.get(key)
+        if state is None:
+            state = (0, 1 << i, 0, 1 << i)
+        elif (state >> j | state >> n + j) & 1:
+            return False
+        elif not state >> 2 * n:  # the walk is at its fixpoint without j
+            return True
+        else:
+            full = (1 << n) - 1
+            state = (state & full, state >> n & full, state >> 2 * n & full, state >> 3 * n)
+        seen_in, seen_out, front_in, front_out = walk(
+            g._parent_unions, g._child_unions, zmask, state, 1 << j
+        )
+        self._walks[key] = seen_in | seen_out << n | front_in << 2 * n | front_out << 3 * n
+        return not (seen_in | seen_out) >> j & 1

@@ -39,7 +39,16 @@ from ccdkit import (
 
 import ccdkit.ccd
 from ccdkit.fisherz import _Residuals, _sweep, _triangle, _Triangle
-from helpers import DecideOnlyNoisyOracle, all_queries, graphs, solved_residual, two_cycle_graph
+from helpers import (
+    LETTERS,
+    DecideOnlyNoisyOracle,
+    all_queries,
+    graphs,
+    ordered_pairs,
+    reference_reach_set,
+    solved_residual,
+    two_cycle_graph,
+)
 
 
 def test_graph_oracle_matches_separation(two_cycle):
@@ -65,13 +74,72 @@ def test_oracle_rejects_unknown_vertices(two_cycle):
 @settings(deadline=None)
 @given(graphs(max_vertices=5))
 def test_cached_graph_oracle_equals_brute_force(g):
-    # one fresh oracle per graph, so later answers come from cached reach sets
-    # filled by earlier queries with either endpoint first
+    # one fresh oracle per graph, so later answers come from stored walks
+    # advanced by earlier queries with either endpoint first
     queries = [q for x, y, s in all_queries(g.vertices) for q in ((x, y, s), (y, x, s))]
     random.Random(len(g.edges)).shuffle(queries)
     oracle = GraphOracle(g)
     for x, y, s in queries:
         assert oracle.is_independent(x, y, s) == (not brute_force_d_connected(g, x, y, s))
+
+
+@st.composite
+def cyclic_graphs(draw, max_vertices=8):
+    """A graph with between n/2 and 2n edges, one directed cycle among them."""
+    n = draw(st.integers(3, max_vertices))
+    labels = tuple(LETTERS[:n])
+    pairs = st.sampled_from(ordered_pairs(labels))
+    edges = draw(st.frozensets(pairs, min_size=n // 2, max_size=2 * n))
+    ring = draw(st.permutations(labels))[: draw(st.integers(2, n))]
+    return DirectedGraph(labels, edges | set(zip(ring, ring[1:] + ring[:1])))
+
+
+def _walk_levels(g, x, z):
+    """The fewest steps of the bounce-rule walk from vertex x given the mask
+    z to each vertex it reaches, by a search over (vertex, arrival) states."""
+    parents, children = g._parent_masks, g._child_masks
+    level = {x: 0}
+    front = {(x, "out")}
+    seen = set(front)
+    steps = 0
+    while front:
+        steps += 1
+        nxt = set()
+        for v, arrival in front:
+            if not z >> v & 1:
+                nxt.update((c, "in") for c in range(len(g.vertices)) if children[v] >> c & 1)
+            # up to the parents: an ``in`` arrival at a conditioned vertex
+            # (the bounce), an ``out`` arrival at an unconditioned one
+            if (arrival == "in") == bool(z >> v & 1):
+                nxt.update((p, "out") for p in range(len(g.vertices)) if parents[v] >> p & 1)
+        front = nxt - seen
+        seen |= front
+        for v, _ in front:
+            level.setdefault(v, steps)
+    return level
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclic_graphs(), st.data())
+def test_resumed_walks_equal_the_reference_reach_set(g, data):
+    # one fresh oracle, asked past its memo so that no answer is shared
+    # between (x, y) and (y, x); for each (x, Z) the targets come in the
+    # order the walk first reaches them, then the unreachable ones, so most
+    # queries resume a walk that stopped at an earlier target, and some
+    # meet one at its fixpoint
+    n = len(g.vertices)
+    oracle = GraphOracle(g)
+    for z in data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=3), label="Z"):
+        for x in range(n):
+            if z >> x & 1:
+                continue
+            reach = reference_reach_set(g, 1 << x, z)
+            level = _walk_levels(g, x, z)
+            targets = [y for y in range(n) if y != x and not z >> y & 1]
+            targets = data.draw(st.permutations(targets), label="ties")
+            targets.sort(key=lambda y: level.get(y, n * 2))
+            for y in targets:
+                assert oracle._decide(x, y, z) == (not reach >> y & 1), (x, y, z)
 
 
 def test_swapped_endpoints_and_duplicates_share_one_memo_entry(two_cycle):

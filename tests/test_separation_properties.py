@@ -50,6 +50,31 @@ def test_adjacent_pairs_cannot_be_separated_includes_cycle_mediated_adjacency():
     assert check_inseparable_pairs(g) == []
 
 
+def _check_adjacent_masks(g):
+    """The masks are symmetric, hold no vertex itself, and set a bit exactly
+    when no subset of the other vertices d-separates the pair."""
+    masks = g._adjacent_masks
+    for i, x in enumerate(g.vertices):
+        assert not masks[i] >> i & 1
+        for j, y in enumerate(g.vertices[i + 1 :], start=i + 1):
+            assert (masks[i] >> j & 1) == (masks[j] >> i & 1), (g, x, y)
+            rest = [v for v in g.vertices if v not in (x, y)]
+            inseparable = all(brute_force_d_connected(g, x, y, s) for s in subsets(rest))
+            assert bool(masks[i] >> j & 1) == inseparable, (g, x, y)
+
+
+def test_adjacent_masks_are_the_inseparable_pairs_on_every_graph_up_to_three_vertices():
+    for n in range(1, 4):
+        for g in exhaustive_graphs(tuple(LETTERS[:n])):
+            _check_adjacent_masks(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_vertices=4, max_vertices=6))
+def test_adjacent_masks_are_the_inseparable_pairs(g):
+    _check_adjacent_masks(g)
+
+
 def test_witness_separator_two_cycle_pair():
     g = two_cycle_graph()
     assert check_witness_separator(g) == []
