@@ -188,7 +188,11 @@ def pag_of_graph(g: DirectedGraph) -> tuple[Pag, CcdState]:
     (Richardson 1996). Each other pair x, y records An({x, y}) minus x and
     y, which d-separates it, as its separator, and phases B-F run
     unchanged over a ``GraphOracle``. Equal answers give equal runs, so
-    Markov-equivalent graphs give equal PAGs.
+    Markov-equivalent graphs give equal PAGs. In phase D, no set holding
+    the middle b of a collider a, b, c separates the flanks when they
+    share a child that is an ancestor of b, b itself included, so the
+    oracle writes each such level whole without a walk
+    (``DirectedGraph._inseparable``); most phase D queries are these.
     """
     labels = g.vertices
     oracle = GraphOracle(g)

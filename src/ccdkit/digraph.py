@@ -141,7 +141,8 @@ def _virtual_adjacency(
     either way, or a common child that is an ancestor of one of the two.
     No set d-separates such a pair (Richardson 1996), and every other pair
     has a separator. The one copy of that rule, over a graph's parent,
-    child and ancestor masks."""
+    child and ancestor masks; ``DirectedGraph._inseparable`` extends it to
+    the sets that must hold given vertices."""
     adjacent = list(map(int.__or__, parents, children))
     for i, looped in enumerate(map(int.__and__, children, ancestors)):
         # each child of i that is also an ancestor of i makes i adjacent
@@ -226,6 +227,29 @@ class DirectedGraph:
     @cached_property
     def _adjacent_masks(self) -> tuple[int, ...]:
         return _virtual_adjacency(self._parent_masks, self._child_masks, self._ancestor_masks)
+
+    def _inseparable(self, i: int, j: int, given: int) -> bool:
+        """True when no set holding the mask ``given`` and neither i nor j
+        d-separates the vertices i and j.
+
+        Some such set separates them exactly when An({i, j} ∪ given) minus
+        i and j does, which fails exactly when i and j are adjacent in the
+        moral graph of that ancestral set (Tian, Paz & Pearl 1998): an
+        edge joins them, or they share a child in it. A shared child in
+        An({i, j}) makes them virtually adjacent, the ``given``-free case
+        (Richardson 1996); what ``given`` adds is a shared child that is an
+        ancestor of one of its members, found in O(|given|). The one copy
+        of that rule, over the graph's masks.
+        """
+        if self._adjacent_masks[i] >> j & 1:
+            return True
+        shared = self._child_masks[i] & self._child_masks[j]
+        if shared and given:
+            ancestors = self._ancestor_masks
+            for k in _bits(given):
+                if ancestors[k] & shared:
+                    return True
+        return False
 
     def _require(self, label: str) -> int:
         return _id_of(self._index, label)

@@ -20,7 +20,9 @@ with the edge A -> Y) and refuses more than ``_CANDIDATE_LIMIT`` = 4^7
 candidates before it builds any graph. Equal PAGs need equal skeletons,
 so a candidate whose virtual adjacencies, read from its masks by the
 rule ``DirectedGraph._adjacent_masks`` uses, differ from the input's is
-skipped before its graph is built.
+skipped before its graph is built. A candidate that is built gets those
+parent, child, ancestor and adjacency masks with it, so ``pag_of_graph``
+computes none of them again.
 """
 from __future__ import annotations
 
@@ -101,9 +103,17 @@ def enumerate_equiv_class(g: DirectedGraph) -> list[DirectedGraph]:
             if mask >> bit & 1:
                 parents[b] |= 1 << a
                 children[a] |= 1 << b
-        if _virtual_adjacency(parents, children, _closure(parents)) != skeleton:
+        ancestors = _closure(parents)
+        if _virtual_adjacency(parents, children, ancestors) != skeleton:
             continue
         h = DirectedGraph(labels, frozenset(arc for bit, arc in enumerate(arcs) if mask >> bit & 1))
+        # the masks h's cached properties would compute, handed over as is
+        vars(h).update(
+            _parent_masks=tuple(parents),
+            _child_masks=tuple(children),
+            _ancestor_masks=ancestors,
+            _adjacent_masks=skeleton,
+        )
         if pag_of_graph(h)[0] == target:
             members.append(h)
     members.sort(key=lambda h: tuple(sorted(h.edges)))

@@ -5,9 +5,11 @@ accounting every oracle shares.
 d-separation in a known graph: a virtually adjacent pair at once, any
 other pair by a reachability walk that stops at the asked vertex and is
 kept, as one packed int, per (endpoint, conditioning set) for later
-queries to resume. The statistical oracle, ``FisherZOracle``, lives in
-``fisherz.py`` with the rest of the numpy-backed code, so this module and
-the search that uses it load without numpy.
+queries to resume; a subset level that no set holding its fixed
+vertices can separate goes into the memo at once, with no walk. The
+statistical oracle, ``FisherZOracle``, lives in ``fisherz.py`` with the
+rest of the numpy-backed code, so this module and the search that uses
+it load without numpy.
 
 A query has two entries. The public ``is_independent`` validates labels
 by the rules ``dsep.py`` states for every query entry and maps them to
@@ -25,7 +27,12 @@ entry never changes once written, so a hit returns with no lock, no
 phase label and no counting. A miss takes the lock, reads the memo
 again, and decides, memoises and counts the query under it. A larger
 level takes the lock, reads the phase label and updates the statistics
-once per call, not once per query.
+once per call, not once per query. An oracle whose ``_inseparable`` rule
+says that no set holding ``extra`` separates the pair writes the level's
+sets to the memo as dependent in one step, with the keys, order and
+counts the per-set loop gives, and asks ``_decide`` nothing; only
+``GraphOracle`` has the rule, and only while its class keeps its
+``_decide``, so an oracle that answers otherwise sees every query.
 The search in ``ccd.py`` calls ``_first_separator`` directly when the
 oracle's class keeps the base ``is_independent`` and its vertices are
 the searched ones, so that its indices are the PAG's ids, and
@@ -43,8 +50,8 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._reach import walk
 from .digraph import DirectedGraph, _as_vertex_set, _id_of, _mask_of
@@ -109,6 +116,10 @@ class IndependenceOracle:
     set as a bitmask over the same indices.
     """
 
+    # a rule (i, j, extra) -> True when no set holding extra separates i
+    # and j, so that a level is settled without _decide; None asks every set
+    _inseparable: Callable[[int, int, int], bool] | None = None
+
     def __init__(self, vertices: Iterable[str]):
         self.vertices: tuple[str, ...] = tuple(sorted({str(v) for v in vertices}))
         self.stats = OracleStats()
@@ -143,7 +154,12 @@ class IndependenceOracle:
         Otherwise the lock is held for the whole level and the stats are
         updated once per call, with the call's new decisions, even when
         ``_decide`` raises. Either way the raising query is neither
-        memoised nor counted. The memo key packs the set and the unordered
+        memoised nor counted. When ``_inseparable(i, j, extra)`` holds, no
+        set of the level separates the pair: the level's keys go into the
+        memo as dependent in ``combinations`` order, one ``update``, the
+        new ones are counted, and None is returned with no ``_decide``
+        call, as the loop would leave them. This is still the one writer
+        of the memo. The memo key packs the set and the unordered
         pair into one int, ``zmask << 2w | lo << w | hi`` with ``w`` bits
         per index.
         """
@@ -160,6 +176,21 @@ class IndependenceOracle:
                         answer = memo[key] = bool(self._decide(i, j, extra))
                         self.stats.counts[self._phase.label, extra.bit_count()] += 1
             return extra if answer else None
+        inseparable = self._inseparable
+        if inseparable is not None and inseparable(i, j, extra):
+            # every set of the level holds extra, so each is dependent: the
+            # keys the loop below would write, in its order, with no _decide
+            shift = 2 * w
+            shifted = [c << shift for c in candidates]
+            keys = map(sum, combinations(shifted, size), repeat(extra << shift | pair))
+            with self._lock:
+                label = self._phase.label
+                before = len(memo)
+                memo.update(zip(keys, repeat(False)))
+                new = len(memo) - before
+                if new:
+                    self.stats.counts[label, size + extra.bit_count()] += new
+            return None
         decide = self._decide
         with self._lock:
             label = self._phase.label
@@ -197,12 +228,19 @@ class GraphOracle(IndependenceOracle):
     """Exact oracle: independent iff d-separated in the given graph.
 
     A pair the graph makes virtually adjacent (``_adjacent_masks``) is
-    dependent under every set and needs no walk. Any other query resumes
-    the walk from its first-named endpoint given the conditioning set, and
-    that walk goes only as far as the other endpoint: its state is kept
-    per (endpoint, conditioning set), packed into one int, so queries
-    sharing that endpoint and the set continue one walk instead of
-    starting another, and a target it has already seen costs no step.
+    dependent under every set and needs no walk. A subset level of
+    ``_first_separator`` whose pair no set holding ``extra`` separates,
+    by ``DirectedGraph._inseparable``, is written whole without a
+    ``_decide`` call: in phase A a virtually adjacent pair, in phase D
+    flanks with a common child that is an ancestor of the collider middle
+    every set holds. The rule is taken only when the class keeps this
+    ``_decide``, so a subclass that changes the answers is asked every
+    set. Any other query resumes the walk from its first-named endpoint
+    given the conditioning set, and that walk goes only as far as the
+    other endpoint: its state is kept per (endpoint, conditioning set),
+    packed into one int, so queries sharing that endpoint and the set
+    continue one walk instead of starting another, and a target it has
+    already seen costs no step.
     """
 
     def __init__(self, graph: DirectedGraph):
@@ -212,6 +250,8 @@ class GraphOracle(IndependenceOracle):
         # keyed zmask << w | endpoint; the state
         # seen_in | seen_out << n | front_in << 2n | front_out << 3n
         self._walks: dict[int, int] = {}
+        if type(self)._decide is GraphOracle._decide:  # answers are d-separation's
+            self._inseparable = graph._inseparable
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         g = self.graph  # masks and memos built on first use keep construction cheap

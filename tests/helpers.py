@@ -479,6 +479,17 @@ def graphs(draw, min_vertices=2, max_vertices=5):
     return DirectedGraph(labels, edges)
 
 
+@st.composite
+def cyclic_graphs(draw, min_vertices=3, max_vertices=8):
+    """A graph with between n/2 and 2n edges, one directed cycle among them."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    labels = tuple(LETTERS[:n])
+    pairs = st.sampled_from(ordered_pairs(labels))
+    edges = draw(st.frozensets(pairs, min_size=n // 2, max_size=2 * n))
+    ring = draw(st.permutations(labels))[: draw(st.integers(2, n))]
+    return DirectedGraph(labels, edges | set(zip(ring, ring[1:] + ring[:1])))
+
+
 def _is_label(text):
     try:
         _check_label(text)

@@ -3,6 +3,7 @@ import io
 import linecache
 import math
 import random
+import sys
 import threading
 import time
 import tracemalloc
@@ -33,18 +34,19 @@ from ccdkit import (
     partial_correlation,
     partial_correlation_from_covariance,
     partial_correlation_recursive,
+    random_graph,
     run_ccd,
     sem_from_graph,
+    serialize_pag,
 )
 
 import ccdkit.ccd
 from ccdkit.fisherz import _Residuals, _sweep, _triangle, _Triangle
 from helpers import (
-    LETTERS,
     DecideOnlyNoisyOracle,
     all_queries,
+    cyclic_graphs,
     graphs,
-    ordered_pairs,
     reference_reach_set,
     solved_residual,
     two_cycle_graph,
@@ -81,17 +83,6 @@ def test_cached_graph_oracle_equals_brute_force(g):
     oracle = GraphOracle(g)
     for x, y, s in queries:
         assert oracle.is_independent(x, y, s) == (not brute_force_d_connected(g, x, y, s))
-
-
-@st.composite
-def cyclic_graphs(draw, max_vertices=8):
-    """A graph with between n/2 and 2n edges, one directed cycle among them."""
-    n = draw(st.integers(3, max_vertices))
-    labels = tuple(LETTERS[:n])
-    pairs = st.sampled_from(ordered_pairs(labels))
-    edges = draw(st.frozensets(pairs, min_size=n // 2, max_size=2 * n))
-    ring = draw(st.permutations(labels))[: draw(st.integers(2, n))]
-    return DirectedGraph(labels, edges | set(zip(ring, ring[1:] + ring[:1])))
 
 
 def _walk_levels(g, x, z):
@@ -294,6 +285,92 @@ def test_first_separator_equals_a_per_subset_loop_over_decide(g, seed, data):
         assert {z for _, _, z in decided} <= set(asked)  # nothing past the separator
 
 
+@st.composite
+def inseparable_levels(draw):
+    """A graph, an ordered pair (i, j), one-vertex candidates and an extra
+    mask such that no set holding extra separates i from j: an edge joins
+    the pair, or the pair shares a child with a descendant in extra."""
+    g = draw(graphs(min_vertices=3, max_vertices=6))
+    names = g.vertices
+    n = len(names)
+    i, j, c = draw(st.permutations(range(n)), label="i, j, child")[:3]
+    if draw(st.booleans(), label="adjacent"):
+        a, b = draw(st.sampled_from(((i, j), (j, i))), label="edge")
+        g = DirectedGraph(names, g.edges | {(names[a], names[b])})
+        required = 0
+    else:
+        g = DirectedGraph(names, g.edges | {(names[i], names[c]), (names[j], names[c])})
+        below = [k for k in range(n) if g._descendant_masks[c] >> k & 1 and k not in (i, j)]
+        required = 1 << draw(st.sampled_from(below), label="descendant in extra")
+    others = [v for v in range(n) if v not in (i, j) and not required >> v & 1]
+    others = draw(st.permutations(others), label="others")
+    k = draw(st.integers(0, len(others)), label="candidate count")
+    candidates = [1 << v for v in sorted(others[:k])]
+    extra = required | sum(1 << v for v in others[k:] if draw(st.booleans(), label=f"extra {v}"))
+    size = draw(st.integers(1, len(candidates) + 1), label="size")
+    return g, i, j, candidates, size, extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(inseparable_levels(), st.data())
+def test_an_inseparable_level_is_written_as_the_per_subset_loop_writes_it(level, data):
+    g, i, j, candidates, size, extra = level
+    assert g._inseparable(i, j, extra)
+    subsets = [sum(c) | extra for c in combinations(candidates, size)]
+    # some sets of the level, and the set extra alone, are already in the
+    # memo under another label
+    warm = data.draw(st.lists(st.sampled_from(subsets + [extra]), max_size=3), label="warm")
+    label = data.draw(st.sampled_from((None, "A", "D")), label="phase")
+    runs = []
+    for entry in ("first_separator", "per_subset_loop"):
+        oracle = GraphOracle(g)
+        with oracle.phase("C"):
+            for zmask in warm:
+                per_subset_loop(oracle, j, i, (), 0, zmask)
+        decided = []
+        decide = oracle._decide
+
+        def logged(a, b, z):
+            decided.append((a, b, z))
+            return decide(a, b, z)
+
+        oracle._decide = logged
+        with oracle.phase(label):
+            if entry == "first_separator":
+                found = oracle._first_separator(i, j, candidates, size, extra)
+            else:
+                found = per_subset_loop(oracle, i, j, candidates, size, extra)
+        runs.append((found, list(oracle._memo.items()), oracle.stats.rows(), decided))
+    assert runs[0][:3] == runs[1][:3]
+    assert runs[0][0] is None
+    assert runs[0][3] == []  # the level is settled without _decide
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_an_oracle_that_changes_decide_is_asked_every_new_set_of_an_adjacent_pair(seed):
+    # A -> B joins the pair, so GraphOracle would settle the level at once
+    g = DirectedGraph(tuple("ABCDE"), {("A", "B"), ("C", "A"), ("D", "B"), ("E", "C")})
+    oracle = DecideOnlyNoisyOracle(g, seed, flip=0.3)
+    assert oracle._inseparable is None and GraphOracle(g)._inseparable is not None
+    candidates = [1 << v for v in (2, 3, 4)]
+    subsets = [sum(c) for c in combinations(candidates, 2)]
+    with oracle.phase("C"):
+        oracle._first_separator(1, 0, (), 0, subsets[1])
+    decided = []
+    decide = oracle._decide
+
+    def logged(a, b, z):
+        decided.append(z)
+        return decide(a, b, z)
+
+    oracle._decide = logged
+    with oracle.phase("A"):
+        found = oracle._first_separator(0, 1, candidates, 2)
+    asked = subsets if found is None else subsets[: subsets.index(found) + 1]
+    assert decided == [z for z in asked if z != subsets[1]]
+    assert oracle.stats.for_phase("A") == len(decided)
+
+
 def test_oracle_is_thread_safe(two_cycle):
     queries = list(all_queries(two_cycle.vertices))
     serial = GraphOracle(two_cycle)
@@ -322,6 +399,36 @@ def test_oracle_is_thread_safe(two_cycle):
     assert oracle.stats.total() == len(queries)
     assert oracle.stats.rows() == serial.stats.rows()
     assert oracle._memo == serial._memo
+
+
+def test_searches_sharing_an_oracle_across_threads_count_each_query_once():
+    # whole levels, settled or decided, go into one shared memo while the
+    # threads switch often; a lost update would show in the counts
+    g = random_graph([f"V{k}" for k in range(9)], 0.3, random.Random(9))
+    serial = GraphOracle(g)
+    expected = serialize_pag(run_ccd(serial, g.vertices)[0])
+    oracle = GraphOracle(g)
+    start = threading.Barrier(8)
+    pags = []
+
+    def worker():
+        start.wait(timeout=10)
+        pags.append(serialize_pag(run_ccd(oracle, g.vertices)[0]))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert pags == [expected] * 8
+    assert oracle._memo == serial._memo
+    assert oracle.stats.total() == serial.stats.total() == len(serial._memo)
 
 
 def one_set_query(oracle, x, y, s):

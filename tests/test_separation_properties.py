@@ -6,6 +6,7 @@ sweep lives in the acceptance suite, this module keeps the properties named
 and debuggable on small graphs.
 """
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from helpers import (
     check_separator_monotonicity,
     check_witness_probe_retention,
     check_witness_separator,
+    cyclic_graphs,
     exhaustive_graphs,
     two_cycle_graph,
     graphs,
@@ -73,6 +75,32 @@ def test_adjacent_masks_are_the_inseparable_pairs_on_every_graph_up_to_three_ver
 @given(graphs(min_vertices=4, max_vertices=6))
 def test_adjacent_masks_are_the_inseparable_pairs(g):
     _check_adjacent_masks(g)
+
+
+def _check_inseparable_rule(g):
+    """``_inseparable(i, j, e)`` holds, in either endpoint order, exactly
+    when no set between e and the other vertices d-separates i and j."""
+    n = len(g.vertices)
+    for i, j in combinations(range(n), 2):
+        x, y = g.vertices[i], g.vertices[j]
+        sets = [sum(1 << k for k in s) for s in subsets(k for k in range(n) if k not in (i, j))]
+        separators = [z for z in sets if not brute_force_d_connected(g, x, y, g._labels(z))]
+        for e in sets:
+            inseparable = not any(z & e == e for z in separators)
+            assert g._inseparable(i, j, e) == inseparable, (g, x, y, g._labels(e))
+            assert g._inseparable(j, i, e) == inseparable, (g, y, x, g._labels(e))
+
+
+def test_inseparable_rule_on_every_graph_up_to_three_vertices():
+    for n in range(1, 4):
+        for g in exhaustive_graphs(tuple(LETTERS[:n])):
+            _check_inseparable_rule(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_graphs(min_vertices=4, max_vertices=6))
+def test_inseparable_rule_on_cyclic_graphs(g):
+    _check_inseparable_rule(g)
 
 
 def test_witness_separator_two_cycle_pair():
