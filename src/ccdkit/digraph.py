@@ -20,6 +20,7 @@ of ``ParseError``.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -250,6 +251,55 @@ class DirectedGraph:
                 if ancestors[k] & shared:
                     return True
         return False
+
+    def _separator_bound(self, i: int, j: int, given: int, within: int) -> float:
+        """A lower bound on |Z \\ given| over the sets Z, given ⊆ Z ⊆ given ∪
+        within, that d-separate the vertices i and j; ``math.inf`` exactly
+        when no such Z does. ``given`` and ``within`` are disjoint masks
+        holding neither i nor j.
+
+        If such a Z separates i and j, so does its part inside A = An({i, j}
+        ∪ given), and that part is then a vertex cut between i and j in the
+        moral graph of A with ``given`` removed (Tian, Paz & Pearl 1998).
+        By Menger's theorem a cut has at least as many members as there are
+        i-j paths in that graph that share no vertex of ``within``; the
+        other vertices cannot be cut, so paths may share them. The bound
+        counts such paths greedily: each search finds a shortest path, steps
+        back through vertices outside ``within`` where it can, and removes
+        the path's ``within`` members for the next search. A path with no
+        such member means nothing can cut it. A search step from a set F
+        reads the kernel's memos, N(F) = pa(F) ∪ K ∪ pa(K) with K = ch(F) ∩
+        A, so no moral graph is built.
+        """
+        ancestors = self._ancestor_masks
+        region = ancestors[i] | ancestors[j]
+        for k in _bits(given):
+            region |= ancestors[k]
+        parents, children = self._parent_unions, self._child_unions
+        source, target = 1 << i, 1 << j
+        passable = region & ~given
+        count = 0
+        while True:
+            layers = []
+            seen = front = source
+            while front and not seen & target:
+                layers.append(front)
+                kids = children[front] & region
+                front = (parents[front] | kids | parents[kids]) & passable & ~seen
+                seen |= front
+            if not seen & target:
+                return count
+            cut, v = 0, target
+            for layer in reversed(layers[1:]):
+                kids = children[v] & region
+                near = (parents[v] | kids | parents[kids]) & layer
+                near = near & ~within or near
+                v = near & -near
+                cut |= v & within
+            if not cut:
+                return math.inf
+            passable &= ~cut
+            count += 1
 
     def _require(self, label: str) -> int:
         return _id_of(self._index, label)

@@ -6,7 +6,8 @@ d-separation in a known graph: a virtually adjacent pair at once, any
 other pair by a reachability walk that stops at the asked vertex and is
 kept, as one packed int, per (endpoint, conditioning set) for later
 queries to resume; a subset level that no set holding its fixed
-vertices can separate goes into the memo at once, with no walk. The
+vertices can separate, or whose sets are too small to cut every path
+between the pair, goes into the memo at once, with no walk. The
 statistical oracle, ``FisherZOracle``, lives in ``fisherz.py`` with the
 rest of the numpy-backed code, so this module and the search that uses
 it load without numpy.
@@ -27,11 +28,11 @@ entry never changes once written, so a hit returns with no lock, no
 phase label and no counting. A miss takes the lock, reads the memo
 again, and decides, memoises and counts the query under it. A larger
 level takes the lock, reads the phase label and updates the statistics
-once per call, not once per query. An oracle whose ``_inseparable`` rule
-says that no set holding ``extra`` separates the pair writes the level's
-sets to the memo as dependent in one step, with the keys, order and
-counts the per-set loop gives, and asks ``_decide`` nothing; only
-``GraphOracle`` has the rule, and only while its class keeps its
+once per call, not once per query. An oracle whose ``_inseparable``
+level test says that no set of the level separates the pair writes the
+level's sets to the memo as dependent in one step, with the keys, order
+and counts the per-set loop gives, and asks ``_decide`` nothing; only
+``GraphOracle`` has the test, and only while its class keeps its
 ``_decide``, so an oracle that answers otherwise sees every query.
 The search in ``ccd.py`` calls ``_first_separator`` directly when the
 oracle's class keeps the base ``is_independent`` and its vertices are
@@ -51,10 +52,11 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._reach import walk
-from .digraph import DirectedGraph, _as_vertex_set, _id_of, _mask_of
+from .digraph import DirectedGraph, _as_vertex_set, _bits, _id_of, _mask_of
 from .dsep import _check_endpoints
 
 __all__ = [
@@ -116,9 +118,10 @@ class IndependenceOracle:
     set as a bitmask over the same indices.
     """
 
-    # a rule (i, j, extra) -> True when no set holding extra separates i
-    # and j, so that a level is settled without _decide; None asks every set
-    _inseparable: Callable[[int, int, int], bool] | None = None
+    # a level test (i, j, candidates, size, extra) -> True when no set of
+    # the level separates i and j, so that it is settled without _decide;
+    # None asks every set
+    _inseparable: Callable[[int, int, Sequence[int], int, int], bool] | None = None
 
     def __init__(self, vertices: Iterable[str]):
         self.vertices: tuple[str, ...] = tuple(sorted({str(v) for v in vertices}))
@@ -154,14 +157,14 @@ class IndependenceOracle:
         Otherwise the lock is held for the whole level and the stats are
         updated once per call, with the call's new decisions, even when
         ``_decide`` raises. Either way the raising query is neither
-        memoised nor counted. When ``_inseparable(i, j, extra)`` holds, no
-        set of the level separates the pair: the level's keys go into the
-        memo as dependent in ``combinations`` order, one ``update``, the
-        new ones are counted, and None is returned with no ``_decide``
-        call, as the loop would leave them. This is still the one writer
-        of the memo. The memo key packs the set and the unordered
-        pair into one int, ``zmask << 2w | lo << w | hi`` with ``w`` bits
-        per index.
+        memoised nor counted. When the level test ``_inseparable(i, j,
+        candidates, size, extra)`` holds, under the lock, no set of the
+        level separates the pair: the level's keys go into the memo as
+        dependent in ``combinations`` order, one ``update``, the new ones
+        are counted, and None is returned with no ``_decide`` call, as the
+        loop would leave them. This is still the one writer of the memo.
+        The memo key packs the set and the unordered pair into one int,
+        ``zmask << 2w | lo << w | hi`` with ``w`` bits per index.
         """
         w = self._width
         pair = i << w | j if i < j else j << w | i
@@ -177,23 +180,21 @@ class IndependenceOracle:
                         self.stats.counts[self._phase.label, extra.bit_count()] += 1
             return extra if answer else None
         inseparable = self._inseparable
-        if inseparable is not None and inseparable(i, j, extra):
-            # every set of the level holds extra, so each is dependent: the
-            # keys the loop below would write, in its order, with no _decide
-            shift = 2 * w
-            shifted = [c << shift for c in candidates]
-            keys = map(sum, combinations(shifted, size), repeat(extra << shift | pair))
-            with self._lock:
-                label = self._phase.label
+        decide = self._decide
+        with self._lock:
+            label = self._phase.label
+            if inseparable is not None and inseparable(i, j, candidates, size, extra):
+                # no set of the level separates the pair, so each is dependent:
+                # the keys the loop below would write, in its order, with no _decide
+                shift = 2 * w
+                shifted = [c << shift for c in candidates]
+                keys = map(sum, combinations(shifted, size), repeat(extra << shift | pair))
                 before = len(memo)
                 memo.update(zip(keys, repeat(False)))
                 new = len(memo) - before
                 if new:
                     self.stats.counts[label, size + extra.bit_count()] += new
-            return None
-        decide = self._decide
-        with self._lock:
-            label = self._phase.label
+                return None
             new = 0
             try:
                 for subset in combinations(candidates, size):
@@ -229,18 +230,23 @@ class GraphOracle(IndependenceOracle):
 
     A pair the graph makes virtually adjacent (``_adjacent_masks``) is
     dependent under every set and needs no walk. A subset level of
-    ``_first_separator`` whose pair no set holding ``extra`` separates,
-    by ``DirectedGraph._inseparable``, is written whole without a
-    ``_decide`` call: in phase A a virtually adjacent pair, in phase D
-    flanks with a common child that is an ancestor of the collider middle
-    every set holds. The rule is taken only when the class keeps this
-    ``_decide``, so a subclass that changes the answers is asked every
-    set. Any other query resumes the walk from its first-named endpoint
-    given the conditioning set, and that walk goes only as far as the
-    other endpoint: its state is kept per (endpoint, conditioning set),
-    packed into one int, so queries sharing that endpoint and the set
-    continue one walk instead of starting another, and a target it has
-    already seen costs no step.
+    ``_first_separator`` that none of its sets can separate is written
+    whole without a ``_decide`` call (the level test ``_inseparable``):
+    when no set holding ``extra`` separates the pair
+    (``DirectedGraph._inseparable``: in phase A a virtually adjacent
+    pair, in phase D flanks with a common child that is an ancestor of
+    the collider middle every set holds), or, on a level that takes two
+    or more candidates a set and has more sets than An({i, j} ∪ extra)
+    has vertices, when more than ``size`` paths between the pair share no
+    candidate (``DirectedGraph._separator_bound``): in phase A most
+    levels of a non-adjacent pair before the one that removes its edge.
+    The test is taken only when the class keeps this ``_decide``, so a
+    subclass that changes the answers is asked every set. Any other query
+    resumes the walk from its first-named endpoint given the conditioning
+    set, and that walk goes only as far as the other endpoint: its state
+    is kept per (endpoint, conditioning set), packed into one int, so
+    queries sharing that endpoint and the set continue one walk instead
+    of starting another, and a target it has already seen costs no step.
     """
 
     def __init__(self, graph: DirectedGraph):
@@ -250,8 +256,45 @@ class GraphOracle(IndependenceOracle):
         # keyed zmask << w | endpoint; the state
         # seen_in | seen_out << n | front_in << 2n | front_out << 3n
         self._walks: dict[int, int] = {}
-        if type(self)._decide is GraphOracle._decide:  # answers are d-separation's
-            self._inseparable = graph._inseparable
+        # keyed extra << 2w | i << w | j; (within, _separator_bound) of the
+        # last bounded level of that pair and extra
+        self._bounds: dict[int, tuple[int, float]] = {}
+        if type(self)._decide is not GraphOracle._decide:  # answers are not d-separation's
+            self._inseparable = None
+
+    def _inseparable(
+        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int
+    ) -> bool:
+        """True when no set of the level separates i and j: when no set
+        holding ``extra`` does (``DirectedGraph._inseparable``), or, for a
+        level of ``size`` 2 or more with more sets than A = An({i, j} ∪
+        extra) has vertices, when ``DirectedGraph._separator_bound`` over
+        the candidates exceeds ``size``. A smaller level costs less to ask
+        than to bound; on sparse graphs most one-candidate levels that get
+        past the rule above hold a separator, so their bound would be
+        wasted. The bound is kept per (i, j, extra) with its candidate
+        range and reused while the range shrinks, since fewer vertices to
+        cut never lower the minimum cut."""
+        g = self.graph
+        if g._inseparable(i, j, extra):
+            return True
+        if size < 2:
+            return False
+        ancestors = g._ancestor_masks
+        region = ancestors[i] | ancestors[j]
+        for k in _bits(extra):
+            region |= ancestors[k]
+        if comb(len(candidates), size) <= region.bit_count():
+            return False
+        w = self._width
+        key = extra << 2 * w | i << w | j
+        within = sum(candidates)
+        cached = self._bounds.get(key)
+        if cached is not None and cached[1] > size and not within & ~cached[0]:
+            return True
+        bound = g._separator_bound(i, j, extra, within)
+        self._bounds[key] = within, bound
+        return bound > size
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         g = self.graph  # masks and memos built on first use keep construction cheap

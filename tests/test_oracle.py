@@ -3,6 +3,7 @@ import io
 import linecache
 import math
 import random
+import string
 import sys
 import threading
 import time
@@ -346,6 +347,87 @@ def test_an_inseparable_level_is_written_as_the_per_subset_loop_writes_it(level,
     assert runs[0][3] == []  # the level is settled without _decide
 
 
+@st.composite
+def bounded_levels(draw):
+    """A graph, an ordered pair (i, j), an extra mask and two levels, each
+    (candidates, size), that ``DirectedGraph._inseparable`` does not settle
+    but the separator bound does, the second with one candidate fewer and
+    one size more. k middle vertices each join i and j by a path of their
+    own (a chain either way, or a common cause), so no set with fewer than
+    k of them separates the pair; the other vertices are children of i or
+    j, outside An({i, j}), and one of them may be in extra. A few random
+    edges are added, and draws whose levels fall outside the gate, or whose
+    bound does not exceed the second size, are rejected."""
+    k = draw(st.integers(4, 5), label="middles")
+    n = 2 + k + draw(st.integers(2, 3), label="children")
+    names = string.ascii_uppercase[:n]
+    order = draw(st.permutations(range(n)), label="order")
+    i, j, middles, below = order[0], order[1], order[2 : 2 + k], order[2 + k :]
+    edges = set()
+    for m in middles:
+        a, b = draw(st.sampled_from(((i, j), (j, i), (None, None))), label=f"path {m}")
+        edges |= {(m, i), (m, j)} if a is None else {(a, m), (m, b)}
+    edges |= {(draw(st.sampled_from((i, j)), label=f"parent {c}"), c) for c in below}
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2), label="random edges"))
+    g = DirectedGraph(names, {(names[a], names[b]) for a, b in edges})
+    extra = draw(st.sampled_from((0, *(1 << c for c in below))), label="extra")
+    candidates = [1 << v for v in sorted(middles + below) if not extra >> v & 1]
+    size = draw(st.integers(2, k - 2), label="size")
+    dropped = draw(st.sampled_from(candidates), label="dropped")
+    levels = [(candidates, size), ([c for c in candidates if c != dropped], size + 1)]
+    assume(not g._inseparable(i, j, extra))
+    ancestors = g._ancestor_masks
+    region = ancestors[i] | ancestors[j] | sum(ancestors[v] for v in range(n) if extra >> v & 1)
+    assume(all(math.comb(len(c), s) > region.bit_count() for c, s in levels))
+    assume(g._separator_bound(i, j, extra, sum(candidates)) > size + 1)
+    return g, i, j, levels, extra
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_levels(), st.data())
+def test_a_level_the_separator_bound_settles_is_written_as_the_per_subset_loop_writes_it(
+    level, data
+):
+    g, i, j, levels, extra = level
+    subsets = [sum(c) | extra for cands, size in levels for c in combinations(cands, size)]
+    # some sets of the levels, and the set extra alone, are already in the
+    # memo under another label
+    warm = data.draw(st.lists(st.sampled_from(subsets + [extra]), max_size=3), label="warm")
+    label = data.draw(st.sampled_from((None, "A", "D")), label="phase")
+    runs = []
+    for entry in ("first_separator", "per_subset_loop"):
+        oracle = GraphOracle(g)
+        with oracle.phase("C"):
+            for zmask in warm:
+                per_subset_loop(oracle, j, i, (), 0, zmask)
+        decided = []
+        decide = oracle._decide
+
+        def logged(a, b, z):
+            decided.append((a, b, z))
+            return decide(a, b, z)
+
+        oracle._decide = logged
+        bound = mock.patch.object(
+            DirectedGraph, "_separator_bound", autospec=True,
+            side_effect=DirectedGraph._separator_bound,
+        )
+        with oracle.phase(label), bound as bounds:
+            found = [
+                oracle._first_separator(i, j, candidates, size, extra)
+                if entry == "first_separator"
+                else per_subset_loop(oracle, i, j, candidates, size, extra)
+                for candidates, size in levels
+            ]
+        memo = list(oracle._memo.items())
+        runs.append((found, memo, oracle.stats.rows(), decided, bounds.call_count))
+    assert runs[0][:3] == runs[1][:3]
+    assert runs[0][0] == [None, None]
+    assert runs[0][3] == []  # both levels are settled without _decide
+    assert runs[0][4] == 1  # the second level reuses the first one's bound
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_an_oracle_that_changes_decide_is_asked_every_new_set_of_an_adjacent_pair(seed):
     # A -> B joins the pair, so GraphOracle would settle the level at once
@@ -369,6 +451,25 @@ def test_an_oracle_that_changes_decide_is_asked_every_new_set_of_an_adjacent_pai
     asked = subsets if found is None else subsets[: subsets.index(found) + 1]
     assert decided == [z for z in asked if z != subsets[1]]
     assert oracle.stats.for_phase("A") == len(decided)
+
+
+def test_decide_calls_per_phase_on_the_16_vertex_graph():
+    # the inseparable-level rule and the separator bound leave these sets
+    # to _decide, of 7,196 distinct queries; 2,867 phase A calls without the
+    # bound, so a change that silently turns it off fails here
+    g = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
+    oracle = GraphOracle(g)
+    calls = dict.fromkeys("ACDF", 0)
+    decide = oracle._decide
+
+    def counted(i, j, zmask):
+        calls[oracle._phase.label] += 1
+        return decide(i, j, zmask)
+
+    oracle._decide = counted
+    run_ccd(oracle, g.vertices)
+    assert oracle.stats.total() == 7196
+    assert calls == {"A": 1580, "C": 76, "D": 4, "F": 0}
 
 
 def test_oracle_is_thread_safe(two_cycle):

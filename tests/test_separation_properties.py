@@ -5,6 +5,7 @@ list means the property held everywhere on that graph. The heavy exhaustive
 sweep lives in the acceptance suite, this module keeps the properties named
 and debuggable on small graphs.
 """
+import math
 import random
 from itertools import combinations
 
@@ -101,6 +102,44 @@ def test_inseparable_rule_on_every_graph_up_to_three_vertices():
 @given(cyclic_graphs(min_vertices=4, max_vertices=6))
 def test_inseparable_rule_on_cyclic_graphs(g):
     _check_inseparable_rule(g)
+
+
+def _check_separator_bound(g):
+    """For every pair, every ``given`` and every disjoint ``within``, each Z
+    with given ⊆ Z ⊆ given ∪ within that d-separates the pair has at least
+    ``_separator_bound`` members outside ``given``, in either endpoint
+    order, and the bound is infinite exactly when no such Z exists."""
+    n = len(g.vertices)
+    for i, j in combinations(range(n), 2):
+        x, y = g.vertices[i], g.vertices[j]
+        sets = [sum(1 << k for k in s) for s in subsets(k for k in range(n) if k not in (i, j))]
+        separators = [z for z in sets if not brute_force_d_connected(g, x, y, g._labels(z))]
+        for given in sets:
+            for within in sets:
+                if within & given:
+                    continue
+                sizes = [
+                    (z & ~given).bit_count()
+                    for z in separators
+                    if z & given == given and not z & ~(given | within)
+                ]
+                for a, b in ((i, j), (j, i)):
+                    bound = g._separator_bound(a, b, given, within)
+                    context = (g, x, y, g._labels(given), g._labels(within), bound)
+                    assert (bound == math.inf) == (not sizes), context
+                    assert all(size >= bound for size in sizes), context
+
+
+def test_separator_bound_on_every_graph_up_to_three_vertices():
+    for n in range(1, 4):
+        for g in exhaustive_graphs(tuple(LETTERS[:n])):
+            _check_separator_bound(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_graphs(min_vertices=4, max_vertices=6))
+def test_separator_bound_on_cyclic_graphs(g):
+    _check_separator_bound(g)
 
 
 def test_witness_separator_two_cycle_pair():
