@@ -7,10 +7,10 @@ other pair by a reachability walk that stops at the asked vertex and is
 kept, as one packed int, per (endpoint, conditioning set) for later
 queries to resume; a subset level that no set holding its fixed
 vertices can separate, or whose sets are too small to cut every path
-between the pair, goes into the memo at once, with no walk. The
-statistical oracle, ``FisherZOracle``, lives in ``fisherz.py`` with the
-rest of the numpy-backed code, so this module and the search that uses
-it load without numpy.
+between the pair, is recorded at once as one range of dependent sets,
+with no walk. The statistical oracle, ``FisherZOracle``, lives in
+``fisherz.py`` with the rest of the numpy-backed code, so this module
+and the search that uses it load without numpy.
 
 A query has two entries. The public ``is_independent`` validates labels
 by the rules ``dsep.py`` states for every query entry and maps them to
@@ -29,11 +29,16 @@ phase label and no counting. A miss takes the lock, reads the memo
 again, and decides, memoises and counts the query under it. A larger
 level takes the lock, reads the phase label and updates the statistics
 once per call, not once per query. An oracle whose ``_inseparable``
-level test says that no set of the level separates the pair writes the
-level's sets to the memo as dependent in one step, with the keys, order
-and counts the per-set loop gives, and asks ``_decide`` nothing; only
-``GraphOracle`` has the test, and only while its class keeps its
-``_decide``, so an oracle that answers otherwise sees every query.
+level test says that no set of the level separates the pair records the
+level as one range per unordered pair and set size k, ``(extra, extra |
+sum(candidates))``: every k-set between the two masks is dependent. Its
+sets are counted as the per-set loop would count them, with no
+``_decide`` call and no memo entry, so the memo holds only decided
+queries. A memo miss of such an oracle is checked against its pair's
+ranges of that size before ``_decide``: a covered set is dependent and
+not counted again. Only ``GraphOracle`` has the test, and only while its
+class keeps its ``_decide``, so an oracle that answers otherwise sees
+every query, keeps no range and pays no range check.
 The search in ``ccd.py`` calls ``_first_separator`` directly when the
 oracle's class keeps the base ``is_independent`` and its vertices are
 the searched ones, so that its indices are the PAG's ids, and
@@ -41,9 +46,10 @@ the searched ones, so that its indices are the PAG's ids, and
 order, so an oracle that overrides ``is_independent`` still sees every
 query. The memo is keyed on one packed int per unordered pair and set;
 statistics count each distinct query once, attributed to the search
-phase that first asked it. The memo, the caches and the counters are
-written only under a lock, and the phase label belongs to the thread
-that set it, so an oracle instance can be shared across threads.
+phase that first asked it. The memo, the ranges, the caches and the
+counters are written only under a lock, and the phase label belongs to
+the thread that set it, so an oracle instance can be shared across
+threads.
 """
 from __future__ import annotations
 
@@ -51,7 +57,7 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -130,6 +136,12 @@ class IndependenceOracle:
         # bits of one endpoint index in a packed key
         self._width = max(1, (len(self.vertices) - 1).bit_length())
         self._memo: dict[int, bool] = {}
+        # for an oracle with a level test, keyed k << 2w | lo << w | hi: the
+        # settled ranges (fixed, universe), each meaning that every k-set Z
+        # with fixed <= Z <= universe is dependent, and the decided dependent
+        # k-sets, k >= 1
+        self._ranges: dict[int, list[tuple[int, int]]] = {}
+        self._decided: dict[int, list[int]] = {}
         self._lock = threading.Lock()
         self._phase = _PhaseLabel()
 
@@ -157,14 +169,18 @@ class IndependenceOracle:
         Otherwise the lock is held for the whole level and the stats are
         updated once per call, with the call's new decisions, even when
         ``_decide`` raises. Either way the raising query is neither
-        memoised nor counted. When the level test ``_inseparable(i, j,
-        candidates, size, extra)`` holds, under the lock, no set of the
-        level separates the pair: the level's keys go into the memo as
-        dependent in ``combinations`` order, one ``update``, the new ones
-        are counted, and None is returned with no ``_decide`` call, as the
-        loop would leave them. This is still the one writer of the memo.
-        The memo key packs the set and the unordered pair into one int,
-        ``zmask << 2w | lo << w | hi`` with ``w`` bits per index.
+        memoised nor counted. An oracle with a level test goes through
+        ``_ranged_level`` instead: when ``_inseparable(i, j, candidates,
+        size, extra)`` holds, under the lock, no set of the level separates
+        the pair, so the level is recorded as one range of dependent sets,
+        its new sets are counted, and None is returned with no ``_decide``
+        call, as the loop would leave them; otherwise, and on a one-set
+        miss, a set inside a recorded range of its pair and size is
+        dependent without ``_decide`` and without a count. This is still
+        the one writer of the memo and the ranges. The memo key packs the
+        set and the unordered pair into one int, ``zmask << 2w | lo << w |
+        hi`` with ``w`` bits per index; a range's key packs k in place of
+        the set.
         """
         w = self._width
         pair = i << w | j if i < j else j << w | i
@@ -176,25 +192,24 @@ class IndependenceOracle:
                 with self._lock:
                     answer = memo.get(key)
                     if answer is None:
-                        answer = memo[key] = bool(self._decide(i, j, extra))
-                        self.stats.counts[self._phase.label, extra.bit_count()] += 1
+                        k = extra.bit_count()
+                        if k and self._inseparable is not None:
+                            level = k << 2 * w | pair
+                            ranges = self._ranges.get(level)
+                            if ranges and _covered(ranges, extra):
+                                return None
+                            answer = memo[key] = bool(self._decide(i, j, extra))
+                            if not answer:  # a separating set lies in no range
+                                self._decided.setdefault(level, []).append(extra)
+                        else:
+                            answer = memo[key] = bool(self._decide(i, j, extra))
+                        self.stats.counts[self._phase.label, k] += 1
             return extra if answer else None
-        inseparable = self._inseparable
         decide = self._decide
         with self._lock:
             label = self._phase.label
-            if inseparable is not None and inseparable(i, j, candidates, size, extra):
-                # no set of the level separates the pair, so each is dependent:
-                # the keys the loop below would write, in its order, with no _decide
-                shift = 2 * w
-                shifted = [c << shift for c in candidates]
-                keys = map(sum, combinations(shifted, size), repeat(extra << shift | pair))
-                before = len(memo)
-                memo.update(zip(keys, repeat(False)))
-                new = len(memo) - before
-                if new:
-                    self.stats.counts[label, size + extra.bit_count()] += new
-                return None
+            if self._inseparable is not None:
+                return self._ranged_level(i, j, candidates, size, extra, pair, label)
             new = 0
             try:
                 for subset in combinations(candidates, size):
@@ -211,6 +226,87 @@ class IndependenceOracle:
                     self.stats.counts[label, size + extra.bit_count()] += new
         return None
 
+    def _ranged_level(
+        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int,
+        pair: int, label: str | None,
+    ) -> int | None:
+        """``_first_separator``'s level for an oracle with a level test,
+        under the lock: a level that ``_inseparable`` settles is recorded as
+        one range and its new sets counted (``_settle``); otherwise each set
+        that is neither memoised nor in a recorded range is decided, and a
+        dependent one is indexed with the pair's other decided dependent
+        sets of its size, the only decided sets a later range can hold."""
+        w = self._width
+        k = size + extra.bit_count()
+        level = k << 2 * w | pair
+        if self._inseparable(i, j, candidates, size, extra):
+            new = self._settle(level, k, extra, extra | sum(candidates))
+            if new:
+                self.stats.counts[label, k] += new
+            return None
+        memo = self._memo
+        decide = self._decide
+        ranges = self._ranges.get(level)
+        new = 0
+        dependent = []
+        try:
+            for subset in combinations(candidates, size):
+                zmask = sum(subset) | extra
+                key = zmask << 2 * w | pair
+                answer = memo.get(key)
+                if answer is None:
+                    if ranges and _covered(ranges, zmask):
+                        continue
+                    answer = memo[key] = bool(decide(i, j, zmask))
+                    new += 1
+                    if not answer:
+                        dependent.append(zmask)
+                if answer:
+                    return zmask
+        finally:
+            if new:
+                self.stats.counts[label, k] += new
+            if dependent:
+                self._decided.setdefault(level, []).extend(dependent)
+        return None
+
+    def _settle(self, level: int, k: int, fixed: int, universe: int) -> int:
+        """Record the range of the k-sets Z with fixed ⊆ Z ⊆ universe as
+        dependent under ``level`` (k and the packed pair), and return how
+        many of them were not known before: all of them, minus those in the
+        level's earlier ranges, counted by inclusion–exclusion over their
+        intersections (again ranges: the union of the fixed masks, the
+        intersection of the universes), minus the decided sets inside it and
+        outside those ranges. A range with no new set, and an earlier range
+        inside the new one, are not kept."""
+        new = _range_size(fixed, universe, k)
+        if not new:
+            return 0
+        earlier = self._ranges.get(level)
+        decided = self._decided.get(level)
+        if earlier is None and decided is None:  # most levels: nothing known yet
+            self._ranges[level] = [(fixed, universe)]
+            return new
+        earlier = earlier or []
+        # (fixed, universe, sign) of the range met with each nonempty
+        # combination of earlier ranges; the sign is +1 for an odd count
+        terms: list[tuple[int, int, int]] = []
+        for f, u in earlier:
+            for tf, tu, sign in [(fixed, universe, -1), *terms]:
+                tf |= f
+                tu &= u
+                if _range_size(tf, tu, k):
+                    terms.append((tf, tu, -sign))
+        new -= sum(sign * _range_size(tf, tu, k) for tf, tu, sign in terms)
+        for z in decided or ():
+            if not fixed & ~z and not z & ~universe and not _covered(earlier, z):
+                new -= 1
+        if new:
+            kept = [(f, u) for f, u in earlier if fixed & ~f or u & ~universe]
+            kept.append((fixed, universe))
+            self._ranges[level] = kept
+        return new
+
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         raise NotImplementedError
 
@@ -225,13 +321,30 @@ class IndependenceOracle:
             self._phase.label = previous
 
 
+def _covered(ranges: Iterable[tuple[int, int]], zmask: int) -> bool:
+    """True when some range (fixed, universe) holds the set zmask."""
+    for fixed, universe in ranges:
+        if not fixed & ~zmask and not zmask & ~universe:
+            return True
+    return False
+
+
+def _range_size(fixed: int, universe: int, k: int) -> int:
+    """The number of k-sets Z with fixed <= Z <= universe."""
+    if fixed & ~universe:
+        return 0
+    free = k - fixed.bit_count()
+    return comb(universe.bit_count() - fixed.bit_count(), free) if free >= 0 else 0
+
+
 class GraphOracle(IndependenceOracle):
     """Exact oracle: independent iff d-separated in the given graph.
 
     A pair the graph makes virtually adjacent (``_adjacent_masks``) is
     dependent under every set and needs no walk. A subset level of
-    ``_first_separator`` that none of its sets can separate is written
-    whole without a ``_decide`` call (the level test ``_inseparable``):
+    ``_first_separator`` that none of its sets can separate is recorded
+    as one range of dependent sets without a ``_decide`` call or a memo
+    entry (the level test ``_inseparable``):
     when no set holding ``extra`` separates the pair
     (``DirectedGraph._inseparable``: in phase A a virtually adjacent
     pair, in phase D flanks with a common child that is an ancestor of

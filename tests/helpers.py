@@ -55,6 +55,21 @@ def all_queries(labels, max_cond=None):
                 yield x, y, s
 
 
+def known_queries(oracle):
+    """Every query the oracle knows the answer of, keyed as its memo is:
+    the memo, plus each set of each settled level's range as dependent."""
+    known = dict(oracle._memo)
+    w = oracle._width
+    for level, ranges in oracle._ranges.items():
+        k, pair = level >> 2 * w, level & (1 << 2 * w) - 1
+        for fixed, universe in ranges:
+            free = [1 << v for v in range(universe.bit_length()) if (universe & ~fixed) >> v & 1]
+            for subset in itertools.combinations(free, k - fixed.bit_count()):
+                key = (sum(subset) | fixed) << 2 * w | pair
+                assert known.setdefault(key, False) is False, "a settled set was decided separating"
+    return known
+
+
 class ScriptedOracle(IndependenceOracle):
     """Answers independent exactly on a fixed list of (pair, conditioning set)."""
 
@@ -91,6 +106,14 @@ class NoisyOracle(GraphOracle):
     def _decide(self, i, j, zmask):
         key = f"{self.seed}/{min(i, j)}/{max(i, j)}/{zmask}"
         return super()._decide(i, j, zmask) != (random.Random(key).random() < self.flip)
+
+
+class EverySet(GraphOracle):
+    """GraphOracle's answers; a ``_decide`` of its own turns the level test
+    off, so every set is asked one at a time and memoised."""
+
+    def _decide(self, i, j, zmask):
+        return GraphOracle._decide(self, i, j, zmask)
 
 
 class DecideOnlyNoisyOracle(NoisyOracle):

@@ -45,9 +45,11 @@ import ccdkit.ccd
 from ccdkit.fisherz import _Residuals, _sweep, _triangle, _Triangle
 from helpers import (
     DecideOnlyNoisyOracle,
+    EverySet,
     all_queries,
     cyclic_graphs,
     graphs,
+    known_queries,
     reference_reach_set,
     solved_residual,
     two_cycle_graph,
@@ -318,8 +320,8 @@ def test_an_inseparable_level_is_written_as_the_per_subset_loop_writes_it(level,
     g, i, j, candidates, size, extra = level
     assert g._inseparable(i, j, extra)
     subsets = [sum(c) | extra for c in combinations(candidates, size)]
-    # some sets of the level, and the set extra alone, are already in the
-    # memo under another label
+    # some sets of the level, and the set extra alone, are already known,
+    # asked under another label
     warm = data.draw(st.lists(st.sampled_from(subsets + [extra]), max_size=3), label="warm")
     label = data.draw(st.sampled_from((None, "A", "D")), label="phase")
     runs = []
@@ -327,7 +329,10 @@ def test_an_inseparable_level_is_written_as_the_per_subset_loop_writes_it(level,
         oracle = GraphOracle(g)
         with oracle.phase("C"):
             for zmask in warm:
-                per_subset_loop(oracle, j, i, (), 0, zmask)
+                if entry == "first_separator":
+                    oracle._first_separator(j, i, (), 0, zmask)
+                else:
+                    per_subset_loop(oracle, j, i, (), 0, zmask)
         decided = []
         decide = oracle._decide
 
@@ -341,10 +346,11 @@ def test_an_inseparable_level_is_written_as_the_per_subset_loop_writes_it(level,
                 found = oracle._first_separator(i, j, candidates, size, extra)
             else:
                 found = per_subset_loop(oracle, i, j, candidates, size, extra)
-        runs.append((found, list(oracle._memo.items()), oracle.stats.rows(), decided))
+        runs.append((found, known_queries(oracle), oracle.stats.rows(), decided, len(oracle._memo)))
     assert runs[0][:3] == runs[1][:3]
     assert runs[0][0] is None
     assert runs[0][3] == []  # the level is settled without _decide
+    assert runs[0][4] == len(set(warm))  # the memo holds only the warm-up's decisions
 
 
 @st.composite
@@ -391,8 +397,8 @@ def test_a_level_the_separator_bound_settles_is_written_as_the_per_subset_loop_w
 ):
     g, i, j, levels, extra = level
     subsets = [sum(c) | extra for cands, size in levels for c in combinations(cands, size)]
-    # some sets of the levels, and the set extra alone, are already in the
-    # memo under another label
+    # some sets of the levels, and the set extra alone, are already known,
+    # asked under another label
     warm = data.draw(st.lists(st.sampled_from(subsets + [extra]), max_size=3), label="warm")
     label = data.draw(st.sampled_from((None, "A", "D")), label="phase")
     runs = []
@@ -400,7 +406,10 @@ def test_a_level_the_separator_bound_settles_is_written_as_the_per_subset_loop_w
         oracle = GraphOracle(g)
         with oracle.phase("C"):
             for zmask in warm:
-                per_subset_loop(oracle, j, i, (), 0, zmask)
+                if entry == "first_separator":
+                    oracle._first_separator(j, i, (), 0, zmask)
+                else:
+                    per_subset_loop(oracle, j, i, (), 0, zmask)
         decided = []
         decide = oracle._decide
 
@@ -420,8 +429,7 @@ def test_a_level_the_separator_bound_settles_is_written_as_the_per_subset_loop_w
                 else per_subset_loop(oracle, i, j, candidates, size, extra)
                 for candidates, size in levels
             ]
-        memo = list(oracle._memo.items())
-        runs.append((found, memo, oracle.stats.rows(), decided, bounds.call_count))
+        runs.append((found, known_queries(oracle), oracle.stats.rows(), decided, bounds.call_count))
     assert runs[0][:3] == runs[1][:3]
     assert runs[0][0] == [None, None]
     assert runs[0][3] == []  # both levels are settled without _decide
@@ -470,6 +478,136 @@ def test_decide_calls_per_phase_on_the_16_vertex_graph():
     run_ccd(oracle, g.vertices)
     assert oracle.stats.total() == 7196
     assert calls == {"A": 1580, "C": 76, "D": 4, "F": 0}
+
+
+def test_the_memo_holds_only_decided_queries_on_the_16_vertex_graph():
+    # settled levels are kept as ranges, so the memo holds the 1,660 sets
+    # _decide answered, not all 7,196 distinct queries
+    g = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
+    oracle = GraphOracle(g)
+    calls = []
+    decide = oracle._decide
+
+    def counted(i, j, zmask):
+        calls.append((i, j, zmask))
+        return decide(i, j, zmask)
+
+    oracle._decide = counted
+    run_ccd(oracle, g.vertices)
+    assert len(calls) == len(oracle._memo) == 1660
+    assert oracle.stats.total() == len(known_queries(oracle)) == 7196
+
+
+def test_a_set_of_a_settled_level_asked_under_another_label_is_dependent_and_not_recounted():
+    # A -> B joins the pair, so the level test settles each of its levels
+    g = DirectedGraph(tuple("ABCDE"), {("A", "B"), ("C", "A"), ("D", "B"), ("E", "C")})
+    oracle = GraphOracle(g)
+    candidates = [1 << v for v in (2, 3, 4)]
+    with oracle.phase("A"):
+        assert oracle._first_separator(0, 1, candidates, 2) is None
+    assert oracle._memo == {}
+    assert oracle.stats.rows() == [("A", 2, 3)]
+    oracle._decide = refuse_to_decide
+    for label in ("C", "D", None):
+        with oracle.phase(label):
+            assert not oracle.is_independent("B", "A", ("C", "E"))
+            assert oracle._first_separator(1, 0, (), 0, 0b11000) is None
+            assert oracle._first_separator(1, 0, candidates[1:], 2) is None
+            assert oracle._first_separator(0, 1, candidates[:2], 1, 1 << 4) is None
+    assert oracle._memo == {}
+    assert oracle.stats.rows() == [("A", 2, 3)]
+
+
+def test_oracles_without_a_level_test_keep_no_ranges():
+    # FisherZOracle and a GraphOracle whose _decide differs ask every set
+    # one at a time, so they record no range and index no decided set
+    g = DirectedGraph(tuple("ABCDE"), {("A", "B"), ("B", "C"), ("D", "C"), ("C", "E")})
+    data = sem_from_graph(g, 0.5).simulate(500, seed=3)
+    for oracle in (FisherZOracle(data), DecideOnlyNoisyOracle(g, 2, flip=0.3)):
+        assert oracle._inseparable is None
+        try:
+            run_ccd(oracle, oracle.vertices)
+        except ValueError as exc:  # a sample-data run may abort in phase D
+            assert "already underlined" in str(exc)
+        assert oracle.stats.total() == len(oracle._memo) > 0
+        assert oracle._ranges == {} and oracle._decided == {}
+
+
+@st.composite
+def overlapping_levels(draw):
+    """A graph on 4-7 vertices, a pair (i, j) and a list of calls on the
+    pair in either endpoint order under labels A, C and D: one-set queries,
+    and levels with an extra of no vertex or one, whose candidates are drawn
+    afresh, or are the last level's less one, or are the last level's with
+    its extra moved among them and one more to a set. The pair may be
+    joined by an edge, so that every level settles, or given a common
+    child, so that a level whose extra is that child settles and a later
+    level that takes the child as a candidate meets those sets in the
+    per-set loop: the child is the lowest other vertex, so the sets holding
+    it come first there."""
+    g = draw(graphs(min_vertices=4, max_vertices=7))
+    names = g.vertices
+    n = len(names)
+    i, j = draw(st.permutations(range(n)), label="pair")[:2]
+    c = min(v for v in range(n) if v not in (i, j))
+    shape = draw(st.sampled_from(("adjacent", "common child", "drawn")), label="shape")
+    if shape == "adjacent":
+        a, b = draw(st.sampled_from(((i, j), (j, i))), label="edge")
+        g = DirectedGraph(names, g.edges | {(names[a], names[b])})
+    elif shape == "common child":
+        g = DirectedGraph(names, g.edges | {(names[i], names[c]), (names[j], names[c])})
+    others = [v for v in range(n) if v not in (i, j)]
+    calls, last = [], (others, 1, 0)
+    for _ in range(draw(st.integers(1, 8), label="calls")):
+        order = draw(st.sampled_from(((i, j), (j, i))), label="order")
+        label = draw(st.sampled_from("ACD"), label="label")
+        if draw(st.booleans(), label="one set"):
+            zmask = sum(1 << v for v in others if draw(st.booleans(), label=f"in {v}"))
+            calls.append((order, label, (), 0, zmask))
+            continue
+        pool, size, extra = last
+        step = draw(st.sampled_from(("fresh", "shrink", "absorb")), label="step")
+        if step == "absorb" and extra:
+            pool, size, extra = sorted(pool + [extra.bit_length() - 1]), size + 1, 0
+        else:
+            if step == "shrink" and len(pool) > 1:
+                pool = [v for v in pool if v != draw(st.sampled_from(pool), label="dropped")]
+            else:
+                pool = [v for v in others if draw(st.booleans(), label=f"candidate {v}")]
+            outside = [1 << v for v in others if v not in pool]
+            if shape == "common child" and c not in pool:
+                outside = [1 << c]
+            extra = 0
+            if outside and draw(st.booleans(), label="has extra"):
+                extra = draw(st.sampled_from(outside), label="extra")
+            size = draw(st.integers(1, max(1, len(pool))), label="size")
+        last = pool, size, extra
+        calls.append((order, label, [1 << v for v in pool], size, extra))
+    return g, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_levels())
+def test_overlapping_settled_levels_count_each_query_once(case):
+    g, calls = case
+    runs = []
+    for oracle in (GraphOracle(g), EverySet(g)):
+        w = oracle._width
+        decide = oracle._decide
+
+        def checked(a, b, zmask, oracle=oracle, decide=decide, w=w):
+            level = zmask.bit_count() << 2 * w | min(a, b) << w | max(a, b)
+            ranges = oracle._ranges.get(level, ())
+            assert not any(not f & ~zmask and not zmask & ~u for f, u in ranges)
+            return decide(a, b, zmask)
+
+        oracle._decide = checked
+        found = []
+        for (a, b), label, candidates, size, extra in calls:
+            with oracle.phase(label):
+                found.append(oracle._first_separator(a, b, candidates, size, extra))
+        runs.append((found, oracle.stats.rows(), known_queries(oracle)))
+    assert runs[0] == runs[1]
 
 
 def test_oracle_is_thread_safe(two_cycle):
@@ -528,8 +666,10 @@ def test_searches_sharing_an_oracle_across_threads_count_each_query_once():
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert pags == [expected] * 8
+    assert known_queries(oracle) == known_queries(serial)
     assert oracle._memo == serial._memo
-    assert oracle.stats.total() == serial.stats.total() == len(serial._memo)
+    assert oracle.stats.rows() == serial.stats.rows()
+    assert oracle.stats.total() == len(known_queries(serial))
 
 
 def one_set_query(oracle, x, y, s):
