@@ -2,13 +2,15 @@
 accounting every oracle shares.
 
 ``IndependenceOracle`` is the interface; ``GraphOracle`` answers by
-d-separation in a known graph: a virtually adjacent pair at once, any
-other pair by a reachability walk that stops at the asked vertex and is
-kept, as one packed int, per (endpoint, conditioning set) for later
-queries to resume; a subset level that no set holding its fixed
-vertices can separate, or whose sets are too small to cut every path
-between the pair, is recorded at once as one range of dependent sets,
-with no walk. The statistical oracle, ``FisherZOracle``, lives in
+d-separation in a known graph: the empty set and a virtually adjacent
+pair from the graph's masks, any other query by a reachability walk that
+stops at the asked vertex and is kept, as one packed int, per (endpoint,
+conditioning set) for later queries to resume; a subset level that no
+set holding its fixed vertices can separate, or whose sets are too small
+to cut every path between the pair, is recorded at once as one range of
+dependent sets, with no walk, and a set of a level whose part inside
+An({i, j}) is already known to be dependent is dependent with no walk.
+The statistical oracle, ``FisherZOracle``, lives in
 ``fisherz.py`` with the rest of the numpy-backed code, so this module
 and the search that uses it load without numpy.
 
@@ -33,12 +35,16 @@ level test says that no set of the level separates the pair records the
 level as one range per unordered pair and set size k, ``(extra, extra |
 sum(candidates))``: every k-set between the two masks is dependent. Its
 sets are counted as the per-set loop would count them, with no
-``_decide`` call and no memo entry, so the memo holds only decided
-queries. A memo miss of such an oracle is checked against its pair's
-ranges of that size before ``_decide``: a covered set is dependent and
-not counted again. Only ``GraphOracle`` has the test, and only while its
-class keeps its ``_decide``, so an oracle that answers otherwise sees
-every query, keeps no range and pays no range check.
+``_decide`` call and no memo entry, so the memo holds only the queries
+asked one by one. A memo miss of such an oracle is checked against its
+pair's ranges of that size before ``_decide``: a covered set is
+dependent and not counted again. On a level it does not settle, a set
+whose part inside An({i, j}) is smaller and known to be dependent is
+memoised and counted as dependent without ``_decide``. Only
+``GraphOracle`` has the test, and asks its levels through its own
+``_ranged_level``, and only while its class keeps its ``_decide``, so an
+oracle that answers otherwise sees every query, keeps no range and pays
+no range check.
 The search in ``ccd.py`` calls ``_first_separator`` directly when the
 oracle's class keeps the base ``is_independent`` and its vertices are
 the searched ones, so that its indices are the PAG's ids, and
@@ -124,10 +130,10 @@ class IndependenceOracle:
     set as a bitmask over the same indices.
     """
 
-    # a level test (i, j, candidates, size, extra) -> True when no set of
-    # the level separates i and j, so that it is settled without _decide;
-    # None asks every set
-    _inseparable: Callable[[int, int, Sequence[int], int, int], bool] | None = None
+    # the level test of an oracle that asks its levels through its own
+    # _ranged_level, which settles a level that no set of it separates
+    # without _decide; None asks every set
+    _inseparable: Callable[..., bool] | None = None
 
     def __init__(self, vertices: Iterable[str]):
         self.vertices: tuple[str, ...] = tuple(sorted({str(v) for v in vertices}))
@@ -170,14 +176,16 @@ class IndependenceOracle:
         updated once per call, with the call's new decisions, even when
         ``_decide`` raises. Either way the raising query is neither
         memoised nor counted. An oracle with a level test goes through
-        ``_ranged_level`` instead: when ``_inseparable(i, j, candidates,
-        size, extra)`` holds, under the lock, no set of the level separates
-        the pair, so the level is recorded as one range of dependent sets,
-        its new sets are counted, and None is returned with no ``_decide``
-        call, as the loop would leave them; otherwise, and on a one-set
-        miss, a set inside a recorded range of its pair and size is
-        dependent without ``_decide`` and without a count. This is still
-        the one writer of the memo and the ranges. The memo key packs the
+        its ``_ranged_level`` instead: when the level test holds, under the
+        lock, no set of the level separates the pair, so the level is
+        recorded as one range of dependent sets, its new sets are counted,
+        and None is returned with no ``_decide`` call, as the loop would
+        leave them; otherwise, and on a one-set miss, a set inside a
+        recorded range of its pair and size is dependent without
+        ``_decide`` and without a count, and on a level, a set whose part
+        inside An({i, j}) is smaller and known to be dependent is memoised
+        and counted as dependent without ``_decide``. This is still the one
+        entry to the memo and the ranges. The memo key packs the
         set and the unordered pair into one int, ``zmask << 2w | lo << w |
         hi`` with ``w`` bits per index; a range's key packs k in place of
         the set.
@@ -224,50 +232,6 @@ class IndependenceOracle:
             finally:
                 if new:
                     self.stats.counts[label, size + extra.bit_count()] += new
-        return None
-
-    def _ranged_level(
-        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int,
-        pair: int, label: str | None,
-    ) -> int | None:
-        """``_first_separator``'s level for an oracle with a level test,
-        under the lock: a level that ``_inseparable`` settles is recorded as
-        one range and its new sets counted (``_settle``); otherwise each set
-        that is neither memoised nor in a recorded range is decided, and a
-        dependent one is indexed with the pair's other decided dependent
-        sets of its size, the only decided sets a later range can hold."""
-        w = self._width
-        k = size + extra.bit_count()
-        level = k << 2 * w | pair
-        if self._inseparable(i, j, candidates, size, extra):
-            new = self._settle(level, k, extra, extra | sum(candidates))
-            if new:
-                self.stats.counts[label, k] += new
-            return None
-        memo = self._memo
-        decide = self._decide
-        ranges = self._ranges.get(level)
-        new = 0
-        dependent = []
-        try:
-            for subset in combinations(candidates, size):
-                zmask = sum(subset) | extra
-                key = zmask << 2 * w | pair
-                answer = memo.get(key)
-                if answer is None:
-                    if ranges and _covered(ranges, zmask):
-                        continue
-                    answer = memo[key] = bool(decide(i, j, zmask))
-                    new += 1
-                    if not answer:
-                        dependent.append(zmask)
-                if answer:
-                    return zmask
-        finally:
-            if new:
-                self.stats.counts[label, k] += new
-            if dependent:
-                self._decided.setdefault(level, []).extend(dependent)
         return None
 
     def _settle(self, level: int, k: int, fixed: int, universe: int) -> int:
@@ -340,7 +304,9 @@ def _range_size(fixed: int, universe: int, k: int) -> int:
 class GraphOracle(IndependenceOracle):
     """Exact oracle: independent iff d-separated in the given graph.
 
-    A pair the graph makes virtually adjacent (``_adjacent_masks``) is
+    Given the empty set, a pair is d-connected exactly when its endpoints
+    share an ancestor, read from ``_ancestor_masks`` with no walk. A pair
+    the graph makes virtually adjacent (``_adjacent_masks``) is
     dependent under every set and needs no walk. A subset level of
     ``_first_separator`` that none of its sets can separate is recorded
     as one range of dependent sets without a ``_decide`` call or a memo
@@ -353,7 +319,13 @@ class GraphOracle(IndependenceOracle):
     has vertices, when more than ``size`` paths between the pair share no
     candidate (``DirectedGraph._separator_bound``): in phase A most
     levels of a non-adjacent pair before the one that removes its edge.
-    The test is taken only when the class keeps this ``_decide``, so a
+    On a level the test does not settle, a set Z whose part Z ∩ An({i, j})
+    is smaller and already known to be dependent (``_known_dependent``)
+    is dependent too, since Z separates the pair only if that part does
+    (Tian, Paz & Pearl 1998; Spirtes 1995 for cyclic graphs), and is
+    memoised with no ``_decide`` call: in phase A, a set of neighbours
+    that holds some outside the pair's ancestral set. The level test and
+    this rule are taken only when the class keeps this ``_decide``, so a
     subclass that changes the answers is asked every set. Any other query
     resumes the walk from its first-named endpoint given the conditioning
     set, and that walk goes only as far as the other endpoint: its state
@@ -375,8 +347,74 @@ class GraphOracle(IndependenceOracle):
         if type(self)._decide is not GraphOracle._decide:  # answers are not d-separation's
             self._inseparable = None
 
+    def _ranged_level(
+        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int,
+        pair: int, label: str | None,
+    ) -> int | None:
+        """``_first_separator``'s level, under the lock. A level that
+        ``_inseparable`` settles is recorded as one range and its new sets
+        counted (``_settle``). Otherwise each set that is neither memoised
+        nor in a recorded range is decided or, when its part inside the
+        region An({i, j}) is smaller and known to be dependent
+        (``_known_dependent``), recorded dependent as if decided. A
+        dependent set is indexed with the pair's other decided dependent
+        sets of its size, the only decided sets a later range can hold."""
+        w = self._width
+        k = size + extra.bit_count()
+        level = k << 2 * w | pair
+        ancestors = self.graph._ancestor_masks
+        region = ancestors[i] | ancestors[j]
+        if self._inseparable(i, j, candidates, size, extra, region):
+            new = self._settle(level, k, extra, extra | sum(candidates))
+            if new:
+                self.stats.counts[label, k] += new
+            return None
+        memo = self._memo
+        decide = self._decide
+        ranges = self._ranges.get(level)
+        shared = ancestors[i] & ancestors[j]
+        new = 0
+        dependent = []
+        try:
+            for subset in combinations(candidates, size):
+                zmask = sum(subset) | extra
+                key = zmask << 2 * w | pair
+                answer = memo.get(key)
+                if answer is None:
+                    if ranges and _covered(ranges, zmask):
+                        continue
+                    inner = zmask & region
+                    if inner != zmask and self._known_dependent(pair, inner, shared):
+                        answer = memo[key] = False
+                    else:
+                        answer = memo[key] = bool(decide(i, j, zmask))
+                    new += 1
+                    if not answer:
+                        dependent.append(zmask)
+                if answer:
+                    return zmask
+        finally:
+            if new:
+                self.stats.counts[label, k] += new
+            if dependent:
+                self._decided.setdefault(level, []).extend(dependent)
+        return None
+
+    def _known_dependent(self, pair: int, zmask: int, shared: int) -> bool:
+        """True when the set zmask is known not to separate the packed
+        pair, whose endpoints share the ancestors ``shared``: it is empty
+        and they share one, it is memoised as dependent, or it lies in a
+        recorded range of its pair and size."""
+        if not zmask:
+            return bool(shared)
+        w = self._width
+        if self._memo.get(zmask << 2 * w | pair) is False:
+            return True
+        ranges = self._ranges.get(zmask.bit_count() << 2 * w | pair)
+        return bool(ranges) and _covered(ranges, zmask)
+
     def _inseparable(
-        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int
+        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int, region: int
     ) -> bool:
         """True when no set of the level separates i and j: when no set
         holding ``extra`` does (``DirectedGraph._inseparable``), or, for a
@@ -387,14 +425,15 @@ class GraphOracle(IndependenceOracle):
         past the rule above hold a separator, so their bound would be
         wasted. The bound is kept per (i, j, extra) with its candidate
         range and reused while the range shrinks, since fewer vertices to
-        cut never lower the minimum cut."""
+        cut never lower the minimum cut. ``region`` is the caller's
+        An({i, j}); A extends it by the ancestors of ``extra`` and is
+        handed to the bound, so it is built once per level."""
         g = self.graph
         if g._inseparable(i, j, extra):
             return True
         if size < 2:
             return False
         ancestors = g._ancestor_masks
-        region = ancestors[i] | ancestors[j]
         for k in _bits(extra):
             region |= ancestors[k]
         if comb(len(candidates), size) <= region.bit_count():
@@ -405,12 +444,15 @@ class GraphOracle(IndependenceOracle):
         cached = self._bounds.get(key)
         if cached is not None and cached[1] > size and not within & ~cached[0]:
             return True
-        bound = g._separator_bound(i, j, extra, within)
+        bound = g._separator_bound(i, j, extra, within, region)
         self._bounds[key] = within, bound
         return bound > size
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         g = self.graph  # masks and memos built on first use keep construction cheap
+        if not zmask:  # given nothing, d-connected exactly when they share an ancestor
+            ancestors = g._ancestor_masks
+            return not ancestors[i] & ancestors[j]
         if g._adjacent_masks[i] >> j & 1:
             return False
         n = self._n

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import insort
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable
 
 from .digraph import FORMAT_HEADER, DirectedGraph, ParseError, _Line, _check_label, _id_of, _read_lines
@@ -91,9 +91,9 @@ class Pag:
     def complete(cls, vertices: Iterable[str]) -> "Pag":
         """The all-circles complete graph the search starts from."""
         pag = cls(vertices)
-        ids = range(len(pag._vertices))
-        pag._adj = [[j for j in ids if j != i] for i in ids]
-        pag._marks = {(i, j): Mark.CIRCLE for i in ids for j in ids if i != j}
+        n = len(pag._vertices)
+        pag._adj = [[*range(i), *range(i + 1, n)] for i in range(n)]
+        pag._marks = dict.fromkeys(permutations(range(n), 2), Mark.CIRCLE)
         return pag
 
     @property

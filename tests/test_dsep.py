@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import threading
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,11 +28,13 @@ from ccdkit._reach import UnionMemo, reach_set
 from helpers import (
     LETTERS,
     all_queries,
+    cyclic_graphs,
     exhaustive_graphs,
     graphs,
     ordered_pairs,
     random_query,
     reference_reach_set,
+    subsets,
 )
 
 
@@ -139,6 +142,46 @@ def test_kernel_equals_the_ancestor_rule_on_every_graph_up_to_three_vertices():
                             parents, children = g._parent_unions, g._child_unions
                         got = reach_set(parents, children, x, z)
                         assert got == reference_reach_set(g, x, z), (g, x, z)
+
+
+def _check_ancestral_rules(g, i, j):
+    """The two rules GraphOracle answers from its ancestor masks, against
+    brute_force_d_connected for the pair i, j and every set of the other
+    vertices: given nothing, the pair is d-connected exactly when its
+    endpoints share an ancestor, and a set whose part inside An({i, j}) is
+    dependent is dependent. Then a GraphOracle, asked in either endpoint
+    order the empty set and every other set as a level of one set, in size
+    order so that each set's part inside An({i, j}) is known before it,
+    gives the brute-force answer to each."""
+    x, y = g.vertices[i], g.vertices[j]
+    ancestors = g._ancestor_masks
+    region = ancestors[i] | ancestors[j]
+    rest = [k for k in range(len(g.vertices)) if k not in (i, j)]
+    sets = [sum(1 << k for k in s) for s in subsets(rest)]
+    connected = {z: brute_force_d_connected(g, x, y, g._labels(z)) for z in sets}
+    assert connected[0] == bool(ancestors[i] & ancestors[j]), (g, x, y)
+    for z in sets:
+        assert connected[z] or not connected[z & region], (g, x, y, g._labels(z))
+    for a, b in ((i, j), (j, i)):
+        oracle = GraphOracle(g)
+        for z in sets:
+            members = [1 << k for k in rest if z >> k & 1]
+            found = oracle._first_separator(a, b, members, len(members))
+            assert (found is None) == connected[z], (g, x, y, g._labels(z))
+
+
+def test_ancestral_rules_on_every_graph_up_to_four_vertices():
+    for n in range(2, 5):
+        for g in exhaustive_graphs(tuple(LETTERS[:n])):
+            for i, j in combinations(range(n), 2):
+                _check_ancestral_rules(g, i, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_graphs(min_vertices=5, max_vertices=8), st.data())
+def test_ancestral_rules_on_cyclic_graphs(g, data):
+    i, j = data.draw(st.sampled_from(list(combinations(range(len(g.vertices)), 2))), label="pair")
+    _check_ancestral_rules(g, i, j)
 
 
 def test_union_memos_belong_to_one_graph():

@@ -42,6 +42,7 @@ from ccdkit import (
 )
 
 import ccdkit.ccd
+import ccdkit.oracle
 from ccdkit.fisherz import _Residuals, _sweep, _triangle, _Triangle
 from helpers import (
     DecideOnlyNoisyOracle,
@@ -462,9 +463,10 @@ def test_an_oracle_that_changes_decide_is_asked_every_new_set_of_an_adjacent_pai
 
 
 def test_decide_calls_per_phase_on_the_16_vertex_graph():
-    # the inseparable-level rule and the separator bound leave these sets
-    # to _decide, of 7,196 distinct queries; 2,867 phase A calls without the
-    # bound, so a change that silently turns it off fails here
+    # the inseparable-level rule, the separator bound and the ancestral
+    # rule leave these sets to _decide, of 7,196 distinct queries; 2,867
+    # phase A calls without the bound and 1,580 without the ancestral rule,
+    # so a change that silently turns either off fails here
     g = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
     oracle = GraphOracle(g)
     calls = dict.fromkeys("ACDF", 0)
@@ -477,12 +479,14 @@ def test_decide_calls_per_phase_on_the_16_vertex_graph():
     oracle._decide = counted
     run_ccd(oracle, g.vertices)
     assert oracle.stats.total() == 7196
-    assert calls == {"A": 1580, "C": 76, "D": 4, "F": 0}
+    assert calls == {"A": 1235, "C": 76, "D": 4, "F": 0}
 
 
 def test_the_memo_holds_only_decided_queries_on_the_16_vertex_graph():
     # settled levels are kept as ranges, so the memo holds the 1,660 sets
-    # _decide answered, not all 7,196 distinct queries
+    # decided one by one, not all 7,196 distinct queries: the 1,315 that
+    # _decide answered and 345 whose part inside An({i, j}) was known to
+    # be dependent
     g = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
     oracle = GraphOracle(g)
     calls = []
@@ -494,8 +498,19 @@ def test_the_memo_holds_only_decided_queries_on_the_16_vertex_graph():
 
     oracle._decide = counted
     run_ccd(oracle, g.vertices)
-    assert len(calls) == len(oracle._memo) == 1660
+    assert len(calls) == 1315
+    assert len(oracle._memo) == 1660
     assert oracle.stats.total() == len(known_queries(oracle)) == 7196
+
+
+def test_walks_on_the_16_vertex_graph():
+    # the empty set is answered from the ancestor masks and a set whose
+    # part inside An({i, j}) is known to be dependent is not decided, so
+    # 646 walks run where 899 did without either rule
+    g = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
+    with mock.patch.object(ccdkit.oracle, "walk", wraps=ccdkit.oracle.walk) as walk:
+        run_ccd(GraphOracle(g), g.vertices)
+    assert walk.call_count == 646
 
 
 def test_a_set_of_a_settled_level_asked_under_another_label_is_dependent_and_not_recounted():
