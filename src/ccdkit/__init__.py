@@ -22,12 +22,7 @@ from .digraph import (
     random_graph,
     serialize_graph,
 )
-from .dsep import (
-    brute_force_d_connected,
-    d_connected,
-    d_separated,
-    witness_separator,
-)
+from .dsep import brute_force_d_connected, d_connected, d_separated
 from .equiv import all_graphs, enumerate_equiv_class, fingerprint, markov_equivalent
 from .oracle import GraphOracle, IndependenceOracle, OracleStats
 from .pag import (
@@ -121,5 +116,4 @@ __all__ = [
     "serialize_sem",
     "to_dot",
     "verify_pag_against_graph",
-    "witness_separator",
 ]

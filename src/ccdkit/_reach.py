@@ -28,9 +28,9 @@ member of ``target`` and hands back its state, the seen set and the
 frontier per arrival direction. Passing that state in again resumes the
 walk where it stopped, for a later target; a walk that has reached its
 fixpoint has an empty frontier and answers every target from its seen
-sets. ``reach_set`` is the walk run to its fixpoint. Vertex sets are
-Python ints used as bitmasks over a fixed vertex order, so graphs of any
-width are supported and callers need not build a ``DirectedGraph``.
+sets. Vertex sets are Python ints used as bitmasks over a fixed vertex
+order, so graphs of any width are supported and callers need not build a
+``DirectedGraph``.
 
 A graph reaches the kernel as two ``UnionMemo`` objects, one over its
 parent masks and one over its child masks. Each level of the walk is then
@@ -104,13 +104,3 @@ def walk(
         seen_out |= front_out
     return seen_in, seen_out, front_in, front_out
 
-
-def reach_set(
-    parents: Mapping[int, int], children: Mapping[int, int], x_mask: int, z_mask: int
-) -> int:
-    """Mask of every vertex outside x and z that is d-connected to x given z.
-
-    The walk from x run to its fixpoint; x and z must be disjoint.
-    """
-    seen_in, seen_out, _, _ = walk(parents, children, z_mask, (0, x_mask, 0, x_mask))
-    return (seen_in | seen_out) & ~(x_mask | z_mask)

@@ -20,15 +20,6 @@ order, and returns the first that separates x from y, or None. Phases A
 and D pass a whole subset level per call; phases C and F ask one set,
 as ``extra`` with no candidates.
 
-- when the oracle's class keeps ``IndependenceOracle.is_independent``
-  and the oracle's vertices are the PAG's, its indices are the PAG ids,
-  and the callable is ``_first_separator``, the internal entry that owns
-  the memo and the statistics, with no label handling per query;
-- otherwise, as for a search over a subset of the oracle's vertices, a
-  subclass that overrides ``is_independent`` or a wrapper that offers
-  only the label interface, it asks ``is_independent`` with the PAG's
-  labels, once per set, in the same order.
-
 ``pag_of_graph`` gives the PAG of a known graph without phase A: the
 graph itself yields the skeleton and a separator for each removed pair,
 and phases B-F run as in ``run_ccd``.
@@ -143,10 +134,12 @@ def _route(oracle: IndependenceOracle, psi: Pag) -> Callable[..., int | None]:
     ``first_separator(x, y, candidates, size, extra)``.
 
     ``_first_separator`` itself when the oracle's class keeps the base
-    ``is_independent`` and the oracle's vertices are the PAG's. Otherwise
-    each set goes to ``is_independent`` with labels, the conditioning set
-    in label order, after every PAG vertex has been checked against the
-    oracle's, so an unknown one raises UnknownVertexError before any query.
+    ``is_independent`` and the oracle's vertices are the PAG's. Otherwise,
+    as for an oracle that overrides ``is_independent`` or a search over a
+    subset of its vertices, each set goes to ``is_independent`` with
+    labels, in the same order, the conditioning set in label order, after
+    every PAG vertex has been checked against the oracle's, so an unknown
+    one raises UnknownVertexError before any query.
     """
     names = psi.vertices
     keeps_base = type(oracle).is_independent is IndependenceOracle.is_independent

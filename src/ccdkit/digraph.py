@@ -252,9 +252,7 @@ class DirectedGraph:
                     return True
         return False
 
-    def _separator_bound(
-        self, i: int, j: int, given: int, within: int, region: int | None = None
-    ) -> float:
+    def _separator_bound(self, i: int, j: int, given: int, within: int, region: int) -> float:
         """A lower bound on |Z \\ given| over the sets Z, given ⊆ Z ⊆ given ∪
         within, that d-separate the vertices i and j; ``math.inf`` exactly
         when no such Z does. ``given`` and ``within`` are disjoint masks
@@ -271,14 +269,8 @@ class DirectedGraph:
         the path's ``within`` members for the next search. A path with no
         such member means nothing can cut it. A search step from a set F
         reads the kernel's memos, N(F) = pa(F) ∪ K ∪ pa(K) with K = ch(F) ∩
-        A, so no moral graph is built. A caller that has A at hand passes it
-        as ``region``; otherwise it is built here.
+        A, so no moral graph is built. The caller passes A as ``region``.
         """
-        if region is None:
-            ancestors = self._ancestor_masks
-            region = ancestors[i] | ancestors[j]
-            for k in _bits(given):
-                region |= ancestors[k]
         parents, children = self._parent_unions, self._child_unions
         source, target = 1 << i, 1 << j
         passable = region & ~given

@@ -34,12 +34,7 @@ from typing import Iterable, Iterator
 from ._reach import walk
 from .digraph import DirectedGraph, _as_vertex_set, _mask_of
 
-__all__ = [
-    "d_connected",
-    "d_separated",
-    "brute_force_d_connected",
-    "witness_separator",
-]
+__all__ = ["d_connected", "d_separated", "brute_force_d_connected"]
 
 
 def _check_sets(x: frozenset[str], y: frozenset[str], z: frozenset[str]) -> None:
@@ -161,25 +156,3 @@ def _path_active(
             return False
     return True
 
-
-def witness_separator(
-    g: DirectedGraph,
-    x: str,
-    y: str,
-    q: Iterable[str] | str = (),
-) -> frozenset[str]:
-    """Candidate separating set built from local structure around x.
-
-    Take s = children(x) restricted to ancestors of {x, y} union q; the
-    result is parents(s + {x}) together with s, minus descendants of
-    common children of x and y, minus the endpoints. Whenever neither
-    endpoint is a parent of the other and no common child is an ancestor
-    of either, the result d-separates x from y; callers can check that
-    antecedent with ``adjacent_in_graph``. The set is returned either way.
-    """
-    extra = _as_vertex_set(q)
-    _check_endpoints(x, y, extra)
-    s = g.children(x) & g.ancestors(frozenset((x, y)) | extra)
-    pool = s | frozenset().union(*(g.parents(v) for v in s | {x}))
-    banned = g.descendants(g.children(x) & g.children(y)) | {x, y}
-    return pool - banned

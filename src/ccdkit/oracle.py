@@ -2,60 +2,21 @@
 accounting every oracle shares.
 
 ``IndependenceOracle`` is the interface; ``GraphOracle`` answers by
-d-separation in a known graph: the empty set and a virtually adjacent
-pair from the graph's masks, any other query by a reachability walk that
-stops at the asked vertex and is kept, as one packed int, per (endpoint,
-conditioning set) for later queries to resume; a subset level that no
-set holding its fixed vertices can separate, or whose sets are too small
-to cut every path between the pair, is recorded at once as one range of
-dependent sets, with no walk, and a set of a level whose part inside
-An({i, j}) is already known to be dependent is dependent with no walk.
-The statistical oracle, ``FisherZOracle``, lives in
-``fisherz.py`` with the rest of the numpy-backed code, so this module
-and the search that uses it load without numpy.
+d-separation in a known graph. The statistical oracle, ``FisherZOracle``,
+lives in ``fisherz.py`` with the rest of the numpy-backed code, so this
+module and the search that uses it load without numpy.
 
-A query has two entries. The public ``is_independent`` validates labels
-by the rules ``dsep.py`` states for every query entry and maps them to
-vertex indices. The internal ``_first_separator(i, j, candidates, size,
-extra)`` takes indices and asks a whole level of a separator search in
-one call: the set ``sum(subset) | extra`` for each size-``size`` subset
-of the candidate bitmasks, in ``combinations`` order, until one
-separates i from j. Its caller passes distinct one-vertex candidates,
-disjoint from ``extra``, none holding i or j, so all sets of one call
-have one size. It alone reads and writes the memo and the statistics.
-A call that asks one set (``size`` 0, the set ``extra``), as
-``is_independent``, phases C and F and level 0 of phases A and D do,
-reads the memo before it takes the lock: a dict read is atomic and an
-entry never changes once written, so a hit returns with no lock, no
-phase label and no counting. A miss takes the lock, reads the memo
-again, and decides, memoises and counts the query under it. A larger
-level takes the lock, reads the phase label and updates the statistics
-once per call, not once per query. An oracle whose ``_inseparable``
-level test says that no set of the level separates the pair records the
-level as one range per unordered pair and set size k, ``(extra, extra |
-sum(candidates))``: every k-set between the two masks is dependent. Its
-sets are counted as the per-set loop would count them, with no
-``_decide`` call and no memo entry, so the memo holds only the queries
-asked one by one. A memo miss of such an oracle is checked against its
-pair's ranges of that size before ``_decide``: a covered set is
-dependent and not counted again. On a level it does not settle, a set
-whose part inside An({i, j}) is smaller and known to be dependent is
-memoised and counted as dependent without ``_decide``. Only
-``GraphOracle`` has the test, and asks its levels through its own
-``_ranged_level``, and only while its class keeps its ``_decide``, so an
-oracle that answers otherwise sees every query, keeps no range and pays
-no range check.
-The search in ``ccd.py`` calls ``_first_separator`` directly when the
-oracle's class keeps the base ``is_independent`` and its vertices are
-the searched ones, so that its indices are the PAG's ids, and
-``is_independent`` with labels otherwise, once per set in the same
-order, so an oracle that overrides ``is_independent`` still sees every
-query. The memo is keyed on one packed int per unordered pair and set;
-statistics count each distinct query once, attributed to the search
-phase that first asked it. The memo, the ranges, the caches and the
-counters are written only under a lock, and the phase label belongs to
-the thread that set it, so an oracle instance can be shared across
-threads.
+A query has two entries: the public ``is_independent`` takes labels, and
+the internal ``_first_separator`` takes vertex indices and a whole level
+of a separator search; ``ccd._route`` chooses between them.
+``_first_separator`` alone reads and writes the memo and the statistics.
+The memo keeps each answer under one packed int per unordered pair and
+set. The statistics count each distinct query once, under the phase that
+first asked it and the size of its set.
+
+The memo, the ranges, the caches and the counters are written only under
+a lock, and the phase label belongs to the thread that set it, so an
+oracle instance can be shared across threads.
 """
 from __future__ import annotations
 
@@ -108,27 +69,7 @@ class _PhaseLabel(threading.local):
 
 
 class IndependenceOracle:
-    """Base answering service; subclasses implement ``_decide``.
-
-    ``is_independent(x, y, s)`` takes the conditioning set ``s`` as an
-    iterable of labels; a bare label means the set of that one vertex, as
-    in ``d_separated``. The endpoints and the members of ``s`` are read
-    as labels through ``str``. It validates the query and hands it to
-    ``_first_separator`` as the one set to ask.
-
-    ``_first_separator(i, j, candidates, size, extra)`` is the internal
-    entry the search phases call: distinct indices into ``vertices``,
-    candidate one-vertex bitmasks and an ``extra`` bitmask, none holding
-    i or j, unchecked. It owns the memo, the statistics and the lock. The
-    phases use it only when ``type(oracle).is_independent`` is this
-    class's method and ``vertices`` are the PAG's; a subclass that
-    overrides ``is_independent``, or a search over other vertices, asks
-    through ``is_independent``, with labels, in the same order.
-
-    ``_decide(i, j, zmask)`` receives the endpoints as indices into
-    ``vertices``, in the order the caller named them, and the conditioning
-    set as a bitmask over the same indices.
-    """
+    """Base answering service; subclasses implement ``_decide``."""
 
     # the level test of an oracle that asks its levels through its own
     # _ranged_level, which settles a level that no set of it separates
@@ -152,6 +93,10 @@ class IndependenceOracle:
         self._phase = _PhaseLabel()
 
     def is_independent(self, x: str, y: str, s: Iterable[str] | str = ()) -> bool:
+        """Whether x and y are independent given the set ``s``; a bare label
+        is the set of that one vertex, as in ``d_separated``. Endpoints and
+        members are read as labels through ``str``, validated as ``dsep.py``
+        states, and asked through ``_first_separator`` as its one set."""
         s = frozenset(str(v) for v in _as_vertex_set(s))
         x, y = str(x), str(y)
         _check_endpoints(x, y, s)
@@ -165,30 +110,25 @@ class IndependenceOracle:
         over the size-``size`` subsets of ``candidates`` in ``combinations``
         order, or None when none does.
 
-        The one entry that reads and writes the memo and the stats, each
-        distinct query counted under the size of its whole set. The caller
-        passes distinct one-vertex ``candidates``, disjoint from ``extra``,
-        none holding i or j, so every set of one call has the size
-        ``size + extra.bit_count()``. With ``size`` 0 the one set is
-        ``extra``: the memo is read first without the lock, and only a miss
-        takes it, reads the memo again and decides and counts the query.
-        Otherwise the lock is held for the whole level and the stats are
-        updated once per call, with the call's new decisions, even when
-        ``_decide`` raises. Either way the raising query is neither
-        memoised nor counted. An oracle with a level test goes through
-        its ``_ranged_level`` instead: when the level test holds, under the
-        lock, no set of the level separates the pair, so the level is
-        recorded as one range of dependent sets, its new sets are counted,
-        and None is returned with no ``_decide`` call, as the loop would
-        leave them; otherwise, and on a one-set miss, a set inside a
-        recorded range of its pair and size is dependent without
-        ``_decide`` and without a count, and on a level, a set whose part
-        inside An({i, j}) is smaller and known to be dependent is memoised
-        and counted as dependent without ``_decide``. This is still the one
-        entry to the memo and the ranges. The memo key packs the
-        set and the unordered pair into one int, ``zmask << 2w | lo << w |
-        hi`` with ``w`` bits per index; a range's key packs k in place of
-        the set.
+        The caller passes distinct indices i and j and distinct one-vertex
+        ``candidates``, disjoint from ``extra``, none holding i or j,
+        unchecked, so every set of one call has the size ``size +
+        extra.bit_count()``, under which its new queries are counted. The
+        memo key packs the set and the unordered pair into one int,
+        ``zmask << 2w | lo << w | hi`` with ``w`` bits per index.
+
+        With ``size`` 0 the one set is ``extra``, as ``is_independent``,
+        phases C and F and level 0 of phases A and D ask it. The memo is
+        read first without the lock: a dict read is atomic and an entry
+        never changes once written, so a hit returns with no lock, no phase
+        label and no count. A miss takes the lock, reads the memo again,
+        and decides, memoises and counts the query; for an oracle with a
+        level test, a set in a recorded range of its pair and size is
+        dependent and not counted again. A larger level holds the lock for
+        the whole call and goes through ``_ranged_level`` for an oracle with
+        a level test; it updates the statistics once, with the call's new
+        decisions even when a later ``_decide`` raises. Either way the
+        raising query is neither memoised nor counted.
         """
         w = self._width
         pair = i << w | j if i < j else j << w | i
@@ -207,7 +147,7 @@ class IndependenceOracle:
                             if ranges and _covered(ranges, extra):
                                 return None
                             answer = memo[key] = bool(self._decide(i, j, extra))
-                            if not answer:  # a separating set lies in no range
+                            if not answer:
                                 self._decided.setdefault(level, []).append(extra)
                         else:
                             answer = memo[key] = bool(self._decide(i, j, extra))
@@ -237,12 +177,17 @@ class IndependenceOracle:
     def _settle(self, level: int, k: int, fixed: int, universe: int) -> int:
         """Record the range of the k-sets Z with fixed ⊆ Z ⊆ universe as
         dependent under ``level`` (k and the packed pair), and return how
-        many of them were not known before: all of them, minus those in the
-        level's earlier ranges, counted by inclusion–exclusion over their
-        intersections (again ranges: the union of the fixed masks, the
-        intersection of the universes), minus the decided sets inside it and
-        outside those ranges. A range with no new set, and an earlier range
-        inside the new one, are not kept."""
+        many of them were not known before, which the caller counts as the
+        per-set loop would have counted them. The range's sets get no memo
+        entry, so the memo holds only the queries asked one by one.
+
+        The new sets are all of them, minus those in the level's earlier
+        ranges, counted by inclusion–exclusion over their intersections
+        (again ranges: the union of the fixed masks, the intersection of
+        the universes), minus the decided dependent sets of ``_decided``
+        inside it and outside those ranges; a separating set lies in no
+        range, so only dependent sets are indexed. A range with no new set,
+        and an earlier range inside the new one, are not kept."""
         new = _range_size(fixed, universe, k)
         if not new:
             return 0
@@ -272,6 +217,8 @@ class IndependenceOracle:
         return new
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
+        """Whether i and j, indices into ``vertices`` in the caller's order,
+        are independent given the set of the bitmask ``zmask``."""
         raise NotImplementedError
 
     @contextmanager
@@ -304,34 +251,10 @@ def _range_size(fixed: int, universe: int, k: int) -> int:
 class GraphOracle(IndependenceOracle):
     """Exact oracle: independent iff d-separated in the given graph.
 
-    Given the empty set, a pair is d-connected exactly when its endpoints
-    share an ancestor, read from ``_ancestor_masks`` with no walk. A pair
-    the graph makes virtually adjacent (``_adjacent_masks``) is
-    dependent under every set and needs no walk. A subset level of
-    ``_first_separator`` that none of its sets can separate is recorded
-    as one range of dependent sets without a ``_decide`` call or a memo
-    entry (the level test ``_inseparable``):
-    when no set holding ``extra`` separates the pair
-    (``DirectedGraph._inseparable``: in phase A a virtually adjacent
-    pair, in phase D flanks with a common child that is an ancestor of
-    the collider middle every set holds), or, on a level that takes two
-    or more candidates a set and has more sets than An({i, j} ∪ extra)
-    has vertices, when more than ``size`` paths between the pair share no
-    candidate (``DirectedGraph._separator_bound``): in phase A most
-    levels of a non-adjacent pair before the one that removes its edge.
-    On a level the test does not settle, a set Z whose part Z ∩ An({i, j})
-    is smaller and already known to be dependent (``_known_dependent``)
-    is dependent too, since Z separates the pair only if that part does
-    (Tian, Paz & Pearl 1998; Spirtes 1995 for cyclic graphs), and is
-    memoised with no ``_decide`` call: in phase A, a set of neighbours
-    that holds some outside the pair's ancestral set. The level test and
-    this rule are taken only when the class keeps this ``_decide``, so a
-    subclass that changes the answers is asked every set. Any other query
-    resumes the walk from its first-named endpoint given the conditioning
-    set, and that walk goes only as far as the other endpoint: its state
-    is kept per (endpoint, conditioning set), packed into one int, so
-    queries sharing that endpoint and the set continue one walk instead
-    of starting another, and a target it has already seen costs no step.
+    ``_decide`` answers one query with at most one resumed walk. A subset
+    level of the search goes through ``_ranged_level``, where the level
+    test (``_inseparable``) and the ancestral rule (``_known_dependent``)
+    answer most of its sets without ``_decide``.
     """
 
     def __init__(self, graph: DirectedGraph):
@@ -344,7 +267,10 @@ class GraphOracle(IndependenceOracle):
         # keyed extra << 2w | i << w | j; (within, _separator_bound) of the
         # last bounded level of that pair and extra
         self._bounds: dict[int, tuple[int, float]] = {}
-        if type(self)._decide is not GraphOracle._decide:  # answers are not d-separation's
+        # the level test and the ancestral rule derive answers from
+        # d-separation, so a subclass that changes _decide is asked every
+        # set, keeps no range and pays no range check
+        if type(self)._decide is not GraphOracle._decide:
             self._inseparable = None
 
     def _ranged_level(
@@ -352,13 +278,11 @@ class GraphOracle(IndependenceOracle):
         pair: int, label: str | None,
     ) -> int | None:
         """``_first_separator``'s level, under the lock. A level that
-        ``_inseparable`` settles is recorded as one range and its new sets
-        counted (``_settle``). Otherwise each set that is neither memoised
-        nor in a recorded range is decided or, when its part inside the
-        region An({i, j}) is smaller and known to be dependent
-        (``_known_dependent``), recorded dependent as if decided. A
-        dependent set is indexed with the pair's other decided dependent
-        sets of its size, the only decided sets a later range can hold."""
+        ``_inseparable`` settles is recorded as one range (``_settle``) and
+        its new sets counted. Otherwise each set that is neither memoised
+        nor in a recorded range is decided, or recorded dependent as if
+        decided when ``_known_dependent`` holds for its smaller part inside
+        An({i, j}). A dependent set is indexed in ``_decided``."""
         w = self._width
         k = size + extra.bit_count()
         level = k << 2 * w | pair
@@ -401,10 +325,15 @@ class GraphOracle(IndependenceOracle):
         return None
 
     def _known_dependent(self, pair: int, zmask: int, shared: int) -> bool:
-        """True when the set zmask is known not to separate the packed
-        pair, whose endpoints share the ancestors ``shared``: it is empty
-        and they share one, it is memoised as dependent, or it lies in a
-        recorded range of its pair and size."""
+        """The ancestral rule: True when the set zmask, inside An({i, j}),
+        is known not to separate the packed pair i, j, whose endpoints share
+        the ancestors ``shared``: it is empty and they share one, it is
+        memoised as dependent, or it lies in a recorded range of its pair
+        and size. Then every set Z with Z ∩ An({i, j}) = zmask is dependent
+        too, since Z separates the pair only if that part does, by the
+        moral-graph criterion (Tian, Paz & Pearl 1998; Spirtes 1995 for
+        cyclic graphs). In phase A this is a set of neighbours that holds
+        some outside the pair's ancestral set."""
         if not zmask:
             return bool(shared)
         w = self._width
@@ -416,18 +345,22 @@ class GraphOracle(IndependenceOracle):
     def _inseparable(
         self, i: int, j: int, candidates: Sequence[int], size: int, extra: int, region: int
     ) -> bool:
-        """True when no set of the level separates i and j: when no set
-        holding ``extra`` does (``DirectedGraph._inseparable``), or, for a
-        level of ``size`` 2 or more with more sets than A = An({i, j} ∪
-        extra) has vertices, when ``DirectedGraph._separator_bound`` over
-        the candidates exceeds ``size``. A smaller level costs less to ask
-        than to bound; on sparse graphs most one-candidate levels that get
-        past the rule above hold a separator, so their bound would be
-        wasted. The bound is kept per (i, j, extra) with its candidate
-        range and reused while the range shrinks, since fewer vertices to
-        cut never lower the minimum cut. ``region`` is the caller's
-        An({i, j}); A extends it by the ancestors of ``extra`` and is
-        handed to the bound, so it is built once per level."""
+        """The level test: True when no set of the level separates i and j.
+
+        Either no set holding ``extra`` does (``DirectedGraph._inseparable``:
+        in phase A a virtually adjacent pair, in phase D flanks with a
+        common child that is an ancestor of the collider middle every set
+        holds), or the level takes ``size`` 2 or more candidates, has more
+        sets than A = An({i, j} ∪ extra) has vertices, and
+        ``DirectedGraph._separator_bound`` over the candidates exceeds
+        ``size``: in phase A most levels of a non-adjacent pair before the
+        one that removes its edge. A smaller level costs less to ask than to
+        bound; on sparse graphs most one-candidate levels that get past the
+        first rule hold a separator. The bound is kept per (i, j, extra)
+        with its candidate range and reused while the range shrinks, since
+        fewer vertices to cut never lower the minimum cut. ``region`` is
+        the caller's An({i, j}); A extends it and is built once per level.
+        """
         g = self.graph
         if g._inseparable(i, j, extra):
             return True
@@ -449,8 +382,14 @@ class GraphOracle(IndependenceOracle):
         return bound > size
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
+        """Given the empty set, i and j are d-connected exactly when they
+        share an ancestor, and a virtually adjacent pair is dependent given
+        every set; neither needs a walk. Otherwise the walk from i given
+        zmask resumes from its state kept in ``_walks``, only until it sees
+        j, so queries that share the endpoint and the set continue one walk,
+        and a target it has already seen costs no step."""
         g = self.graph  # masks and memos built on first use keep construction cheap
-        if not zmask:  # given nothing, d-connected exactly when they share an ancestor
+        if not zmask:
             ancestors = g._ancestor_masks
             return not ancestors[i] & ancestors[j]
         if g._adjacent_masks[i] >> j & 1:

@@ -17,7 +17,6 @@ from ccdkit import (
     d_connected,
     d_separated,
     verify_pag_against_graph,
-    witness_separator,
 )
 from ccdkit.ccd import CcdState, _harden
 from ccdkit.digraph import _check_label
@@ -384,6 +383,22 @@ def check_inseparable_pairs(g):
             if d_separated(g, x, y, s):
                 bad.append(f"{x},{y} separated by {sorted(s)} despite adjacency")
     return bad
+
+
+def witness_separator(g, x, y, q=()):
+    """Candidate separating set built from local structure around x.
+
+    Take s = children(x) restricted to ancestors of {x, y} union q; the
+    result is parents(s + {x}) together with s, minus descendants of
+    common children of x and y, minus the endpoints. Whenever neither
+    endpoint is a parent of the other and no common child is an ancestor
+    of either, the result d-separates x from y; callers can check that
+    antecedent with ``adjacent_in_graph``. The set is returned either way.
+    """
+    s = g.children(x) & g.ancestors(frozenset((x, y)) | frozenset(q))
+    pool = s | frozenset().union(*(g.parents(v) for v in s | {x}))
+    banned = g.descendants(g.children(x) & g.children(y)) | {x, y}
+    return pool - banned
 
 
 def check_witness_separator(g):

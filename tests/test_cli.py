@@ -10,6 +10,7 @@ import pytest
 from ccdkit import (
     DataMatrix,
     FisherZOracle,
+    GraphOracle,
     Mark,
     SingularCovarianceWarning,
     parse_graph,
@@ -414,6 +415,29 @@ def test_equiv_class_refuses_more_than_the_candidate_limit(capsys, tmp_path):
     code, out, err = run_cli(capsys, "equiv", "--class", "--graph", str(chain))
     assert (code, out) == (3, "")
     assert "k = 8 adjacent pairs" in err
+
+
+@pytest.mark.parametrize("command", ["equiv", "discover"])
+def test_running_out_of_memory_is_a_data_error(capsys, tmp_path, monkeypatch, command):
+    # exit 1 would read as "not equivalent"; the oracle fails as an input
+    # too large for the search would, after some queries
+    graph = tmp_path / "g16.graph"
+    labels = [f"V{k:02d}" for k in range(16)]
+    graph.write_text(serialize_graph(random_graph(labels, 0.12, random.Random(1608))))
+    decide, calls = GraphOracle._decide, [0]
+
+    def exhausted(self, i, j, zmask):
+        calls[0] += 1
+        if calls[0] > 50:
+            raise MemoryError
+        return decide(self, i, j, zmask)
+
+    monkeypatch.setattr(GraphOracle, "_decide", exhausted)
+    argv = ["--graph", str(graph)] * (2 if command == "equiv" else 1)
+    code, out, err = run_cli(capsys, command, *argv)
+    assert calls[0] > 50
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: out of memory; the input is too large for the search"]
 
 
 def test_verify_sound_pag(capsys, tmp_path, golden):

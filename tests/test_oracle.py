@@ -387,7 +387,7 @@ def bounded_levels(draw):
     ancestors = g._ancestor_masks
     region = ancestors[i] | ancestors[j] | sum(ancestors[v] for v in range(n) if extra >> v & 1)
     assume(all(math.comb(len(c), s) > region.bit_count() for c, s in levels))
-    assume(g._separator_bound(i, j, extra, sum(candidates)) > size + 1)
+    assume(g._separator_bound(i, j, extra, sum(candidates), region) > size + 1)
     return g, i, j, levels, extra
 
 
@@ -511,6 +511,41 @@ def test_walks_on_the_16_vertex_graph():
     with mock.patch.object(ccdkit.oracle, "walk", wraps=ccdkit.oracle.walk) as walk:
         run_ccd(GraphOracle(g), g.vertices)
     assert walk.call_count == 646
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [
+        (16, 0.12, 1608),
+        (32, 0.06, 32),
+        # exact_wide's first graph: the separator bound settles none of its
+        # levels, so they go through the per-set loop, where the ancestral
+        # rule answers many sets without _decide
+        (48, 0.02, 4800),
+    ],
+)
+def test_the_shortcuts_change_no_search(n, p, seed):
+    # GraphOracle's level test and ancestral rule against EverySet, which
+    # asks every set one at a time
+    g = random_graph([f"V{k:02d}" for k in range(n)], p, random.Random(seed))
+    runs, calls = [], []
+    for oracle in (GraphOracle(g), EverySet(g)):
+        decide, count = oracle._decide, [0]
+
+        def counted(i, j, zmask, decide=decide, count=count):
+            count[0] += 1
+            return decide(i, j, zmask)
+
+        oracle._decide = counted
+        pag, state = run_ccd(oracle, g.vertices)
+        known = known_queries(oracle)
+        assert state.stats.total() == len(known)
+        runs.append((serialize_pag(pag), state.sepset, state.supset, state.stats.rows(), known))
+        calls.append(count[0])
+    assert oracle._inseparable is None
+    assert runs[0] == runs[1]
+    if n == 48:
+        assert calls[0] < calls[1]
 
 
 def test_a_set_of_a_settled_level_asked_under_another_label_is_dependent_and_not_recounted():

@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from ccdkit import DirectedGraph, brute_force_d_connected, witness_separator
+from ccdkit import DirectedGraph, brute_force_d_connected
 
 from helpers import (
     LETTERS,
@@ -28,6 +28,7 @@ from helpers import (
     two_cycle_graph,
     graphs,
     subsets,
+    witness_separator,
 )
 
 
@@ -114,7 +115,12 @@ def _check_separator_bound(g):
         x, y = g.vertices[i], g.vertices[j]
         sets = [sum(1 << k for k in s) for s in subsets(k for k in range(n) if k not in (i, j))]
         separators = [z for z in sets if not brute_force_d_connected(g, x, y, g._labels(z))]
+        ancestors = g._ancestor_masks
         for given in sets:
+            region = ancestors[i] | ancestors[j]  # A = An({i, j} ∪ given)
+            for k in range(n):
+                if given >> k & 1:
+                    region |= ancestors[k]
             for within in sets:
                 if within & given:
                     continue
@@ -124,7 +130,7 @@ def _check_separator_bound(g):
                     if z & given == given and not z & ~(given | within)
                 ]
                 for a, b in ((i, j), (j, i)):
-                    bound = g._separator_bound(a, b, given, within)
+                    bound = g._separator_bound(a, b, given, within, region)
                     context = (g, x, y, g._labels(given), g._labels(within), bound)
                     assert (bound == math.inf) == (not sizes), context
                     assert all(size >= bound for size in sizes), context
