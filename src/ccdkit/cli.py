@@ -12,8 +12,9 @@ Exit codes: 0 success (or a positive predicate answer), 1 negative
 predicate answer, 2 usage or file errors (overlapping ``dsep`` vertices
 and an input file that is not UTF-8 text included), 3 data-quality
 problems (bad numeric content, singular models, conflicts under
---strict, a class with more than 4^7 candidates, an input too large for
-the search to fit in memory).
+--strict, a class with more than 4^7 candidates, a ``verify`` PAG and
+graph of different vertex sets, an input too large for the search to
+fit in memory).
 Everything deterministic goes to stdout; timing and conflict diagnostics
 go to stderr, so stdout is byte-identical across runs on identical inputs.
 ``discover --data`` silences ``SingularCovarianceWarning`` and prints one

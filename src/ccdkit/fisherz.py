@@ -14,10 +14,10 @@ upper triangle of the residual covariance, built by symmetric sweep steps
 ``partial_correlation_from_covariance`` builds a store over its labels in
 label order, as the oracle holds its vertices, so the two compute r
 bit-for-bit alike; ``partial_correlation`` reads its columns' sample
-covariance through it. A Fisher-z decision has one entry,
-``FisherZOracle.is_independent``, which compares |r| with a threshold per
-set size and computes the statistic only near it; ``fisher_z_statistic``
-is the statistic alone, kept for reporting.
+covariance through it. ``FisherZOracle._decide``, reached through the
+base ``_first_separator``, compares |r| with a threshold per set size and
+computes the statistic only near it; ``fisher_z_statistic`` is the
+statistic alone, kept for reporting.
 ``partial_correlation_recursive`` stays an independent cross-check; it
 applies the same 1e-12 bound to a variable the set determines. A query
 it cannot test counts as dependent, per reason in

@@ -8,11 +8,12 @@ module and the search that uses it load without numpy.
 
 A query has two entries: the public ``is_independent`` takes labels, and
 the internal ``_first_separator`` takes vertex indices and a whole level
-of a separator search; ``ccd._route`` chooses between them.
-``_first_separator`` alone reads and writes the memo and the statistics.
-The memo keeps each answer under one packed int per unordered pair and
-set. The statistics count each distinct query once, under the phase that
-first asked it and the size of its set.
+of a separator search; ``ccd._route`` chooses between them. Each oracle's
+``_first_separator`` alone reads and writes its memo and statistics, and
+``GraphOracle``'s its ranges of settled sets too. The memo keeps each
+answer under one packed int per unordered pair and set. The statistics
+count each distinct query once, under the phase that first asked it and
+the size of its set.
 
 The memo, the ranges, the caches and the counters are written only under
 a lock, and the phase label belongs to the thread that set it, so an
@@ -26,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._reach import walk
 from .digraph import DirectedGraph, _as_vertex_set, _bits, _id_of, _mask_of
@@ -71,11 +72,6 @@ class _PhaseLabel(threading.local):
 class IndependenceOracle:
     """Base answering service; subclasses implement ``_decide``."""
 
-    # the level test of an oracle that asks its levels through its own
-    # _ranged_level, which settles a level that no set of it separates
-    # without _decide; None asks every set
-    _inseparable: Callable[..., bool] | None = None
-
     def __init__(self, vertices: Iterable[str]):
         self.vertices: tuple[str, ...] = tuple(sorted({str(v) for v in vertices}))
         self.stats = OracleStats()
@@ -83,12 +79,6 @@ class IndependenceOracle:
         # bits of one endpoint index in a packed key
         self._width = max(1, (len(self.vertices) - 1).bit_length())
         self._memo: dict[int, bool] = {}
-        # for an oracle with a level test, keyed k << 2w | lo << w | hi: the
-        # settled ranges (fixed, universe), each meaning that every k-set Z
-        # with fixed <= Z <= universe is dependent, and the decided dependent
-        # k-sets, k >= 1
-        self._ranges: dict[int, list[tuple[int, int]]] = {}
-        self._decided: dict[int, list[int]] = {}
         self._lock = threading.Lock()
         self._phase = _PhaseLabel()
 
@@ -122,13 +112,10 @@ class IndependenceOracle:
         read first without the lock: a dict read is atomic and an entry
         never changes once written, so a hit returns with no lock, no phase
         label and no count. A miss takes the lock, reads the memo again,
-        and decides, memoises and counts the query; for an oracle with a
-        level test, a set in a recorded range of its pair and size is
-        dependent and not counted again. A larger level holds the lock for
-        the whole call and goes through ``_ranged_level`` for an oracle with
-        a level test; it updates the statistics once, with the call's new
-        decisions even when a later ``_decide`` raises. Either way the
-        raising query is neither memoised nor counted.
+        and decides, memoises and counts the query. A larger level holds
+        the lock for the whole call and updates the statistics once, with
+        the call's new decisions even when a later ``_decide`` raises.
+        Either way the raising query is neither memoised nor counted.
         """
         w = self._width
         pair = i << w | j if i < j else j << w | i
@@ -140,24 +127,12 @@ class IndependenceOracle:
                 with self._lock:
                     answer = memo.get(key)
                     if answer is None:
-                        k = extra.bit_count()
-                        if k and self._inseparable is not None:
-                            level = k << 2 * w | pair
-                            ranges = self._ranges.get(level)
-                            if ranges and _covered(ranges, extra):
-                                return None
-                            answer = memo[key] = bool(self._decide(i, j, extra))
-                            if not answer:
-                                self._decided.setdefault(level, []).append(extra)
-                        else:
-                            answer = memo[key] = bool(self._decide(i, j, extra))
-                        self.stats.counts[self._phase.label, k] += 1
+                        answer = memo[key] = bool(self._decide(i, j, extra))
+                        self.stats.counts[self._phase.label, extra.bit_count()] += 1
             return extra if answer else None
         decide = self._decide
         with self._lock:
             label = self._phase.label
-            if self._inseparable is not None:
-                return self._ranged_level(i, j, candidates, size, extra, pair, label)
             new = 0
             try:
                 for subset in combinations(candidates, size):
@@ -172,6 +147,138 @@ class IndependenceOracle:
             finally:
                 if new:
                     self.stats.counts[label, size + extra.bit_count()] += new
+        return None
+
+    def _decide(self, i: int, j: int, zmask: int) -> bool:
+        """Whether i and j, indices into ``vertices`` in the caller's order,
+        are independent given the set of the bitmask ``zmask``."""
+        raise NotImplementedError
+
+    @contextmanager
+    def phase(self, label: str) -> Iterator["IndependenceOracle"]:
+        """Attribute queries this thread first asks inside the block to this label."""
+        previous = self._phase.label
+        self._phase.label = label
+        try:
+            yield self
+        finally:
+            self._phase.label = previous
+
+
+def _covered(ranges: Iterable[tuple[int, int]], zmask: int) -> bool:
+    """True when some range (fixed, universe) holds the set zmask."""
+    for fixed, universe in ranges:
+        if not fixed & ~zmask and not zmask & ~universe:
+            return True
+    return False
+
+
+def _range_size(fixed: int, universe: int, k: int) -> int:
+    """The number of k-sets Z with fixed <= Z <= universe."""
+    if fixed & ~universe:
+        return 0
+    free = k - fixed.bit_count()
+    return comb(universe.bit_count() - fixed.bit_count(), free) if free >= 0 else 0
+
+
+class GraphOracle(IndependenceOracle):
+    """Exact oracle: independent iff d-separated in the given graph.
+
+    ``_decide`` answers one query with at most one resumed walk. A subset
+    level of the search goes through this class's ``_first_separator``,
+    where the level test (``_inseparable``) and the ancestral rule
+    (``_known_dependent``) answer most of its sets without ``_decide``.
+    """
+
+    def __init__(self, graph: DirectedGraph):
+        super().__init__(graph.vertices)
+        self.graph = graph
+        self._n = len(graph.vertices)
+        # keyed zmask << w | endpoint; the state
+        # seen_in | seen_out << n | front_in << 2n | front_out << 3n
+        self._walks: dict[int, int] = {}
+        # keyed extra << 2w | i << w | j; (within, _separator_bound) of the
+        # last bounded level of that pair and extra
+        self._bounds: dict[int, tuple[int, float]] = {}
+        # keyed k << 2w | lo << w | hi: the settled ranges (fixed, universe),
+        # each meaning that every k-set Z with fixed <= Z <= universe is
+        # dependent, and the decided dependent k-sets, k >= 1
+        self._ranges: dict[int, list[tuple[int, int]]] = {}
+        self._decided: dict[int, list[int]] = {}
+
+    def _first_separator(
+        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int = 0
+    ) -> int | None:
+        """The base class's query path, memo and counts, with known
+        dependent sets left out of ``_decide``. A one-set miss in a recorded
+        range of its pair and size is dependent and not counted again. A
+        level that ``_inseparable`` settles is recorded as one range
+        (``_settle``) and its new sets counted. Otherwise each set neither
+        memoised nor in a range is decided, or recorded dependent as if
+        decided when ``_known_dependent`` holds for its part inside
+        An({i, j}). A dependent set is indexed in ``_decided``."""
+        w = self._width
+        pair = i << w | j if i < j else j << w | i
+        memo = self._memo
+        if size == 0:  # one set, extra
+            key = extra << 2 * w | pair
+            answer = memo.get(key)
+            if answer is None:
+                with self._lock:
+                    answer = memo.get(key)
+                    if answer is None:
+                        k = extra.bit_count()
+                        if k:
+                            level = k << 2 * w | pair
+                            ranges = self._ranges.get(level)
+                            if ranges and _covered(ranges, extra):
+                                return None
+                            answer = memo[key] = bool(self._decide(i, j, extra))
+                            if not answer:
+                                self._decided.setdefault(level, []).append(extra)
+                        else:
+                            answer = memo[key] = bool(self._decide(i, j, extra))
+                        self.stats.counts[self._phase.label, k] += 1
+            return extra if answer else None
+        decide = self._decide
+        with self._lock:
+            label = self._phase.label
+            k = size + extra.bit_count()
+            level = k << 2 * w | pair
+            ancestors = self.graph._ancestor_masks
+            region = ancestors[i] | ancestors[j]
+            if self._inseparable(i, j, candidates, size, extra, region):
+                new = self._settle(level, k, extra, extra | sum(candidates))
+                if new:
+                    self.stats.counts[label, k] += new
+                return None
+            ranges = self._ranges.get(level)
+            shared = ancestors[i] & ancestors[j]
+            new = 0
+            dependent = []
+            try:
+                for subset in combinations(candidates, size):
+                    zmask = sum(subset) | extra
+                    key = zmask << 2 * w | pair
+                    answer = memo.get(key)
+                    if answer is None:
+                        if ranges and _covered(ranges, zmask):
+                            continue
+                        inner = zmask & region
+                        if inner != zmask and self._known_dependent(pair, inner, shared):
+                            answer = memo[key] = False
+                        else:
+                            answer = memo[key] = bool(decide(i, j, zmask))
+                        new += 1
+                        if not answer:
+                            dependent.append(zmask)
+                    if answer:
+                        return zmask
+            finally:
+                if new:
+                    self.stats.counts[label, k] += new
+                if dependent:
+                    self._decided.setdefault(level, []).extend(dependent)
         return None
 
     def _settle(self, level: int, k: int, fixed: int, universe: int) -> int:
@@ -215,114 +322,6 @@ class IndependenceOracle:
             kept.append((fixed, universe))
             self._ranges[level] = kept
         return new
-
-    def _decide(self, i: int, j: int, zmask: int) -> bool:
-        """Whether i and j, indices into ``vertices`` in the caller's order,
-        are independent given the set of the bitmask ``zmask``."""
-        raise NotImplementedError
-
-    @contextmanager
-    def phase(self, label: str) -> Iterator["IndependenceOracle"]:
-        """Attribute queries this thread first asks inside the block to this label."""
-        previous = self._phase.label
-        self._phase.label = label
-        try:
-            yield self
-        finally:
-            self._phase.label = previous
-
-
-def _covered(ranges: Iterable[tuple[int, int]], zmask: int) -> bool:
-    """True when some range (fixed, universe) holds the set zmask."""
-    for fixed, universe in ranges:
-        if not fixed & ~zmask and not zmask & ~universe:
-            return True
-    return False
-
-
-def _range_size(fixed: int, universe: int, k: int) -> int:
-    """The number of k-sets Z with fixed <= Z <= universe."""
-    if fixed & ~universe:
-        return 0
-    free = k - fixed.bit_count()
-    return comb(universe.bit_count() - fixed.bit_count(), free) if free >= 0 else 0
-
-
-class GraphOracle(IndependenceOracle):
-    """Exact oracle: independent iff d-separated in the given graph.
-
-    ``_decide`` answers one query with at most one resumed walk. A subset
-    level of the search goes through ``_ranged_level``, where the level
-    test (``_inseparable``) and the ancestral rule (``_known_dependent``)
-    answer most of its sets without ``_decide``.
-    """
-
-    def __init__(self, graph: DirectedGraph):
-        super().__init__(graph.vertices)
-        self.graph = graph
-        self._n = len(graph.vertices)
-        # keyed zmask << w | endpoint; the state
-        # seen_in | seen_out << n | front_in << 2n | front_out << 3n
-        self._walks: dict[int, int] = {}
-        # keyed extra << 2w | i << w | j; (within, _separator_bound) of the
-        # last bounded level of that pair and extra
-        self._bounds: dict[int, tuple[int, float]] = {}
-        # the level test and the ancestral rule derive answers from
-        # d-separation, so a subclass that changes _decide is asked every
-        # set, keeps no range and pays no range check
-        if type(self)._decide is not GraphOracle._decide:
-            self._inseparable = None
-
-    def _ranged_level(
-        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int,
-        pair: int, label: str | None,
-    ) -> int | None:
-        """``_first_separator``'s level, under the lock. A level that
-        ``_inseparable`` settles is recorded as one range (``_settle``) and
-        its new sets counted. Otherwise each set that is neither memoised
-        nor in a recorded range is decided, or recorded dependent as if
-        decided when ``_known_dependent`` holds for its smaller part inside
-        An({i, j}). A dependent set is indexed in ``_decided``."""
-        w = self._width
-        k = size + extra.bit_count()
-        level = k << 2 * w | pair
-        ancestors = self.graph._ancestor_masks
-        region = ancestors[i] | ancestors[j]
-        if self._inseparable(i, j, candidates, size, extra, region):
-            new = self._settle(level, k, extra, extra | sum(candidates))
-            if new:
-                self.stats.counts[label, k] += new
-            return None
-        memo = self._memo
-        decide = self._decide
-        ranges = self._ranges.get(level)
-        shared = ancestors[i] & ancestors[j]
-        new = 0
-        dependent = []
-        try:
-            for subset in combinations(candidates, size):
-                zmask = sum(subset) | extra
-                key = zmask << 2 * w | pair
-                answer = memo.get(key)
-                if answer is None:
-                    if ranges and _covered(ranges, zmask):
-                        continue
-                    inner = zmask & region
-                    if inner != zmask and self._known_dependent(pair, inner, shared):
-                        answer = memo[key] = False
-                    else:
-                        answer = memo[key] = bool(decide(i, j, zmask))
-                    new += 1
-                    if not answer:
-                        dependent.append(zmask)
-                if answer:
-                    return zmask
-        finally:
-            if new:
-                self.stats.counts[label, k] += new
-            if dependent:
-                self._decided.setdefault(level, []).extend(dependent)
-        return None
 
     def _known_dependent(self, pair: int, zmask: int, shared: int) -> bool:
         """The ancestral rule: True when the set zmask, inside An({i, j}),

@@ -59,7 +59,7 @@ def known_queries(oracle):
     the memo, plus each set of each settled level's range as dependent."""
     known = dict(oracle._memo)
     w = oracle._width
-    for level, ranges in oracle._ranges.items():
+    for level, ranges in getattr(oracle, "_ranges", {}).items():
         k, pair = level >> 2 * w, level & (1 << 2 * w) - 1
         for fixed, universe in ranges:
             free = [1 << v for v in range(universe.bit_length()) if (universe & ~fixed) >> v & 1]
@@ -83,19 +83,22 @@ class ScriptedOracle(IndependenceOracle):
         return (min(i, j), max(i, j), zmask) in self._keys
 
 
-class NoisyOracle(GraphOracle):
+class NoisyOracle(IndependenceOracle):
     """Exact answers with a seeded share flipped, so that runs meet conflicts.
 
-    Each distinct query keeps one answer for the life of the oracle, and
-    two oracles built from the same graph and seed agree on every query.
-    ``calls`` lists every ``is_independent`` call, memo hits included.
+    It wraps a ``GraphOracle`` of the graph for ``_decide`` alone, so its
+    own queries go through the base per-set loop. Each distinct query
+    keeps one answer for the life of the oracle, and two oracles built
+    from the same graph and seed agree on every query. ``calls`` lists
+    every ``is_independent`` call, memo hits included.
     """
 
     def __init__(self, graph, seed, flip=0.15):
-        super().__init__(graph)
+        super().__init__(graph.vertices)
         self.seed = seed
         self.flip = flip
         self.calls = []
+        self._exact = GraphOracle(graph)._decide
 
     def is_independent(self, x, y, s=()):
         s = tuple(s)
@@ -104,21 +107,22 @@ class NoisyOracle(GraphOracle):
 
     def _decide(self, i, j, zmask):
         key = f"{self.seed}/{min(i, j)}/{max(i, j)}/{zmask}"
-        return super()._decide(i, j, zmask) != (random.Random(key).random() < self.flip)
+        return self._exact(i, j, zmask) != (random.Random(key).random() < self.flip)
 
 
-class EverySet(GraphOracle):
-    """GraphOracle's answers; a ``_decide`` of its own turns the level test
-    off, so every set is asked one at a time and memoised."""
+class EverySet(IndependenceOracle):
+    """GraphOracle's answers through the base per-set loop, which asks
+    every set one at a time and memoises it: the reference the exact
+    oracle's level test and ancestral rule are compared against."""
 
-    def _decide(self, i, j, zmask):
-        return GraphOracle._decide(self, i, j, zmask)
+    def __init__(self, graph):
+        super().__init__(graph.vertices)
+        self._decide = GraphOracle(graph)._decide
 
 
 class DecideOnlyNoisyOracle(NoisyOracle):
-    """NoisyOracle's answers with the base ``is_independent``: only
-    ``_decide`` differs from GraphOracle, so the phases ask through
-    ``_first_separator``."""
+    """NoisyOracle's answers with the base ``is_independent``, so the
+    phases ask through ``_first_separator``."""
 
     is_independent = IndependenceOracle.is_independent
 

@@ -33,6 +33,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_g16(tmp_path):
+    """The 16-vertex graph of the hash-seed test, written as a graph file."""
+    labels = [f"V{k:02d}" for k in range(16)]
+    graph = tmp_path / "g16.graph"
+    graph.write_text(serialize_graph(random_graph(labels, 0.12, random.Random(1608))))
+    return graph
+
+
 def test_discover_prints_golden_pag(capsys, golden):
     code, out, err = run_cli(capsys, "discover", "--graph", TWO_CYCLE)
     assert code == 0
@@ -54,9 +62,7 @@ def test_discover_stdout_is_reproducible(capsys):
 
 def test_discover_stdout_does_not_depend_on_the_hash_seed(tmp_path, golden):
     # 16 vertices, so one phase A or D call asks many sets of one size
-    labels = [f"V{k:02d}" for k in range(16)]
-    graph = tmp_path / "g16.graph"
-    graph.write_text(serialize_graph(random_graph(labels, 0.12, random.Random(1608))))
+    graph = write_g16(tmp_path)
     outputs = []
     for hash_seed in ("0", "12345"):
         result = subprocess.run(
@@ -253,6 +259,21 @@ def test_dsep_brute_force_flags(capsys):
         capsys, "dsep", "--graph", TWO_CYCLE, "A", "B", "--given", "X,Y", "--brute-force"
     )
     assert code == 1
+
+
+def test_dsep_agrees_with_the_brute_force_decider_on_the_16_vertex_graph(capsys, tmp_path):
+    graph = write_g16(tmp_path)
+    g = parse_graph(graph.read_text())
+    rng = random.Random(16)
+    answers = set()
+    for _ in range(20):
+        x, y, *rest = rng.sample(g.vertices, len(g.vertices))
+        given = ",".join(sorted(v for v in rest if rng.random() < 0.25)) or ","
+        query = ("dsep", "--graph", str(graph), x, y, "--given", given)
+        fast = run_cli(capsys, *query)
+        assert fast == run_cli(capsys, *query, "--brute-force")
+        answers.add(fast[:2])
+    assert answers == {(0, "d-connected\n"), (1, "d-separated\n")}
 
 
 def test_dsep_unknown_vertex_is_usage_error(capsys):
@@ -474,6 +495,29 @@ def test_verify_checks_the_edges_of_a_13_vertex_graph(capsys, tmp_path):
     assert (code, out.strip()) == (1, "(i) no edge v05-v06, but no subset separates them")
     code, out, _ = run_cli(capsys, *verify, str(missing), "--skip-edge-check")
     assert (code, out.strip()) == (0, "sound")
+
+
+def test_verify_the_discover_pag_of_the_16_vertex_graph(capsys, tmp_path):
+    graph = write_g16(tmp_path)
+    code, out, _ = run_cli(capsys, "discover", "--graph", str(graph))
+    assert code == 0
+    pag_file = tmp_path / "g16.pag"
+    pag_file.write_text(out)
+    code, out, _ = run_cli(capsys, "verify", "--pag", str(pag_file), "--graph", str(graph))
+    assert (code, out) == (0, "sound\n")
+
+
+def test_verify_with_different_vertex_sets_is_a_data_error(capsys, tmp_path):
+    (tmp_path / "ab.graph").write_text("A -> B\n")
+    (tmp_path / "ac.graph").write_text("A -> C\n")
+    code, out, _ = run_cli(capsys, "discover", "--graph", str(tmp_path / "ab.graph"))
+    assert code == 0
+    (tmp_path / "ab.pag").write_text(out)
+    code, out, err = run_cli(
+        capsys, "verify", "--pag", str(tmp_path / "ab.pag"), "--graph", str(tmp_path / "ac.graph")
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: the PAG and the graph must share one vertex set\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -439,27 +439,30 @@ def test_a_level_the_separator_bound_settles_is_written_as_the_per_subset_loop_w
 
 @pytest.mark.parametrize("seed", range(6))
 def test_an_oracle_that_changes_decide_is_asked_every_new_set_of_an_adjacent_pair(seed):
-    # A -> B joins the pair, so GraphOracle would settle the level at once
+    # A -> B joins the pair, so GraphOracle settles the level without _decide
     g = DirectedGraph(tuple("ABCDE"), {("A", "B"), ("C", "A"), ("D", "B"), ("E", "C")})
-    oracle = DecideOnlyNoisyOracle(g, seed, flip=0.3)
-    assert oracle._inseparable is None and GraphOracle(g)._inseparable is not None
     candidates = [1 << v for v in (2, 3, 4)]
     subsets = [sum(c) for c in combinations(candidates, 2)]
-    with oracle.phase("C"):
-        oracle._first_separator(1, 0, (), 0, subsets[1])
-    decided = []
-    decide = oracle._decide
+    exact = GraphOracle(g)
+    exact._decide = refuse_to_decide
+    assert exact._first_separator(0, 1, candidates, 2) is None
+    # the doubles that wrap a GraphOracle for _decide ask each new set
+    for oracle in (EverySet(g), DecideOnlyNoisyOracle(g, seed, flip=0.3)):
+        with oracle.phase("C"):
+            oracle._first_separator(1, 0, (), 0, subsets[1])
+        decided = []
+        decide = oracle._decide
 
-    def logged(a, b, z):
-        decided.append(z)
-        return decide(a, b, z)
+        def logged(a, b, z, decide=decide):
+            decided.append(z)
+            return decide(a, b, z)
 
-    oracle._decide = logged
-    with oracle.phase("A"):
-        found = oracle._first_separator(0, 1, candidates, 2)
-    asked = subsets if found is None else subsets[: subsets.index(found) + 1]
-    assert decided == [z for z in asked if z != subsets[1]]
-    assert oracle.stats.for_phase("A") == len(decided)
+        oracle._decide = logged
+        with oracle.phase("A"):
+            found = oracle._first_separator(0, 1, candidates, 2)
+        asked = subsets if found is None else subsets[: subsets.index(found) + 1]
+        assert decided == [z for z in asked if z != subsets[1]]
+        assert oracle.stats.for_phase("A") == len(decided)
 
 
 def test_decide_calls_per_phase_on_the_16_vertex_graph():
@@ -542,7 +545,7 @@ def test_the_shortcuts_change_no_search(n, p, seed):
         assert state.stats.total() == len(known)
         runs.append((serialize_pag(pag), state.sepset, state.supset, state.stats.rows(), known))
         calls.append(count[0])
-    assert oracle._inseparable is None
+    assert type(oracle)._first_separator is IndependenceOracle._first_separator
     assert runs[0] == runs[1]
     if n == 48:
         assert calls[0] < calls[1]
@@ -569,18 +572,18 @@ def test_a_set_of_a_settled_level_asked_under_another_label_is_dependent_and_not
 
 
 def test_oracles_without_a_level_test_keep_no_ranges():
-    # FisherZOracle and a GraphOracle whose _decide differs ask every set
-    # one at a time, so they record no range and index no decided set
+    # FisherZOracle and a double that wraps a GraphOracle for _decide ask
+    # every set one at a time through the base loop, which keeps no range
     g = DirectedGraph(tuple("ABCDE"), {("A", "B"), ("B", "C"), ("D", "C"), ("C", "E")})
     data = sem_from_graph(g, 0.5).simulate(500, seed=3)
     for oracle in (FisherZOracle(data), DecideOnlyNoisyOracle(g, 2, flip=0.3)):
-        assert oracle._inseparable is None
+        assert type(oracle)._first_separator is IndependenceOracle._first_separator
         try:
             run_ccd(oracle, oracle.vertices)
         except ValueError as exc:  # a sample-data run may abort in phase D
             assert "already underlined" in str(exc)
         assert oracle.stats.total() == len(oracle._memo) > 0
-        assert oracle._ranges == {} and oracle._decided == {}
+        assert not hasattr(oracle, "_ranges") and not hasattr(oracle, "_decided")
 
 
 @st.composite
@@ -647,7 +650,7 @@ def test_overlapping_settled_levels_count_each_query_once(case):
 
         def checked(a, b, zmask, oracle=oracle, decide=decide, w=w):
             level = zmask.bit_count() << 2 * w | min(a, b) << w | max(a, b)
-            ranges = oracle._ranges.get(level, ())
+            ranges = getattr(oracle, "_ranges", {}).get(level, ())
             assert not any(not f & ~zmask and not zmask & ~u for f, u in ranges)
             return decide(a, b, zmask)
 
