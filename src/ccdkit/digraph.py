@@ -20,7 +20,6 @@ of ``ParseError``.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -252,39 +251,39 @@ class DirectedGraph:
                     return True
         return False
 
-    def _separator_bound(self, i: int, j: int, given: int, within: int, region: int) -> float:
-        """A lower bound on |Z \\ given| over the sets Z, given ⊆ Z ⊆ given ∪
-        within, that d-separate the vertices i and j; ``math.inf`` exactly
-        when no such Z does. ``given`` and ``within`` are disjoint masks
-        holding neither i nor j.
+    def _separator_paths(self, i: int, j: int, given: int, within: int, region: int) -> list[int]:
+        """Greedy i–j paths in the moral graph of A = An({i, j} ∪ given),
+        the caller's ``region``, with ``given`` removed, as the mask of each
+        path's ``within`` members; ``given`` and ``within`` are disjoint
+        masks holding neither i nor j.
 
-        If such a Z separates i and j, so does its part inside A = An({i, j}
-        ∪ given), and that part is then a vertex cut between i and j in the
-        moral graph of A with ``given`` removed (Tian, Paz & Pearl 1998).
-        By Menger's theorem a cut has at least as many members as there are
-        i-j paths in that graph that share no vertex of ``within``; the
-        other vertices cannot be cut, so paths may share them. The bound
-        counts such paths greedily: each search finds a shortest path, steps
-        back through vertices outside ``within`` where it can, and removes
-        the path's ``within`` members for the next search. A path with no
-        such member means nothing can cut it. A search step from a set F
-        reads the kernel's memos, N(F) = pa(F) ∪ K ∪ pa(K) with K = ch(F) ∩
-        A, so no moral graph is built. The caller passes A as ``region``.
+        If a set Z, given ⊆ Z ⊆ given ∪ within, d-separates i and j, so
+        does its part inside A, which is then a vertex cut between i and j
+        in that moral graph (Tian, Paz & Pearl 1998; Spirtes 1995 for
+        cyclic graphs). So Z meets the ``within`` members of every i–j path
+        there, and the other vertices cannot be cut. Each search finds a
+        shortest path, steps back through vertices outside ``within``
+        where it can, and removes the path's ``within`` members for the
+        next search, so the masks are disjoint and, by Menger's theorem, Z
+        has at least as many members outside ``given`` as there are masks.
+        An empty mask, which ends the list, is a path that no such Z cuts.
+        A search step from a set F reads the kernel's memos, N(F) = pa(F) ∪
+        K ∪ pa(K) with K = ch(F) ∩ A, so no moral graph is built.
         """
         parents, children = self._parent_unions, self._child_unions
         source, target = 1 << i, 1 << j
-        passable = region & ~given
-        count = 0
+        passable = region & ~given & ~source
+        paths: list[int] = []
         while True:
             layers = []
-            seen = front = source
-            while front and not seen & target:
+            front, left = source, passable
+            while not front & target:
+                if not front:
+                    return paths
                 layers.append(front)
                 kids = children[front] & region
-                front = (parents[front] | kids | parents[kids]) & passable & ~seen
-                seen |= front
-            if not seen & target:
-                return count
+                front = (parents[front] | kids | parents[kids]) & left
+                left ^= front
             cut, v = 0, target
             for layer in reversed(layers[1:]):
                 kids = children[v] & region
@@ -292,10 +291,10 @@ class DirectedGraph:
                 near = near & ~within or near
                 v = near & -near
                 cut |= v & within
+            paths.append(cut)
             if not cut:
-                return math.inf
+                return paths
             passable &= ~cut
-            count += 1
 
     def _require(self, label: str) -> int:
         return _id_of(self._index, label)

@@ -186,8 +186,9 @@ class GraphOracle(IndependenceOracle):
 
     ``_decide`` answers one query with at most one resumed walk. A subset
     level of the search goes through this class's ``_first_separator``,
-    where the level test (``_inseparable``) and the ancestral rule
-    (``_known_dependent``) answer most of its sets without ``_decide``.
+    where the level test and its moral-graph paths (``_level_paths``) and
+    the ancestral rule (``_known_dependent``) answer most of its sets
+    without ``_decide``.
     """
 
     def __init__(self, graph: DirectedGraph):
@@ -197,9 +198,10 @@ class GraphOracle(IndependenceOracle):
         # keyed zmask << w | endpoint; the state
         # seen_in | seen_out << n | front_in << 2n | front_out << 3n
         self._walks: dict[int, int] = {}
-        # keyed extra << 2w | i << w | j; (within, _separator_bound) of the
-        # last bounded level of that pair and extra
-        self._bounds: dict[int, tuple[int, float]] = {}
+        # keyed extra << 2w | i << w | j: (within, paths) of the last
+        # searched level of that pair and extra, the member masks of the
+        # moral-graph paths found over the candidates ``within``
+        self._bounds: dict[int, tuple[int, Sequence[int]]] = {}
         # keyed k << 2w | lo << w | hi: the settled ranges (fixed, universe),
         # each meaning that every k-set Z with fixed <= Z <= universe is
         # dependent, and the decided dependent k-sets, k >= 1
@@ -212,11 +214,12 @@ class GraphOracle(IndependenceOracle):
         """The base class's query path, memo and counts, with known
         dependent sets left out of ``_decide``. A one-set miss in a recorded
         range of its pair and size is dependent and not counted again. A
-        level that ``_inseparable`` settles is recorded as one range
+        level that ``_level_paths`` settles is recorded as one range
         (``_settle``) and its new sets counted. Otherwise each set neither
         memoised nor in a range is decided, or recorded dependent as if
-        decided when ``_known_dependent`` holds for its part inside
-        An({i, j}). A dependent set is indexed in ``_decided``."""
+        decided when it misses one of the level's paths or
+        ``_known_dependent`` holds for its part inside An({i, j}). A
+        dependent set is indexed in ``_decided``."""
         w = self._width
         pair = i << w | j if i < j else j << w | i
         memo = self._memo
@@ -247,7 +250,8 @@ class GraphOracle(IndependenceOracle):
             level = k << 2 * w | pair
             ancestors = self.graph._ancestor_masks
             region = ancestors[i] | ancestors[j]
-            if self._inseparable(i, j, candidates, size, extra, region):
+            paths = self._level_paths(i, j, candidates, size, extra, region)
+            if paths is None:
                 new = self._settle(level, k, extra, extra | sum(candidates))
                 if new:
                     self.stats.counts[label, k] += new
@@ -264,11 +268,16 @@ class GraphOracle(IndependenceOracle):
                     if answer is None:
                         if ranges and _covered(ranges, zmask):
                             continue
-                        inner = zmask & region
-                        if inner != zmask and self._known_dependent(pair, inner, shared):
-                            answer = memo[key] = False
+                        for cut in paths:
+                            if not zmask & cut:  # the set misses this path
+                                answer = memo[key] = False
+                                break
                         else:
-                            answer = memo[key] = bool(decide(i, j, zmask))
+                            inner = zmask & region
+                            if inner != zmask and self._known_dependent(pair, inner, shared):
+                                answer = memo[key] = False
+                            else:
+                                answer = memo[key] = bool(decide(i, j, zmask))
                         new += 1
                         if not answer:
                             dependent.append(zmask)
@@ -341,44 +350,55 @@ class GraphOracle(IndependenceOracle):
         ranges = self._ranges.get(zmask.bit_count() << 2 * w | pair)
         return bool(ranges) and _covered(ranges, zmask)
 
-    def _inseparable(
+    def _level_paths(
         self, i: int, j: int, candidates: Sequence[int], size: int, extra: int, region: int
-    ) -> bool:
-        """The level test: True when no set of the level separates i and j.
+    ) -> Sequence[int] | None:
+        """The level test: None when no set of the level separates i and j,
+        else masks of candidates, each of which every separating set of the
+        level meets, so that a set missing one of them is dependent.
 
-        Either no set holding ``extra`` does (``DirectedGraph._inseparable``:
-        in phase A a virtually adjacent pair, in phase D flanks with a
-        common child that is an ancestor of the collider middle every set
-        holds), or the level takes ``size`` 2 or more candidates, has more
-        sets than A = An({i, j} ∪ extra) has vertices, and
-        ``DirectedGraph._separator_bound`` over the candidates exceeds
-        ``size``: in phase A most levels of a non-adjacent pair before the
-        one that removes its edge. A smaller level costs less to ask than to
-        bound; on sparse graphs most one-candidate levels that get past the
-        first rule hold a separator. The bound is kept per (i, j, extra)
-        with its candidate range and reused while the range shrinks, since
-        fewer vertices to cut never lower the minimum cut. ``region`` is
-        the caller's An({i, j}); A extends it and is built once per level.
+        Each mask is the candidates on one i–j path in the moral graph of A
+        = An({i, j} ∪ extra) with extra removed, and no two masks share a
+        candidate, so the level holds no separator when a mask is empty or
+        there are more than ``size`` of them. ``DirectedGraph._inseparable``
+        finds the pair joined in that graph in O(|extra|): in phase A a
+        virtually adjacent pair, in phase D flanks with a common child that
+        is an ancestor of the collider middle every set holds. Otherwise
+        ``DirectedGraph._separator_paths`` searches for paths when the
+        level's sets inside A, C(|A ∩ candidates|, size), outnumber two
+        thirds of A's vertices. A smaller level costs less to ask than to
+        search: ``_known_dependent`` answers most sets that reach outside
+        An({i, j}), and on sparse graphs one walk from an endpoint given a
+        set answers many pairs. The paths are kept per (i, j, extra) with
+        their candidates, and a later level whose candidates are among
+        those reuses them, cut down to its candidates: a path stays a path
+        and the masks stay disjoint. It is searched again when it has fewer
+        candidates and the cut-down paths do not settle it: no two paths
+        may share a candidate, so fewer candidates can leave room for more
+        paths. ``region`` is the caller's An({i, j}); A extends it.
         """
         g = self.graph
         if g._inseparable(i, j, extra):
-            return True
-        if size < 2:
-            return False
-        ancestors = g._ancestor_masks
-        for k in _bits(extra):
-            region |= ancestors[k]
-        if comb(len(candidates), size) <= region.bit_count():
-            return False
+            return None
         w = self._width
         key = extra << 2 * w | i << w | j
         within = sum(candidates)
         cached = self._bounds.get(key)
-        if cached is not None and cached[1] > size and not within & ~cached[0]:
-            return True
-        bound = g._separator_bound(i, j, extra, within, region)
-        self._bounds[key] = within, bound
-        return bound > size
+        if cached is not None and not within & ~cached[0]:
+            kept, paths = cached
+            if within != kept:
+                paths = [cut & within for cut in paths]
+        else:
+            kept, paths = 0, ()
+        if within != kept and len(paths) <= size and 0 not in paths:
+            if extra:
+                ancestors = g._ancestor_masks
+                for k in _bits(extra):
+                    region |= ancestors[k]
+            if 3 * comb((within & region).bit_count(), size) > 2 * region.bit_count():
+                paths = g._separator_paths(i, j, extra, within, region)
+                self._bounds[key] = within, paths
+        return None if len(paths) > size or 0 in paths else paths
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         """Given the empty set, i and j are d-connected exactly when they

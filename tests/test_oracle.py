@@ -358,13 +358,13 @@ def test_an_inseparable_level_is_written_as_the_per_subset_loop_writes_it(level,
 def bounded_levels(draw):
     """A graph, an ordered pair (i, j), an extra mask and two levels, each
     (candidates, size), that ``DirectedGraph._inseparable`` does not settle
-    but the separator bound does, the second with one candidate fewer and
+    but the moral-graph paths do, the second with one candidate fewer and
     one size more. k middle vertices each join i and j by a path of their
     own (a chain either way, or a common cause), so no set with fewer than
     k of them separates the pair; the other vertices are children of i or
     j, outside An({i, j}), and one of them may be in extra. A few random
-    edges are added, and draws whose levels fall outside the gate, or whose
-    bound does not exceed the second size, are rejected."""
+    edges are added, and draws whose first level falls outside the search
+    gate, or whose paths do not outnumber the second size, are rejected."""
     k = draw(st.integers(4, 5), label="middles")
     n = 2 + k + draw(st.integers(2, 3), label="children")
     names = string.ascii_uppercase[:n]
@@ -386,8 +386,8 @@ def bounded_levels(draw):
     assume(not g._inseparable(i, j, extra))
     ancestors = g._ancestor_masks
     region = ancestors[i] | ancestors[j] | sum(ancestors[v] for v in range(n) if extra >> v & 1)
-    assume(all(math.comb(len(c), s) > region.bit_count() for c, s in levels))
-    assume(g._separator_bound(i, j, extra, sum(candidates), region) > size + 1)
+    assume(3 * math.comb((sum(candidates) & region).bit_count(), size) > 2 * region.bit_count())
+    assume(len(g._separator_paths(i, j, extra, sum(candidates), region)) > size + 1)
     return g, i, j, levels, extra
 
 
@@ -419,22 +419,57 @@ def test_a_level_the_separator_bound_settles_is_written_as_the_per_subset_loop_w
             return decide(a, b, z)
 
         oracle._decide = logged
-        bound = mock.patch.object(
-            DirectedGraph, "_separator_bound", autospec=True,
-            side_effect=DirectedGraph._separator_bound,
+        search = mock.patch.object(
+            DirectedGraph, "_separator_paths", autospec=True,
+            side_effect=DirectedGraph._separator_paths,
         )
-        with oracle.phase(label), bound as bounds:
+        with oracle.phase(label), search as searches:
             found = [
                 oracle._first_separator(i, j, candidates, size, extra)
                 if entry == "first_separator"
                 else per_subset_loop(oracle, i, j, candidates, size, extra)
                 for candidates, size in levels
             ]
-        runs.append((found, known_queries(oracle), oracle.stats.rows(), decided, bounds.call_count))
+        runs.append((found, known_queries(oracle), oracle.stats.rows(), decided, searches.call_count))
     assert runs[0][:3] == runs[1][:3]
     assert runs[0][0] == [None, None]
     assert runs[0][3] == []  # both levels are settled without _decide
-    assert runs[0][4] == 1  # the second level reuses the first one's bound
+    assert runs[0][4] == 1  # the second level reuses the first one's paths
+
+
+def test_a_set_that_misses_a_moral_graph_path_is_recorded_dependent_without_decide():
+    # I -> M -> J is the one I-J path in the moral graph of An({I, J}) =
+    # {A, B, C, D, I, M, J}; the parents A to D of I are not on it, so
+    # each of them alone is dependent with no walk and only {M} is decided
+    g = DirectedGraph(tuple("ABCDIJM"), {*((p, "I") for p in "ABCD"), ("I", "M"), ("M", "J")})
+    i, j, m = 4, 5, 6
+    candidates = [1 << v for v in (0, 1, 2, 3, m)]
+    runs = []
+    for entry in ("first_separator", "per_subset_loop"):
+        oracle = GraphOracle(g)
+        decided = []
+        decide = oracle._decide
+
+        def logged(x, y, z, decide=decide):
+            decided.append(z)
+            return decide(x, y, z)
+
+        oracle._decide = logged
+        with oracle.phase("A"):
+            if entry == "first_separator":
+                found = oracle._first_separator(i, j, candidates, 1)
+            else:
+                found = per_subset_loop(oracle, i, j, candidates, 1, 0)
+        runs.append((found, known_queries(oracle), oracle.stats.rows(), decided))
+    assert runs[0][:3] == runs[1][:3]
+    assert runs[0][0] == 1 << m
+    assert runs[0][3] == [1 << m]
+    assert runs[1][3] == candidates
+    exact = GraphOracle(g)
+    with exact.phase("A"):
+        exact._first_separator(i, j, candidates, 1)
+    assert len(exact._memo) == 5  # memoised, counted and indexed as if decided
+    assert exact._decided == {1 << 2 * exact._width | i << exact._width | j: candidates[:4]}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -466,9 +501,9 @@ def test_an_oracle_that_changes_decide_is_asked_every_new_set_of_an_adjacent_pai
 
 
 def test_decide_calls_per_phase_on_the_16_vertex_graph():
-    # the inseparable-level rule, the separator bound and the ancestral
-    # rule leave these sets to _decide, of 7,196 distinct queries; 2,867
-    # phase A calls without the bound and 1,580 without the ancestral rule,
+    # the inseparable-level rule, the moral-graph paths and the ancestral
+    # rule leave these sets to _decide, of 7,196 distinct queries; 2,233
+    # phase A calls without the paths and 406 without the ancestral rule,
     # so a change that silently turns either off fails here
     g = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
     oracle = GraphOracle(g)
@@ -482,14 +517,14 @@ def test_decide_calls_per_phase_on_the_16_vertex_graph():
     oracle._decide = counted
     run_ccd(oracle, g.vertices)
     assert oracle.stats.total() == 7196
-    assert calls == {"A": 1235, "C": 76, "D": 4, "F": 0}
+    assert calls == {"A": 368, "C": 76, "D": 4, "F": 0}
 
 
 def test_the_memo_holds_only_decided_queries_on_the_16_vertex_graph():
-    # settled levels are kept as ranges, so the memo holds the 1,660 sets
-    # decided one by one, not all 7,196 distinct queries: the 1,315 that
-    # _decide answered and 345 whose part inside An({i, j}) was known to
-    # be dependent
+    # settled levels are kept as ranges, so the memo holds the 1,096 sets
+    # decided one by one, not all 7,196 distinct queries: the 448 that
+    # _decide answered, 610 that miss a moral-graph path and 38 whose part
+    # inside An({i, j}) was known to be dependent
     g = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
     oracle = GraphOracle(g)
     calls = []
@@ -501,19 +536,20 @@ def test_the_memo_holds_only_decided_queries_on_the_16_vertex_graph():
 
     oracle._decide = counted
     run_ccd(oracle, g.vertices)
-    assert len(calls) == 1315
-    assert len(oracle._memo) == 1660
+    assert len(calls) == 448
+    assert len(oracle._memo) == 1096
     assert oracle.stats.total() == len(known_queries(oracle)) == 7196
 
 
 def test_walks_on_the_16_vertex_graph():
-    # the empty set is answered from the ancestor masks and a set whose
-    # part inside An({i, j}) is known to be dependent is not decided, so
-    # 646 walks run where 899 did without either rule
+    # the empty set is answered from the ancestor masks, and a set that
+    # misses a moral-graph path or whose part inside An({i, j}) is known
+    # to be dependent is not decided, so 189 walks run, 1,081 without the
+    # paths
     g = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
     with mock.patch.object(ccdkit.oracle, "walk", wraps=ccdkit.oracle.walk) as walk:
         run_ccd(GraphOracle(g), g.vertices)
-    assert walk.call_count == 646
+    assert walk.call_count == 189
 
 
 @pytest.mark.parametrize(
@@ -521,15 +557,15 @@ def test_walks_on_the_16_vertex_graph():
     [
         (16, 0.12, 1608),
         (32, 0.06, 32),
-        # exact_wide's first graph: the separator bound settles none of its
-        # levels, so they go through the per-set loop, where the ancestral
-        # rule answers many sets without _decide
+        # exact_wide's first graph: most of its levels go through the
+        # per-set loop, where the moral-graph paths and the ancestral rule
+        # answer many sets without _decide
         (48, 0.02, 4800),
     ],
 )
 def test_the_shortcuts_change_no_search(n, p, seed):
-    # GraphOracle's level test and ancestral rule against EverySet, which
-    # asks every set one at a time
+    # GraphOracle's level test, path rule and ancestral rule against
+    # EverySet, which asks every set one at a time
     g = random_graph([f"V{k:02d}" for k in range(n)], p, random.Random(seed))
     runs, calls = [], []
     for oracle in (GraphOracle(g), EverySet(g)):

@@ -5,7 +5,9 @@ list means the property held everywhere on that graph. The heavy exhaustive
 sweep lives in the acceptance suite, this module keeps the properties named
 and debuggable on small graphs.
 """
+import functools
 import math
+import operator
 import random
 from itertools import combinations
 
@@ -106,10 +108,12 @@ def test_inseparable_rule_on_cyclic_graphs(g):
 
 
 def _check_separator_bound(g):
-    """For every pair, every ``given`` and every disjoint ``within``, each Z
-    with given ⊆ Z ⊆ given ∪ within that d-separates the pair has at least
-    ``_separator_bound`` members outside ``given``, in either endpoint
-    order, and the bound is infinite exactly when no such Z exists."""
+    """For every pair, every ``given`` and every disjoint ``within``, in
+    either endpoint order: ``_separator_paths`` returns disjoint masks
+    inside ``within``, an empty one only last; each Z with given ⊆ Z ⊆
+    given ∪ within that d-separates the pair meets every mask and has at
+    least as many members outside ``given`` as there are masks; and the
+    last mask is empty exactly when no such Z exists."""
     n = len(g.vertices)
     for i, j in combinations(range(n), 2):
         x, y = g.vertices[i], g.vertices[j]
@@ -124,14 +128,16 @@ def _check_separator_bound(g):
             for within in sets:
                 if within & given:
                     continue
-                sizes = [
-                    (z & ~given).bit_count()
-                    for z in separators
-                    if z & given == given and not z & ~(given | within)
-                ]
+                inside = [z for z in separators if z & given == given and not z & ~(given | within)]
+                sizes = [(z & ~given).bit_count() for z in inside]
                 for a, b in ((i, j), (j, i)):
-                    bound = g._separator_bound(a, b, given, within, region)
-                    context = (g, x, y, g._labels(given), g._labels(within), bound)
+                    paths = g._separator_paths(a, b, given, within, region)
+                    bound = math.inf if 0 in paths else len(paths)
+                    context = (g, x, y, g._labels(given), g._labels(within), paths)
+                    assert 0 not in paths[:-1], context
+                    assert sum(paths) == functools.reduce(operator.or_, paths, 0), context
+                    assert not sum(paths) & ~within, context
+                    assert all(z & cut for z in inside for cut in paths), context
                     assert (bound == math.inf) == (not sizes), context
                     assert all(size >= bound for size in sizes), context
 
