@@ -14,10 +14,11 @@ upper triangle of the residual covariance, built by symmetric sweep steps
 ``partial_correlation_from_covariance`` builds a store over its labels in
 label order, as the oracle holds its vertices, so the two compute r
 bit-for-bit alike; ``partial_correlation`` reads its columns' sample
-covariance through it. ``FisherZOracle._decide``, reached through the
-base ``_first_separator``, compares |r| with a threshold per set size and
-computes the statistic only near it; ``fisher_z_statistic`` is the
-statistic alone, kept for reporting.
+covariance through it. ``FisherZOracle`` has its own
+``_first_separator``, whose per-set loop compares |r| with a threshold
+per set size; only a query near the threshold, or one it cannot test,
+goes to ``_decide``, which computes the statistic. ``fisher_z_statistic``
+is the statistic alone, kept for reporting.
 ``partial_correlation_recursive`` stays an independent cross-check; it
 applies the same 1e-12 bound to a variable the set determines. A query
 it cannot test counts as dependent, per reason in
@@ -34,6 +35,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
@@ -395,7 +397,6 @@ def partial_correlation_recursive(
 
 
 _TOO_FEW_ROWS = "need n_rows - |s| - 3 >= 1"
-_INF, _sqrt = math.inf, math.sqrt  # bound once for FisherZOracle._decide
 _PACKAGE_DIR = os.path.dirname(__file__)
 
 
@@ -431,7 +432,7 @@ class FisherZOracle(IndependenceOracle):
     above it as dependent, with one comparison. An r inside the band, where
     rounding could tell the two forms apart, and every query that is not
     clean take the route that computes the statistic with
-    ``fisher_z_statistic``, so every answer is that route's.
+    ``fisher_z_statistic``, ``_decide``, so every answer is that route's.
 
     Too few rows for the test (N - |s| - 3 < 1, a size without a band),
     checked first, or a degenerate block or endpoint makes the query count
@@ -470,27 +471,64 @@ class FisherZOracle(IndependenceOracle):
         # determines it; inf for a column without variance
         self._floor = [v * 1e-12 if v > 0.0 else math.inf for v in self._residual.variances]
 
+    def _first_separator(
+        self, i: int, j: int, candidates: Sequence[int], size: int, extra: int = 0
+    ) -> int | None:
+        """The base class's query path, memo and counts. The pair's offsets
+        in the packed triangle, its floors and the level's band are read once
+        per call, and a clean query is decided in the loop; every other query
+        goes to ``_decide``."""
+        w = self._width
+        lo, hi = (i, j) if i < j else (j, i)
+        pair = lo << w | hi
+        memo = self._memo
+        if size == 0:  # one set, extra
+            answer = memo.get(extra << 2 * w | pair)
+            if answer is not None:
+                return extra if answer else None
+        k = size + extra.bit_count()
+        band = self._bands[k]
+        low, high = band or (0.0, math.inf)
+        residual, decide, inf, sqrt = self._residual, self._decide, math.inf, math.sqrt
+        offset = residual.layout.offset
+        ii, jj, ij = offset[lo] + lo, offset[hi] + hi, offset[lo] + hi
+        floor_i, floor_j = self._floor[lo], self._floor[hi]
+        with self._lock:
+            label = self._phase.label
+            new = 0
+            try:
+                for subset in combinations(candidates, size):
+                    zmask = sum(subset) | extra
+                    key = zmask << 2 * w | pair
+                    answer = memo.get(key)
+                    if answer is None:
+                        packed = residual[zmask] if band else None
+                        if packed is not None:
+                            var_i, var_j = packed[ii], packed[jj]
+                            product = var_i * var_j
+                            # above the floors, so both are positive
+                            if floor_i < var_i and floor_j < var_j and 0.0 < product < inf:
+                                r = abs(packed[ij]) / sqrt(product)
+                                if r < low:
+                                    answer = True
+                                elif high < r < inf:
+                                    answer = False
+                        if answer is None:
+                            answer = bool(decide(i, j, zmask))
+                        memo[key] = answer
+                        new += 1
+                    if answer:
+                        return zmask
+            finally:
+                if new:
+                    self.stats.counts[label, k] += new
+        return None
+
     def _decide(self, i: int, j: int, zmask: int) -> bool:
-        band = self._bands[zmask.bit_count()]
-        if band is not None:  # enough rows for the test
-            residual = self._residual
-            packed = residual[zmask]
-            if packed is not None:
-                offset, floor = residual.layout.offset, self._floor
-                var_i, var_j = packed[offset[i] + i], packed[offset[j] + j]
-                if floor[i] < var_i and floor[j] < var_j:  # so both are positive
-                    product = var_i * var_j
-                    if 0.0 < product < _INF:
-                        cov = packed[offset[i] + j] if i < j else packed[offset[j] + i]
-                        r = abs(cov) / _sqrt(product)
-                        if r < band[0]:
-                            return True
-                        if band[1] < r < _INF:
-                            return False
-        # too few rows, a degenerate covariance or an r inside the band:
-        # the route that computes z and names the reason of a degenerate query
+        """The statistic route of a query ``_first_separator`` does not
+        decide by the band: z, or the reason the query cannot be tested."""
         try:
-            if band is None:  # N - |s| - 3 < 1, named before a degenerate block
+            if self._bands[zmask.bit_count()] is None:  # N - |s| - 3 < 1, named first
                 raise ValueError(_TOO_FEW_ROWS)
             z = fisher_z_statistic(self._residual.partial(i, j, zmask), self._n_rows, zmask.bit_count())
         except ValueError as exc:  # too few rows for |s|, or a singular block

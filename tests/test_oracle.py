@@ -608,12 +608,13 @@ def test_a_set_of_a_settled_level_asked_under_another_label_is_dependent_and_not
 
 
 def test_oracles_without_a_level_test_keep_no_ranges():
-    # FisherZOracle and a double that wraps a GraphOracle for _decide ask
-    # every set one at a time through the base loop, which keeps no range
+    # FisherZOracle's loop and the base loop, which serves a double that
+    # wraps a GraphOracle for _decide, ask every set one at a time and keep
+    # no range: each distinct query is one memo entry
     g = DirectedGraph(tuple("ABCDE"), {("A", "B"), ("B", "C"), ("D", "C"), ("C", "E")})
     data = sem_from_graph(g, 0.5).simulate(500, seed=3)
+    assert DecideOnlyNoisyOracle._first_separator is IndependenceOracle._first_separator
     for oracle in (FisherZOracle(data), DecideOnlyNoisyOracle(g, 2, flip=0.3)):
-        assert type(oracle)._first_separator is IndependenceOracle._first_separator
         try:
             run_ccd(oracle, oracle.vertices)
         except ValueError as exc:  # a sample-data run may abort in phase D
@@ -729,36 +730,62 @@ def test_oracle_is_thread_safe(two_cycle):
     assert oracle._memo == serial._memo
 
 
+def search_outcome(oracle):
+    """The PAG text of a search, or the message of its phase D abort."""
+    try:
+        return serialize_pag(run_ccd(oracle, oracle.vertices)[0])
+    except ValueError as exc:  # a sample-data run may abort in phase D
+        assert "already underlined" in str(exc)
+        return f"raised {exc}"
+
+
 def test_searches_sharing_an_oracle_across_threads_count_each_query_once():
     # whole levels, settled or decided, go into one shared memo while the
-    # threads switch often; a lost update would show in the counts
+    # threads switch often; a lost update would show in the counts. The
+    # Fisher-z data hold a scaled copy of V7 as V8, so some queries are
+    # degenerate, and its search aborts in phase D; its sweeps yield, so
+    # another thread may ask the same set while one is building it.
     g = random_graph([f"V{k}" for k in range(9)], 0.3, random.Random(9))
-    serial = GraphOracle(g)
-    expected = serialize_pag(run_ccd(serial, g.vertices)[0])
-    oracle = GraphOracle(g)
-    start = threading.Barrier(8)
-    pags = []
+    values = sem_from_graph(g, 0.2).simulate(300, seed=2).values.copy()
+    values[:, 8] = 2.0 * values[:, 7]
+    data = DataMatrix(g.vertices, values)
+    missing = _Residuals.__missing__
 
-    def worker():
-        start.wait(timeout=10)
-        pags.append(serialize_pag(run_ccd(oracle, g.vertices)[0]))
+    def yielding(residual, zmask):
+        time.sleep(0)
+        return missing(residual, zmask)
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(t.is_alive() for t in threads)
-    assert pags == [expected] * 8
-    assert known_queries(oracle) == known_queries(serial)
-    assert oracle._memo == serial._memo
-    assert oracle.stats.rows() == serial.stats.rows()
-    assert oracle.stats.total() == len(known_queries(serial))
+    for make in (lambda: GraphOracle(g), lambda: FisherZOracle(data)):
+        with warnings.catch_warnings(), mock.patch.object(_Residuals, "__missing__", yielding):
+            warnings.simplefilter("ignore", SingularCovarianceWarning)
+            serial = make()
+            expected = search_outcome(serial)
+            oracle = make()
+            start = threading.Barrier(8)
+            outcomes = []
+
+            def worker():
+                start.wait(timeout=10)
+                outcomes.append(search_outcome(oracle))
+
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert outcomes == [expected] * 8
+        assert known_queries(oracle) == known_queries(serial)
+        assert oracle._memo == serial._memo
+        assert oracle.stats.rows() == serial.stats.rows()
+        assert oracle.stats.total() == len(known_queries(serial))
+        assert oracle.stats.degenerate == serial.stats.degenerate
+    assert expected.startswith("raised") and serial.stats.degenerate
 
 
 def one_set_query(oracle, x, y, s):
@@ -1556,33 +1583,106 @@ SMALLEST_ALPHA = 1.2e-16
 def test_fisher_z_band_decides_as_the_statistic(n_rows, k, alpha, offsets, negative):
     # the residual of (X, Y) given k others holds R_XX = R_YY = 1 and R_XY = r,
     # so the oracle reads |r| itself; an r it settles by the threshold alone
-    # must get the answer of |z| <= c
+    # must get the answer of |z| <= c, asked as one set and as a level
     assume(n_rows - k - 3 >= 1)
     labels = tuple(f"V{m}" for m in range(k + 2))
     data = _RowCount(labels, np.random.default_rng(k).standard_normal((k + 5, k + 2)), n_rows)
     oracle = FisherZOracle(data, alpha)
     t = math.tanh(oracle._critical / math.sqrt(n_rows - k - 3))
     edges = oracle._bands[k]
-    candidates = [0.0, 1.0, *(t + u * 1e-6 * t for u in offsets)]
+    values = [0.0, 1.0, *(t + u * 1e-6 * t for u in offsets)]
     for edge in edges:
-        candidates += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)]
-    zmask = (1 << k + 2) - 4  # every vertex but V0 and V1
+        values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)]
+    members = [1 << m for m in range(2, k + 2)]  # every vertex but V0 and V1
+    zmask = sum(members)
     layout = _Triangle(k + 2)
     identity = np.eye(k + 2)[layout.rows, layout.cols]
     settled = 0
-    for r in candidates:
+    for r in values:
         r = -r if negative else r
         oracle._residual[zmask] = packed = array("d", identity)
         packed[layout.offset[0] + 1] = r
-        expected = abs(fisher_z_statistic(r, n_rows, k)) <= oracle._critical
+        expected = zmask if abs(fisher_z_statistic(r, n_rows, k)) <= oracle._critical else None
         with mock.patch("ccdkit.fisherz.fisher_z_statistic", side_effect=fisher_z_statistic) as z:
-            assert oracle._decide(0, 1, zmask) == expected
-            assert oracle._decide(1, 0, zmask) == expected
+            for i, j, candidates, size, extra in ((0, 1, (), 0, zmask), (1, 0, members, k, 0)):
+                oracle._memo.clear()
+                assert oracle._first_separator(i, j, candidates, size, extra) == expected
         if not z.called:
             settled += 1
         elif not edges[0] <= abs(r) <= edges[1]:
             pytest.fail(f"r = {r!r} outside the band {edges} took the statistic")
     assert settled >= 2  # at least r = 0 and r = 1
+
+
+@st.composite
+def degenerate_samples(draw):
+    """Samples on 3-7 columns and 1-40 rows, so that some set sizes, or
+    all, have too few rows for the test, with up to two of these shapes: a
+    constant column, a copy or a scaled copy of another, or the sum of two
+    others."""
+    n = draw(st.integers(3, 7), label="columns")
+    rows = draw(st.one_of(st.integers(1, 6), st.integers(7, 40)), label="rows")
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed")).standard_normal((rows, n))
+    for _ in range(draw(st.integers(0, 2), label="shapes")):
+        a, b, c = draw(st.permutations(range(n)), label="columns")[:3]
+        shape = draw(st.sampled_from(("constant", "copy", "scaled", "sum")), label="shape")
+        if shape == "constant":
+            values[:, a] = 2.5
+        elif shape == "copy":
+            values[:, a] = values[:, b]
+        elif shape == "scaled":
+            values[:, a] = -3.0 * values[:, b]
+        else:
+            values[:, a] = values[:, b] + values[:, c]
+    labels = draw(st.permutations([f"V{m}" for m in range(n)]), label="labels")
+    return DataMatrix(tuple(labels), values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_samples(), st.sampled_from((0.01, 0.05, 0.5)), st.booleans(), st.data())
+def test_fisher_z_first_separator_equals_a_per_subset_loop_over_the_statistic(samples, alpha, strict, data):
+    # the reference sends every new set through _decide, the statistic
+    # route; under strict, the first degenerate query of a reason raises its
+    # warning, and the rest of the level is not asked
+    n = len(samples.labels)
+    i, j = data.draw(st.permutations(range(n)), label="order")[:2]
+    others = data.draw(st.permutations([v for v in range(n) if v not in (i, j)]), label="others")
+    k = data.draw(st.integers(0, len(others)), label="candidate count")
+    candidates = [1 << v for v in sorted(others[:k])]
+    extra = sum(1 << v for v in others[k:] if data.draw(st.booleans(), label=f"extra {v}"))
+    size = data.draw(st.integers(0, len(candidates) + 1), label="size")
+    subsets = [sum(c) | extra for c in combinations(candidates, size)]
+    warm = data.draw(st.lists(st.sampled_from(subsets), max_size=3) if subsets else st.just([]))
+    label = data.draw(st.sampled_from((None, "A", "D")), label="phase")
+    runs = []
+    for entry in ("first_separator", "per_subset_loop"):
+        oracle = FisherZOracle(samples, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with oracle.phase("C"):
+                for zmask in warm:
+                    per_subset_loop(oracle, j, i, (), 0, zmask)
+            if strict:
+                warnings.simplefilter("error", SingularCovarianceWarning)
+            with oracle.phase(label):
+                try:
+                    if entry == "first_separator":
+                        found = oracle._first_separator(i, j, candidates, size, extra)
+                    else:
+                        found = per_subset_loop(oracle, i, j, candidates, size, extra)
+                except SingularCovarianceWarning as exc:
+                    found = str(exc)
+        runs.append((found, dict(oracle._memo), oracle.stats.rows(), oracle.stats.degenerate))
+    assert runs[0] == runs[1]
+    found, memo = runs[0][:2]
+    assert oracle.stats.total() == len(memo)
+    if isinstance(found, str):  # the raising set is the level's first not memoised
+        w = oracle._width
+        pair = min(i, j) << w | max(i, j)
+        zmask = next(z for z in subsets if z << 2 * w | pair not in memo)
+        names = oracle.vertices
+        query = f"({names[i]}, {names[j]} | {[names[m] for m in range(n) if zmask >> m & 1]})"
+        assert found.startswith(f"query {query}: ")
 
 
 def test_search_memo_equals_the_per_query_route():
