@@ -14,11 +14,10 @@ upper triangle of the residual covariance, built by symmetric sweep steps
 ``partial_correlation_from_covariance`` builds a store over its labels in
 label order, as the oracle holds its vertices, so the two compute r
 bit-for-bit alike; ``partial_correlation`` reads its columns' sample
-covariance through it. ``FisherZOracle`` has its own
-``_first_separator``, whose per-set loop compares |r| with a threshold
-per set size; only a query near the threshold, or one it cannot test,
-goes to ``_decide``, which computes the statistic. ``fisher_z_statistic``
-is the statistic alone, kept for reporting.
+covariance through it. ``FisherZOracle._first_separator`` compares |r|
+with a threshold per set size and sends only a query near it, or one it
+cannot test, to ``_decide``, which computes the statistic;
+``fisher_z_statistic`` is the statistic alone, kept for reporting.
 ``partial_correlation_recursive`` stays an independent cross-check; it
 applies the same 1e-12 bound to a variable the set determines. A query
 it cannot test counts as dependent, per reason in
@@ -474,10 +473,7 @@ class FisherZOracle(IndependenceOracle):
     def _first_separator(
         self, i: int, j: int, candidates: Sequence[int], size: int, extra: int = 0
     ) -> int | None:
-        """The base class's query path, memo and counts. The pair's offsets
-        in the packed triangle, its floors and the level's band are read once
-        per call, and a clean query is decided in the loop; every other query
-        goes to ``_decide``."""
+        """The base class's loop, with the pair's constants read once and clean queries decided inline."""
         w = self._width
         lo, hi = (i, j) if i < j else (j, i)
         pair = lo << w | hi
@@ -488,8 +484,7 @@ class FisherZOracle(IndependenceOracle):
                 return extra if answer else None
         k = size + extra.bit_count()
         band = self._bands[k]
-        low, high = band or (0.0, math.inf)
-        residual, decide, inf, sqrt = self._residual, self._decide, math.inf, math.sqrt
+        residual = self._residual
         offset = residual.layout.offset
         ii, jj, ij = offset[lo] + lo, offset[hi] + hi, offset[lo] + hi
         floor_i, floor_j = self._floor[lo], self._floor[hi]
@@ -504,17 +499,16 @@ class FisherZOracle(IndependenceOracle):
                     if answer is None:
                         packed = residual[zmask] if band else None
                         if packed is not None:
-                            var_i, var_j = packed[ii], packed[jj]
+                            var_i, var_j = packed[ii], packed[jj]  # positive above their floors
                             product = var_i * var_j
-                            # above the floors, so both are positive
-                            if floor_i < var_i and floor_j < var_j and 0.0 < product < inf:
-                                r = abs(packed[ij]) / sqrt(product)
-                                if r < low:
+                            if floor_i < var_i and floor_j < var_j and 0.0 < product < math.inf:
+                                r = abs(packed[ij]) / math.sqrt(product)
+                                if r < band[0]:
                                     answer = True
-                                elif high < r < inf:
+                                elif band[1] < r < math.inf:
                                     answer = False
                         if answer is None:
-                            answer = bool(decide(i, j, zmask))
+                            answer = bool(self._decide(i, j, zmask))
                         memo[key] = answer
                         new += 1
                     if answer:
@@ -525,8 +519,7 @@ class FisherZOracle(IndependenceOracle):
         return None
 
     def _decide(self, i: int, j: int, zmask: int) -> bool:
-        """The statistic route of a query ``_first_separator`` does not
-        decide by the band: z, or the reason the query cannot be tested."""
+        """The statistic route: z, or the reason the query cannot be tested."""
         try:
             if self._bands[zmask.bit_count()] is None:  # N - |s| - 3 < 1, named first
                 raise ValueError(_TOO_FEW_ROWS)

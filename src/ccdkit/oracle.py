@@ -10,12 +10,11 @@ A query has two entries: the public ``is_independent`` takes labels, and
 the internal ``_first_separator`` takes vertex indices and a whole level
 of a separator search; ``ccd._route`` chooses between them. Each oracle's
 ``_first_separator`` alone reads and writes its memo and statistics, and
-``GraphOracle``'s its ranges of settled sets too. The base class's one
-asks each new set through ``_decide``; those of ``GraphOracle`` and
-``FisherZOracle`` answer most sets in the loop. The memo keeps each answer
-under one packed int per unordered pair and set. The statistics
-count each distinct query once, under the phase that first asked it and
-the size of its set.
+``GraphOracle``'s its ranges of settled sets too; the base class's asks
+each new set through ``_decide``, ``FisherZOracle``'s only one not clean.
+The memo keeps each answer under one packed int per unordered pair and
+set. The statistics count each distinct query once, under the phase that
+first asked it and the size of its set.
 
 The memo, the ranges, the caches and the counters are written only under
 a lock, and the phase label belongs to the thread that set it, so an

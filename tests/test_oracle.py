@@ -742,9 +742,10 @@ def search_outcome(oracle):
 def test_searches_sharing_an_oracle_across_threads_count_each_query_once():
     # whole levels, settled or decided, go into one shared memo while the
     # threads switch often; a lost update would show in the counts. The
-    # Fisher-z data hold a scaled copy of V7 as V8, so some queries are
-    # degenerate, and its search aborts in phase D; its sweeps yield, so
-    # another thread may ask the same set while one is building it.
+    # exact search must return a PAG. The Fisher-z data hold a scaled copy
+    # of V7 as V8, so some queries are degenerate, and its search aborts in
+    # phase D; its sweeps yield, so another thread may ask the same set
+    # while one is building it.
     g = random_graph([f"V{k}" for k in range(9)], 0.3, random.Random(9))
     values = sem_from_graph(g, 0.2).simulate(300, seed=2).values.copy()
     values[:, 8] = 2.0 * values[:, 7]
@@ -755,11 +756,12 @@ def test_searches_sharing_an_oracle_across_threads_count_each_query_once():
         time.sleep(0)
         return missing(residual, zmask)
 
-    for make in (lambda: GraphOracle(g), lambda: FisherZOracle(data)):
+    for make, aborts in ((lambda: GraphOracle(g), False), (lambda: FisherZOracle(data), True)):
         with warnings.catch_warnings(), mock.patch.object(_Residuals, "__missing__", yielding):
             warnings.simplefilter("ignore", SingularCovarianceWarning)
             serial = make()
             expected = search_outcome(serial)
+            assert expected.startswith("raised") is aborts
             oracle = make()
             start = threading.Barrier(8)
             outcomes = []
@@ -785,7 +787,7 @@ def test_searches_sharing_an_oracle_across_threads_count_each_query_once():
         assert oracle.stats.rows() == serial.stats.rows()
         assert oracle.stats.total() == len(known_queries(serial))
         assert oracle.stats.degenerate == serial.stats.degenerate
-    assert expected.startswith("raised") and serial.stats.degenerate
+    assert serial.stats.degenerate
 
 
 def one_set_query(oracle, x, y, s):
@@ -799,19 +801,22 @@ def refuse_to_decide(i, j, zmask):
 
 
 def test_one_set_hit_returns_the_memoised_answer_without_deciding(two_cycle):
-    oracle = GraphOracle(two_cycle)
-    i, j, separating = one_set_query(oracle, "A", "B", ("X", "Y"))
-    connecting = one_set_query(oracle, "A", "B", ("X",))[2]
-    assert oracle._first_separator(i, j, (), 0, separating) == separating
-    assert oracle._first_separator(i, j, (), 0, connecting) is None
-    # a hit neither decides nor takes the lock
-    oracle._decide = refuse_to_decide
-    oracle._lock = mock.MagicMock(**{"__enter__.side_effect": AssertionError("took the lock")})
-    for a, b in ((i, j), (j, i)):
-        assert oracle._first_separator(a, b, (), 0, separating) == separating
-        assert oracle._first_separator(a, b, (), 0, connecting) is None
-    assert oracle.is_independent("B", "A", ("Y", "X"))
-    assert not oracle.is_independent("B", "A", ("X",))
+    # FisherZOracle decides a clean query in its loop, not in _decide, so
+    # for it only the lock shows that a hit does not reach the loop
+    data = sem_from_graph(two_cycle, 0.5).simulate(2000, seed=1)
+    for oracle in (GraphOracle(two_cycle), FisherZOracle(data)):
+        i, j, separating = one_set_query(oracle, "A", "B", ("X", "Y"))
+        connecting = one_set_query(oracle, "A", "B", ("X",))[2]
+        assert oracle._first_separator(i, j, (), 0, separating) == separating
+        assert oracle._first_separator(i, j, (), 0, connecting) is None
+        # a hit neither decides nor takes the lock
+        oracle._decide = refuse_to_decide
+        oracle._lock = mock.MagicMock(**{"__enter__.side_effect": AssertionError("took the lock")})
+        for a, b in ((i, j), (j, i)):
+            assert oracle._first_separator(a, b, (), 0, separating) == separating
+            assert oracle._first_separator(a, b, (), 0, connecting) is None
+        assert oracle.is_independent("B", "A", ("Y", "X"))
+        assert not oracle.is_independent("B", "A", ("X",))
 
 
 def test_one_set_hit_under_another_phase_changes_no_memo_or_count(two_cycle):
