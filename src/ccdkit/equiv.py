@@ -5,10 +5,16 @@ Two graphs on one vertex set are Markov equivalent exactly when they
 have the same PAG (Richardson 1996), so ``markov_equivalent`` compares
 the PAGs ``ccd.pag_of_graph`` builds. That takes polynomial time in the
 vertex count on graphs of bounded degree, whose phase D subset levels
-stay small, and has no vertex cap. ``fingerprint``, the complete table
-of separated (pair, conditioning set) combinations with one
-``d_connected`` call per entry, is exponential, limited to twelve
-vertices, and kept as the reference the tests compare against.
+stay small, and has no vertex cap. Before it builds either PAG it
+compares what the graphs' masks give directly: the skeleton, which is
+the virtual adjacency, and the triples phase B underlines, read from
+the ancestor masks (``_underlined``). A pair that differs there has
+different PAGs, so most non-equivalent pairs are answered without
+phases B-F; every other pair is decided by PAG equality.
+``fingerprint``, the complete table of separated (pair, conditioning
+set) combinations with one ``d_connected`` call per entry, is
+exponential, limited to twelve vertices, and kept as the reference the
+tests compare against.
 
 An edge a -> b is an active path given every conditioning set, so a
 member of a class has edges only between pairs that the input never
@@ -17,12 +23,13 @@ separates: the virtually adjacent pairs that
 ``enumerate_equiv_class`` sweeps the 4^k directed graphs whose edges
 join only these k pairs (the two-cycle A -> X <-> Y <- B has a member
 with the edge A -> Y) and refuses more than ``_CANDIDATE_LIMIT`` = 4^7
-candidates before it builds any graph. Equal PAGs need equal skeletons,
-so a candidate whose virtual adjacencies, read from its masks by the
-rule ``DirectedGraph._adjacent_masks`` uses, differ from the input's is
-skipped before its graph is built. A candidate that is built gets those
-parent, child, ancestor and adjacency masks with it, so ``pag_of_graph``
-computes none of them again.
+candidates before it builds any graph. Equal PAGs need equal skeletons
+and equal underlines, so a candidate whose virtual adjacencies, read
+from its masks by the rule ``DirectedGraph._adjacent_masks`` uses, or
+whose underlined triples differ from the input's is skipped before its
+graph is built. A candidate that is built gets those parent, child,
+ancestor and adjacency masks with it, so ``pag_of_graph`` computes none
+of them again.
 """
 from __future__ import annotations
 
@@ -30,7 +37,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .ccd import pag_of_graph
-from .digraph import DirectedGraph, _closure, _virtual_adjacency
+from .digraph import DirectedGraph, _bits, _closure, _virtual_adjacency
 from .dsep import d_connected
 
 __all__ = [
@@ -59,9 +66,42 @@ def fingerprint(g: DirectedGraph) -> frozenset[tuple[str, str, frozenset[str]]]:
     return frozenset(separated)
 
 
+def _underlined(
+    adjacent: Sequence[int], ancestors: Sequence[int]
+) -> set[tuple[int, int, int]]:
+    """The underlined triples (a, b, c), a < c, that ``pag_of_graph`` writes
+    on a graph with virtual adjacency masks ``adjacent`` and ancestor
+    masks ``ancestors``: every unshielded a - b - c with b in An({a, c}).
+
+    Phase B underlines b exactly when b lies in the flanks' recorded
+    separator, which ``pag_of_graph`` sets to An({a, c}) minus a and c.
+    A PAG's edges are its skeleton, only phase B writes underlines and no
+    later phase removes one, and ``Pag.__eq__`` compares both, so graphs
+    whose adjacency masks or underlined triples differ have different
+    PAGs, and no PAG need be built to tell.
+    """
+    triples = set()
+    for b, nb in enumerate(adjacent):
+        for a in _bits(nb):
+            # the flanks c > a of b that are not adjacent to a
+            for c in _bits(nb & ~adjacent[a] & -(2 << a)):
+                if (ancestors[a] | ancestors[c]) >> b & 1:
+                    triples.add((a, b, c))
+    return triples
+
+
 def markov_equivalent(g1: DirectedGraph, g2: DirectedGraph) -> bool:
-    """Same vertex set and the same PAG from ``pag_of_graph``."""
-    return g1.vertices == g2.vertices and pag_of_graph(g1)[0] == pag_of_graph(g2)[0]
+    """Same vertex set and the same PAG from ``pag_of_graph``.
+
+    Pairs whose virtual adjacency masks or underlined triples
+    (``_underlined``) differ are answered False before any PAG is built.
+    """
+    if g1.vertices != g2.vertices or g1._adjacent_masks != g2._adjacent_masks:
+        return False
+    skeleton = g1._adjacent_masks
+    if _underlined(skeleton, g1._ancestor_masks) != _underlined(skeleton, g2._ancestor_masks):
+        return False
+    return pag_of_graph(g1)[0] == pag_of_graph(g2)[0]
 
 
 def all_graphs(labels: Sequence[str]) -> Iterator[DirectedGraph]:
@@ -79,9 +119,9 @@ def enumerate_equiv_class(g: DirectedGraph) -> list[DirectedGraph]:
     Only the 4^k candidates whose edges join the k pairs that
     ``g.adjacent_in_graph`` reports are compared with g, where a sweep of
     every directed graph would visit 2^(n(n-1)). A candidate whose
-    virtual adjacency masks differ from g's is skipped before its graph
-    is built. More than ``_CANDIDATE_LIMIT`` = 4^7 candidates (k >= 8) raise
-    ValueError before any PAG is built.
+    virtual adjacency masks or underlined triples differ from g's is
+    skipped before its graph is built. More than ``_CANDIDATE_LIMIT`` =
+    4^7 candidates (k >= 8) raise ValueError before any PAG is built.
     """
     labels = g.vertices
     skeleton = g._adjacent_masks
@@ -93,6 +133,7 @@ def enumerate_equiv_class(g: DirectedGraph) -> list[DirectedGraph]:
             f"adjacent pairs; the limit is {_CANDIDATE_LIMIT} (4^7)"
         )
     target = pag_of_graph(g)[0]
+    underlined = _underlined(skeleton, g._ancestor_masks)
     arcs = [arc for x, y in adjacent for arc in ((x, y), (y, x))]
     index = g._index
     ids = [(index[a], index[b]) for a, b in arcs]
@@ -105,6 +146,8 @@ def enumerate_equiv_class(g: DirectedGraph) -> list[DirectedGraph]:
                 children[a] |= 1 << b
         ancestors = _closure(parents)
         if _virtual_adjacency(parents, children, ancestors) != skeleton:
+            continue
+        if _underlined(skeleton, ancestors) != underlined:
             continue
         h = DirectedGraph(labels, frozenset(arc for bit, arc in enumerate(arcs) if mask >> bit & 1))
         # the masks h's cached properties would compute, handed over as is

@@ -455,7 +455,10 @@ class FisherZOracle(IndependenceOracle):
         n = len(self.vertices)
         column = [data._col_index[v] for v in self.vertices]
         if data.n_rows > 1:
-            cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
+            # an overflowing column makes entries inf or nan; the queries
+            # on them are reported as degenerate, not as numpy warnings
+            with np.errstate(all="ignore"):
+                cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
         else:  # no sample covariance, and every query lacks rows anyway
             cov = np.full((n, n), np.nan)
         self._cov = cov[np.ix_(column, column)]  # in vertex order

@@ -214,6 +214,29 @@ def test_discover_folds_query_warnings_into_one_line_per_reason(capsys, tmp_path
     assert out == serialize_pag(pag) + cli._render_state(state)
 
 
+def test_covariance_overflow_is_reported_only_as_degenerate_queries(tmp_path):
+    # two cells of 1e308 overflow the covariance to inf and nan; the
+    # queries on them are folded into the degenerate report, and numpy's
+    # own overflow warnings do not reach the caller
+    values = np.random.default_rng(0).standard_normal((200, 4))
+    values[5, 1] = values[17, 1] = 1e308
+    csv = tmp_path / "overflow.csv"
+    csv.write_text("A,B,C,D\n" + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        FisherZOracle(DataMatrix.from_csv(csv.read_text()))
+    result = subprocess.run(
+        [sys.executable, "-m", "ccdkit", "discover", "--data", str(csv), "--dump-state"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert lines[:-1] and all(line.startswith("SingularCovarianceWarning: ") for line in lines[:-1])
+    assert lines[-1].startswith("elapsed: ")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

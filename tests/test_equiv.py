@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from ccdkit import (
     DirectedGraph,
+    Mark,
     all_graphs,
     enumerate_equiv_class,
     equiv,
     fingerprint,
     markov_equivalent,
+    pag_of_graph,
     random_graph,
 )
 
-from helpers import graphs, ordered_pairs, two_cycle_graph
+from helpers import cyclic_graphs, graphs, ordered_pairs, two_cycle_graph
 
 
 def test_fingerprint_lists_separated_triples():
@@ -208,11 +210,16 @@ def test_markov_equivalent_agrees_with_fingerprints_after_one_edge_change(g1, da
     assert markov_equivalent(g2, g1) == markov_equivalent(g1, g2)
 
 
-def test_equivalence_has_no_size_limit():
+def _g16_and_an_extra_edge():
     g16 = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
-    assert markov_equivalent(g16, DirectedGraph(g16.vertices, g16.edges))
     x, y = next(p for p in combinations(g16.vertices, 2) if not g16.adjacent_in_graph(*p))
-    assert not markov_equivalent(g16, DirectedGraph(g16.vertices, g16.edges | {(x, y)}))
+    return g16, DirectedGraph(g16.vertices, g16.edges | {(x, y)})
+
+
+def test_equivalence_has_no_size_limit():
+    g16, extended = _g16_and_an_extra_edge()
+    assert markov_equivalent(g16, DirectedGraph(g16.vertices, g16.edges))
+    assert not markov_equivalent(g16, extended)
     # the two-cycle and its mirror member, with twelve isolated vertices
     two_cycle = two_cycle_graph()
     labels = two_cycle.vertices + tuple(f"I{k:02d}" for k in range(12))
@@ -220,3 +227,50 @@ def test_equivalence_has_no_size_limit():
     mirror = DirectedGraph(labels, {("A", "Y"), ("B", "X"), ("X", "Y"), ("Y", "X")})
     assert markov_equivalent(g, mirror)
     assert enumerate_equiv_class(g) == sorted([g, mirror], key=_edge_list)
+
+
+def _underlined(g):
+    return equiv._underlined(g._adjacent_masks, g._ancestor_masks)
+
+
+def test_underlined_triples_are_the_underlines_of_the_pag():
+    for labels in ("ABC", "ABCD"):
+        for g in all_graphs(tuple(labels)):
+            assert _underlined(g) == pag_of_graph(g)[0]._underlines
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclic_graphs(max_vertices=8))
+def test_underlined_triples_are_the_underlines_of_the_pag_beyond_four_vertices(g):
+    assert _underlined(g) == pag_of_graph(g)[0]._underlines
+
+
+def test_pags_can_differ_where_skeleton_and_underlines_agree():
+    # markov_equivalent's early checks pass on this pair, so only the
+    # PAGs tell it apart; 6 of the 188 groups of four-vertex graphs with
+    # equal skeletons and underlines hold more than one of the 194 classes
+    labels = ("A", "B", "C", "D")
+    g1 = DirectedGraph(labels, {("A", "C"), ("B", "C"), ("C", "D"), ("D", "C")})
+    g2 = DirectedGraph(labels, {("A", "C"), ("B", "D"), ("C", "D"), ("D", "C")})
+    assert g1._adjacent_masks == g2._adjacent_masks
+    assert _underlined(g1) == _underlined(g2)
+    pag1, pag2 = pag_of_graph(g1)[0], pag_of_graph(g2)[0]
+    assert (pag1.mark_at("C", "D"), pag1.mark_at("D", "C")) == (Mark.CIRCLE, Mark.CIRCLE)
+    assert pag1.dotted_underlines == frozenset()
+    assert (pag2.mark_at("C", "D"), pag2.mark_at("D", "C")) == (Mark.TAIL, Mark.TAIL)
+    assert pag2.dotted_underlines == {("A", "C", "B"), ("A", "D", "B")}
+    assert fingerprint(g1) != fingerprint(g2)
+    assert not markov_equivalent(g1, g2)
+
+
+def test_pairs_with_different_skeletons_or_underlines_build_no_pag(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a PAG was built")
+
+    monkeypatch.setattr(equiv, "pag_of_graph", refuse)
+    # the skeletons differ
+    assert not markov_equivalent(*_g16_and_an_extra_edge())
+    # one skeleton; the chain underlines B, the collider does not
+    chain = DirectedGraph(("A", "B", "C"), {("A", "B"), ("B", "C")})
+    collider = DirectedGraph(("A", "B", "C"), {("A", "B"), ("C", "B")})
+    assert not markov_equivalent(chain, collider)
