@@ -6,11 +6,9 @@ have the same PAG (Richardson 1996), so ``markov_equivalent`` compares
 the PAGs ``ccd.pag_of_graph`` builds. That takes polynomial time in the
 vertex count on graphs of bounded degree, whose phase D subset levels
 stay small, and has no vertex cap. Before it builds either PAG it
-compares what the graphs' masks give directly: the skeleton, which is
-the virtual adjacency, and the triples phase B underlines, read from
-the ancestor masks (``_underlined``). A pair that differs there has
-different PAGs, so most non-equivalent pairs are answered without
-phases B-F; every other pair is decided by PAG equality.
+compares the graphs' virtual adjacency masks, which are the PAGs'
+skeletons: a pair whose skeletons differ is answered False without
+phases B-F, and every other pair is decided by PAG equality.
 ``fingerprint``, the complete table of separated (pair, conditioning
 set) combinations with one ``d_connected`` call per entry, is
 exponential, limited to twelve vertices, and kept as the reference the
@@ -93,13 +91,10 @@ def _underlined(
 def markov_equivalent(g1: DirectedGraph, g2: DirectedGraph) -> bool:
     """Same vertex set and the same PAG from ``pag_of_graph``.
 
-    Pairs whose virtual adjacency masks or underlined triples
-    (``_underlined``) differ are answered False before any PAG is built.
+    A PAG's edges are its skeleton, so pairs whose virtual adjacency
+    masks differ are answered False before any PAG is built.
     """
     if g1.vertices != g2.vertices or g1._adjacent_masks != g2._adjacent_masks:
-        return False
-    skeleton = g1._adjacent_masks
-    if _underlined(skeleton, g1._ancestor_masks) != _underlined(skeleton, g2._ancestor_masks):
         return False
     return pag_of_graph(g1)[0] == pag_of_graph(g2)[0]
 

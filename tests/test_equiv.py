@@ -246,7 +246,7 @@ def test_underlined_triples_are_the_underlines_of_the_pag_beyond_four_vertices(g
 
 
 def test_pags_can_differ_where_skeleton_and_underlines_agree():
-    # markov_equivalent's early checks pass on this pair, so only the
+    # the skeleton and underline checks pass on this pair, so only the
     # PAGs tell it apart; 6 of the 188 groups of four-vertex graphs with
     # equal skeletons and underlines hold more than one of the 194 classes
     labels = ("A", "B", "C", "D")
@@ -261,16 +261,29 @@ def test_pags_can_differ_where_skeleton_and_underlines_agree():
     assert pag2.dotted_underlines == {("A", "C", "B"), ("A", "D", "B")}
     assert fingerprint(g1) != fingerprint(g2)
     assert not markov_equivalent(g1, g2)
+    # g2's arcs join pairs g1 never separates, so g2 is one of the
+    # candidates of g1's class that only the PAG comparison turns away
+    assert g2 not in enumerate_equiv_class(g1)
 
 
-def test_pairs_with_different_skeletons_or_underlines_build_no_pag(monkeypatch):
+def test_pairs_with_different_skeletons_build_no_pag(monkeypatch):
     def refuse(g):
         raise AssertionError("a PAG was built")
 
     monkeypatch.setattr(equiv, "pag_of_graph", refuse)
-    # the skeletons differ
     assert not markov_equivalent(*_g16_and_an_extra_edge())
-    # one skeleton; the chain underlines B, the collider does not
+
+
+def test_class_enumeration_builds_pags_only_for_the_input_and_its_members(monkeypatch):
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return pag_of_graph(g)
+
+    monkeypatch.setattr(equiv, "pag_of_graph", counted)
+    # the collider A -> B <- C and the candidates like it share the
+    # chain's skeleton but not its underline at B, so none is built
     chain = DirectedGraph(("A", "B", "C"), {("A", "B"), ("B", "C")})
-    collider = DirectedGraph(("A", "B", "C"), {("A", "B"), ("C", "B")})
-    assert not markov_equivalent(chain, collider)
+    members = enumerate_equiv_class(chain)
+    assert len(built) == len(members) + 1
