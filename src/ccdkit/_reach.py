@@ -22,15 +22,12 @@ states, and the kernel needs no ancestor closure.
 
 One fixpoint from a source set yields every vertex the walk touches, so a
 single walk answers the query for all targets at once: y is d-connected
-to x given z exactly when y's bit is set in the result. Most callers ask
-about a few targets only, so ``walk`` stops as soon as it has seen a
-member of ``target`` and hands back its state, the seen set and the
-frontier per arrival direction. Passing that state in again resumes the
-walk where it stopped, for a later target; a walk that has reached its
-fixpoint has an empty frontier and answers every target from its seen
-sets. Vertex sets are Python ints used as bitmasks over a fixed vertex
-order, so graphs of any width are supported and callers need not build a
-``DirectedGraph``.
+to x given z exactly when y's bit is set in the result. ``walk`` returns
+that set of reached vertices; given a ``target`` set it may stop early,
+at the first level that reaches a member of it, which is all a caller
+asking about those targets alone needs. Vertex sets are Python ints used
+as bitmasks over a fixed vertex order, so graphs of any width are
+supported and callers need not build a ``DirectedGraph``.
 
 A graph reaches the kernel as two ``UnionMemo`` objects, one over its
 parent masks and one over its child masks. Each level of the walk is then
@@ -77,24 +74,22 @@ def walk(
     parents: Mapping[int, int],
     children: Mapping[int, int],
     z_mask: int,
-    state: tuple[int, int, int, int],
+    sources: int,
     target: int = 0,
-) -> tuple[int, int, int, int]:
-    """Advance a walk given z until it has seen a member of ``target``, or
-    to its fixpoint when none is reachable or ``target`` is 0.
+) -> int:
+    """The mask of the vertices the walk from ``sources`` given z reaches,
+    the sources included: its fixpoint, or, when it reaches a member of a
+    nonzero ``target`` first, what it has reached by then.
 
-    ``state`` is ``(seen_in, seen_out, front_in, front_out)``, the masks of
-    the states seen and of the frontier per arrival direction, and the
-    result is the state reached. A walk from the source set x starts at
-    ``(0, x, 0, x)``, an ``out`` arrival at each member of x, which passes
-    it on to every parent and child because the member lies outside z; x
-    and z must be disjoint. ``parents[s]`` and ``children[s]`` are the
-    masks of every parent and every child of the members of the set s, as
-    ``UnionMemo`` gives them. The frontier is empty exactly when the walk
-    has reached its fixpoint.
+    The walk starts with an ``out`` arrival at each source, which passes it
+    on to every parent and child because the source lies outside z; the
+    sources and z must be disjoint. ``parents[s]`` and ``children[s]`` are
+    the masks of every parent and every child of the members of the set s,
+    as ``UnionMemo`` gives them.
     """
     outside = ~z_mask
-    seen_in, seen_out, front_in, front_out = state
+    seen_in, seen_out = 0, sources
+    front_in, front_out = 0, sources
     while (front_in or front_out) and not (seen_in | seen_out) & target:
         front_in, front_out = (
             children[(front_in | front_out) & outside] & ~seen_in,
@@ -102,5 +97,4 @@ def walk(
         )
         seen_in |= front_in
         seen_out |= front_out
-    return seen_in, seen_out, front_in, front_out
-
+    return seen_in | seen_out

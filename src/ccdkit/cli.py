@@ -163,9 +163,9 @@ def _discover(args: argparse.Namespace, oracle: IndependenceOracle) -> int:
             print(f"SingularCovarianceWarning: {count} queries: {reason}; treating as "
                   f"dependent; first query {query}", file=sys.stderr)
     elapsed = time.perf_counter() - started
-    sys.stdout.write(serialize_pag(pag) + (_render_state(state) if args.dump_state else ""))
-    if args.dot:
+    if args.dot:  # first, so that a file error leaves stdout empty
         Path(args.dot).write_text(to_dot(pag))
+    sys.stdout.write(serialize_pag(pag) + (_render_state(state) if args.dump_state else ""))
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     for record in state.conflicts:
         print(f"conflict: {record.describe()}", file=sys.stderr)

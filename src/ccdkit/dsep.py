@@ -71,8 +71,7 @@ def d_connected(
     """True iff some x-member is d-connected to some y-member given ``given``;
     the walk from x stops at the first member of y it reaches."""
     xm, ym, zm = _read_query(g, x, y, given)
-    seen_in, seen_out, _, _ = walk(g._parent_unions, g._child_unions, zm, (0, xm, 0, xm), ym)
-    return bool((seen_in | seen_out) & ym)
+    return bool(walk(g._parent_unions, g._child_unions, zm, xm, ym) & ym)
 
 
 def d_separated(

@@ -109,28 +109,23 @@ class IndependenceOracle:
         ``zmask << 2w | lo << w | hi`` with ``w`` bits per index.
 
         With ``size`` 0 the one set is ``extra``, as ``is_independent``,
-        phases C and F and level 0 of phases A and D ask it. The memo is
-        read first without the lock: a dict read is atomic and an entry
+        phases C and F and level 0 of phases A and D ask it. Its memo entry
+        is read first without the lock: a dict read is atomic and an entry
         never changes once written, so a hit returns with no lock, no phase
-        label and no count. A miss takes the lock, reads the memo again,
-        and decides, memoises and counts the query. A larger level holds
-        the lock for the whole call and updates the statistics once, with
-        the call's new decisions even when a later ``_decide`` raises.
-        Either way the raising query is neither memoised nor counted.
+        label and no count. A miss, like any larger level, goes through the
+        one loop, where ``combinations(candidates, 0)`` yields the one set.
+        The loop holds the lock for the whole call, reads the memo again per
+        set, and updates the statistics once, with the call's new decisions
+        even when a later ``_decide`` raises. The raising query is neither
+        memoised nor counted.
         """
         w = self._width
         pair = i << w | j if i < j else j << w | i
         memo = self._memo
         if size == 0:  # one set, extra
-            key = extra << 2 * w | pair
-            answer = memo.get(key)
-            if answer is None:
-                with self._lock:
-                    answer = memo.get(key)
-                    if answer is None:
-                        answer = memo[key] = bool(self._decide(i, j, extra))
-                        self.stats.counts[self._phase.label, extra.bit_count()] += 1
-            return extra if answer else None
+            answer = memo.get(extra << 2 * w | pair)
+            if answer is not None:
+                return extra if answer else None
         decide = self._decide
         with self._lock:
             label = self._phase.label
@@ -185,19 +180,18 @@ def _range_size(fixed: int, universe: int, k: int) -> int:
 class GraphOracle(IndependenceOracle):
     """Exact oracle: independent iff d-separated in the given graph.
 
-    ``_decide`` answers one query with at most one resumed walk. A subset
-    level of the search goes through this class's ``_first_separator``,
-    where the level test and its moral-graph paths (``_level_paths``) and
-    the ancestral rule (``_known_dependent``) answer most of its sets
-    without ``_decide``.
+    ``_decide`` answers a query from one reach set per endpoint and
+    conditioning set, walked once. A subset level of the search goes
+    through this class's ``_first_separator``, where the level test and its
+    moral-graph paths (``_level_paths``) and the ancestral rule
+    (``_known_dependent``) answer most of its sets without ``_decide``.
     """
 
     def __init__(self, graph: DirectedGraph):
         super().__init__(graph.vertices)
         self.graph = graph
-        self._n = len(graph.vertices)
-        # keyed zmask << w | endpoint; the state
-        # seen_in | seen_out << n | front_in << 2n | front_out << 3n
+        # keyed zmask << w | endpoint: the vertices outside the endpoint
+        # and zmask that are d-connected to it given zmask
         self._walks: dict[int, int] = {}
         # keyed extra << 2w | i << w | j: (within, paths) of the last
         # searched level of that pair and extra, the member masks of the
@@ -404,30 +398,19 @@ class GraphOracle(IndependenceOracle):
     def _decide(self, i: int, j: int, zmask: int) -> bool:
         """Given the empty set, i and j are d-connected exactly when they
         share an ancestor, and a virtually adjacent pair is dependent given
-        every set; neither needs a walk. Otherwise the walk from i given
-        zmask resumes from its state kept in ``_walks``, only until it sees
-        j, so queries that share the endpoint and the set continue one walk,
-        and a target it has already seen costs no step."""
+        every set; neither needs a walk. Otherwise j's bit in the reach set
+        of i given zmask answers: the first query of that endpoint and set
+        walks to the fixpoint and keeps the set in ``_walks``, and every
+        later one, for any target, is one bit test."""
         g = self.graph  # masks and memos built on first use keep construction cheap
         if not zmask:
             ancestors = g._ancestor_masks
             return not ancestors[i] & ancestors[j]
         if g._adjacent_masks[i] >> j & 1:
             return False
-        n = self._n
         key = zmask << self._width | i
-        state = self._walks.get(key)
-        if state is None:
-            state = (0, 1 << i, 0, 1 << i)
-        elif (state >> j | state >> n + j) & 1:
-            return False
-        elif not state >> 2 * n:  # the walk is at its fixpoint without j
-            return True
-        else:
-            full = (1 << n) - 1
-            state = (state & full, state >> n & full, state >> 2 * n & full, state >> 3 * n)
-        seen_in, seen_out, front_in, front_out = walk(
-            g._parent_unions, g._child_unions, zmask, state, 1 << j
-        )
-        self._walks[key] = seen_in | seen_out << n | front_in << 2 * n | front_out << 3 * n
-        return not (seen_in | seen_out) >> j & 1
+        reach = self._walks.get(key)
+        if reach is None:
+            reached = walk(g._parent_unions, g._child_unions, zmask, 1 << i)
+            reach = self._walks[key] = reached & ~(zmask | 1 << i)
+        return not reach >> j & 1

@@ -84,6 +84,13 @@ def test_discover_writes_dot(capsys, tmp_path):
     assert "arrowhead=normal" in text
 
 
+def test_discover_dot_into_a_missing_directory_is_usage_error(capsys, tmp_path):
+    dot = tmp_path / "missing" / "out.dot"
+    code, out, err = run_cli(capsys, "discover", "--graph", TWO_CYCLE, "--dot", str(dot))
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+
+
 def test_discover_alpha_requires_data(capsys):
     code, _, err = run_cli(capsys, "discover", "--graph", TWO_CYCLE, "--alpha", "0.05")
     assert code == 2

@@ -117,9 +117,26 @@ def test_symmetry(g):
 def _fixpoint(parents, children, x, z):
     """Every vertex outside x and z that the walk from x given z reaches
     by its fixpoint."""
-    seen_in, seen_out, front_in, front_out = walk(parents, children, z, (0, x, 0, x))
-    assert not front_in | front_out
-    return (seen_in | seen_out) & ~(x | z)
+    return walk(parents, children, z, x) & ~(x | z)
+
+
+@settings(max_examples=300)
+@given(cyclic_graphs(), st.data())
+def test_a_walk_stopped_at_a_target_is_part_of_its_fixpoint(g, data):
+    # the early stop that d_connected uses: the walk given a target reaches
+    # nothing the fixpoint does not, holds a target member exactly when the
+    # fixpoint does, and is the fixpoint when no target member is reachable
+    n = len(g.vertices)
+    parents, children = g._parent_unions, g._child_unions
+    x = data.draw(st.integers(1, 2**n - 1), label="x")
+    z = data.draw(st.integers(0, 2**n - 1), label="z") & ~x
+    target = data.draw(st.integers(0, 2**n - 1), label="target")
+    fixpoint = walk(parents, children, z, x)
+    stopped = walk(parents, children, z, x, target)
+    assert not stopped & ~fixpoint
+    assert bool(stopped & target) == bool(fixpoint & target)
+    if not fixpoint & target:
+        assert stopped == fixpoint
 
 
 @settings(max_examples=300)

@@ -114,14 +114,23 @@ def _walk_levels(g, x, z):
     return level
 
 
+def _assert_walks_are_reach_sets(oracle):
+    """Every reach set the oracle keeps is the reference reach set of its
+    endpoint and conditioning set."""
+    g, w = oracle.graph, oracle._width
+    for key, reach in oracle._walks.items():
+        i, zmask = key & (1 << w) - 1, key >> w
+        assert reach == reference_reach_set(g, 1 << i, zmask), (i, zmask)
+
+
 @settings(max_examples=150, deadline=None)
 @given(cyclic_graphs(), st.data())
-def test_resumed_walks_equal_the_reference_reach_set(g, data):
+def test_kept_walks_equal_the_reference_reach_set(g, data):
     # one fresh oracle, asked past its memo so that no answer is shared
     # between (x, y) and (y, x); for each (x, Z) the targets come in the
-    # order the walk first reaches them, then the unreachable ones, so most
-    # queries resume a walk that stopped at an earlier target, and some
-    # meet one at its fixpoint
+    # order the walk first reaches them, then the unreachable ones, so the
+    # first query of each (x, Z) walks and every later one, reached or
+    # not, is answered from the kept reach set
     n = len(g.vertices)
     oracle = GraphOracle(g)
     for z in data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=3), label="Z"):
@@ -135,6 +144,15 @@ def test_resumed_walks_equal_the_reference_reach_set(g, data):
             targets.sort(key=lambda y: level.get(y, n * 2))
             for y in targets:
                 assert oracle._decide(x, y, z) == (not reach >> y & 1), (x, y, z)
+    _assert_walks_are_reach_sets(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclic_graphs())
+def test_a_search_keeps_only_reference_reach_sets(g):
+    oracle = GraphOracle(g)
+    run_ccd(oracle, g.vertices)
+    _assert_walks_are_reach_sets(oracle)
 
 
 def test_swapped_endpoints_and_duplicates_share_one_memo_entry(two_cycle):
@@ -544,12 +562,15 @@ def test_the_memo_holds_only_decided_queries_on_the_16_vertex_graph():
 def test_walks_on_the_16_vertex_graph():
     # the empty set is answered from the ancestor masks, and a set that
     # misses a moral-graph path or whose part inside An({i, j}) is known
-    # to be dependent is not decided, so 189 walks run, 1,081 without the
-    # paths
+    # to be dependent is not decided; a decided query that needs a walk
+    # walks once per distinct (endpoint, set), so 144 walks run, each kept
+    # as the reach set of its endpoint and set
     g = random_graph([f"V{k:02d}" for k in range(16)], 0.12, random.Random(1608))
+    oracle = GraphOracle(g)
     with mock.patch.object(ccdkit.oracle, "walk", wraps=ccdkit.oracle.walk) as walk:
-        run_ccd(GraphOracle(g), g.vertices)
-    assert walk.call_count == 189
+        run_ccd(oracle, g.vertices)
+    assert walk.call_count == len(oracle._walks) == 144
+    _assert_walks_are_reach_sets(oracle)
 
 
 @pytest.mark.parametrize(
