@@ -34,7 +34,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
@@ -112,29 +112,14 @@ class DataMatrix:
         leading UTF-8 byte-order mark is dropped too. Blank lines are
         skipped. Every error, a record the csv module cannot read included,
         is a ValueError that names the file line on which the bad record
-        ends. Lines are read lazily and each row goes straight into one
-        packed float buffer, which becomes ``values`` without a copy. Apart
-        from ``text``, the parse's peak allocation on a large table is
-        little more than ``values.nbytes``: 1.2 times on 20,000 x 8.
+        ends. A plain numeric text is read by numpy's C reader; quoted
+        input, and any text that reader rejects, by the csv module, which
+        gives every error (``_read_plain_csv``). Either way the labels and
+        values are the same, and lines are read lazily: apart from
+        ``text``, the parse's peak allocation on a large table is little
+        more than ``values.nbytes``, 1.2 times on 20,000 x 8.
         """
-        reader = csv.reader(_lines(text, 1 if text.startswith("\ufeff") else 0))
-        rows = filter(None, reader)  # a blank line reads as []
-        try:
-            labels = tuple(cell.strip() for cell in next(rows, ()))
-            width = len(labels)
-            values = array("d")
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError(f"CSV line {reader.line_num} has {len(row)} cells, expected {width}")
-                try:
-                    values.extend([float(cell) for cell in row])
-                except ValueError:
-                    raise ValueError(f"CSV line {reader.line_num} has a non-numeric or missing cell") from None
-        except csv.Error as exc:  # say, a cell past the field size limit
-            raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
-        if not values:
-            raise ValueError("CSV needs a header row and at least one data row")
-        return cls(labels, np.frombuffer(values).reshape(-1, width))
+        return cls(*(_read_plain_csv(text) or _read_csv(text)))
 
     def to_csv(self) -> str:
         """The inverse of ``from_csv``: a header row, then one row per sample.
@@ -152,15 +137,84 @@ class DataMatrix:
         return out.getvalue()
 
 
-def _lines(text: str, start: int):
-    """The lines of ``text`` from offset ``start``, split only at "\\n" and
-    keeping it, as iterating ``io.StringIO(text)`` gives them, but one at a
-    time and without copying the text."""
-    end = len(text)
+def _lines(text: str):
+    """The lines of ``text`` after one leading byte-order mark, split only at
+    "\\n" and keeping it, as iterating ``io.StringIO(text)`` gives them, but
+    one at a time and without copying the text."""
+    start, end = (1 if text.startswith("\ufeff") else 0), len(text)
     while start < end:
         stop = text.find("\n", start) + 1 or end
         yield text[start:stop]
         start = stop
+
+
+def _read_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """``DataMatrix.from_csv``'s labels and values, read by the csv module.
+
+    Each row goes straight into one packed float buffer, which becomes the
+    values without a copy.
+    """
+    reader = csv.reader(_lines(text))
+    rows = filter(None, reader)  # a blank line reads as []
+    try:
+        labels = tuple(cell.strip() for cell in next(rows, ()))
+        width = len(labels)
+        values = array("d")
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"CSV line {reader.line_num} has {len(row)} cells, expected {width}")
+            try:
+                values.extend([float(cell) for cell in row])
+            except ValueError:
+                raise ValueError(f"CSV line {reader.line_num} has a non-numeric or missing cell") from None
+    except csv.Error as exc:  # say, a cell past the field size limit
+        raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+    if not values:
+        raise ValueError("CSV needs a header row and at least one data row")
+    return labels, np.frombuffer(values).reshape(-1, width)
+
+
+_BLANK = ("\n", "\r\n")  # the lines csv.reader reads as an empty row
+
+
+def _read_plain_csv(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """``_read_csv``'s labels and values, read by numpy's C reader, or None
+    when only the csv module may read ``text``.
+
+    numpy reads a text with no quote, no bare "\\r" and no line longer than
+    ``csv.field_size_limit()``: the csv module would split each of its
+    records at every comma and raise no error, and numpy parses each cell
+    with the routine behind ``float``, so the values are bit-identical. A
+    NUL, which the csv module rejects before Python 3.11, and the control
+    characters 0x1c-0x1f, which numpy strips around a number as whitespace
+    and ``float`` does not, send the text to the csv module too. So does
+    every text numpy rejects: a cell that ``float`` may still accept
+    (``1_0``, ``١``), a ragged or whitespace-only line. The csv module then
+    gives the result or the error, with its message and line number.
+    """
+    if any(c in text for c in '"\x00\x1c\x1d\x1e\x1f') or (
+        "\r" in text and text.count("\r") != text.count("\r\n")
+    ):
+        return None
+    lines = _short_lines(text, csv.field_size_limit())
+    try:
+        header = next((line for line in lines if line not in _BLANK), None)
+        first = next((line for line in lines if line not in _BLANK), None)
+        if first is None:  # no data row, on which numpy would warn
+            return None
+        values = np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    labels = tuple(cell.strip() for cell in header.split(","))
+    return (labels, values) if values.shape[1] == len(labels) else None
+
+
+def _short_lines(text: str, limit: int):
+    """``_lines(text)``, raising ValueError at a line longer than ``limit``."""
+    for line in _lines(text):
+        if len(line) > limit:
+            raise ValueError("a line is longer than the csv field size limit")
+        yield line
 
 
 def _partial_from_residual(

@@ -69,6 +69,27 @@ MUTANTS = (
         "reached = walk(g._parent_unions, g._child_unions, zmask, 1 << i, 1 << j)",
         ("tests/test_oracle.py::test_cached_graph_oracle_equals_brute_force",),
     ),
+    Mutant(
+        "ancestral-rule-takes-any-memoised-part",
+        "oracle.py",
+        "if self._memo.get(zmask << 2 * w | pair) is False:",
+        "if (zmask << 2 * w | pair) in self._memo:",
+        ("tests/test_oracle.py::test_the_shortcuts_change_no_search[32-0.06-32]",),
+    ),
+    Mutant(
+        "numpy-csv-reader-takes-quoted-text",
+        "fisherz.py",
+        "any(c in text for c in '\"",
+        "any(c in text for c in '",
+        ("tests/test_oracle.py::test_data_matrix_csv_parses_as_the_list_of_rows_reader[quoted-header]",),
+    ),
+    Mutant(
+        "numpy-csv-reader-takes-lines-past-the-field-size-limit",
+        "fisherz.py",
+        "lines = _short_lines(text, csv.field_size_limit())",
+        "lines = _lines(text)",
+        ("tests/test_oracle.py::test_data_matrix_csv_reader_errors_are_value_errors[huge-cell]",),
+    ),
 )
 
 

@@ -43,7 +43,7 @@ from ccdkit import (
 
 import ccdkit.ccd
 import ccdkit.oracle
-from ccdkit.fisherz import _Residuals, _sweep, _triangle, _Triangle
+from ccdkit.fisherz import _read_csv, _Residuals, _sweep, _triangle, _Triangle
 from helpers import (
     DecideOnlyNoisyOracle,
     EverySet,
@@ -1388,15 +1388,98 @@ def reference_from_csv(text):
         "X,Y\r\n\r\n1.5,-2\r\n\r\n3e-3,4",
         '"a\rb","c\nd","e\x0cf","g\u2028h"\n1,2,3,4\n5,6,7,8\n',
         '"a\r\nb",c\x0c\r\n1,2\r\n',
+        '"A",B\r\n1,2\r\n',
     ],
     ids=["crlf", "no-final-newline", "blank-lines", "crlf-blank-lines",
-         "quoted-line-breaks", "quoted-crlf"],
+         "quoted-line-breaks", "quoted-crlf", "quoted-header"],
 )
 def test_data_matrix_csv_parses_as_the_list_of_rows_reader(text):
     labels, values = reference_from_csv(text)
     data = DataMatrix.from_csv(text)
     assert data.labels == labels
     assert np.array_equal(data.values, values)
+
+
+_CSV_TOKENS = (
+    *"0123456789.eE+-,", "\n", "\r\n", "\r", " ", '"', "_",
+    "\x00", "\x0b", "\x0c", "\x1c", "\u2028", "\u0661", "nan", "inf", "1e400", "0x1p3",
+)
+
+
+def _csv_outcome(read, text):
+    """The labels and the values' shape and bytes that ``read`` makes of
+    ``text``, or the message of the ValueError it raises."""
+    try:
+        data = read(text)
+    except ValueError as exc:
+        return str(exc)
+    return data.labels, data.values.shape, data.values.tobytes()
+
+
+def _insert(text, edits):
+    for at, token in edits:
+        at %= len(text) + 1
+        text = text[:at] + token + text[at:]
+    return text
+
+
+def _csv_texts():
+    """Texts drawn flat from the tokens, and numeric tables of one width,
+    each with up to two tokens put in at drawn places."""
+    flat = st.lists(st.sampled_from(_CSV_TOKENS), max_size=30).map("".join)
+    number = st.one_of(st.floats().map(repr), st.integers(-9, 9).map(str))
+    ends = st.sampled_from(("\n", "\r\n", "\n\n"))
+
+    def table(width):
+        labels = st.sampled_from(("A", " B", "C ", "D", "E", '"F"'))
+        header = st.lists(labels, min_size=width, max_size=width, unique=True)
+        row = st.lists(number, min_size=width, max_size=width)
+        lines = st.lists(st.tuples(row.map(",".join), ends).map("".join), min_size=1, max_size=4)
+        return st.tuples(header.map(",".join), ends, lines.map("".join)).map("".join)
+
+    edits = st.lists(st.tuples(st.integers(0, 200), st.sampled_from(_CSV_TOKENS)), max_size=2)
+    return st.one_of(flat, st.builds(_insert, st.integers(1, 3).flatmap(table), edits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+@example("A,B\n\n1,2\n\n\n3,4\n")
+@example("A,B\r\n \r\n1,2\r\n")
+@example("A,B\n1,2\n\t\n")
+@example("A,B\n1,\n")
+@example("A\n1\n2\n")
+@example("A\n1\n \n2\n")
+@example("A,B\n")
+@example("A,B\n\n\n")
+@example("")
+@example("A,B\n" + "1" * 200_000 + ",2\n")
+@example("A,B\n1,2\n" + "0." + "0" * 200_000 + "1,2\n")
+@example("A,B\n1\x1c,2\n")
+@example("A,B\n1_0,\u0661\n")
+@example("A,B\n1,2\n1e400,0\n")
+@example("A,B\n1,2\x00\n")
+@example('"A",B\r\n1,2\r\n')
+@example("A\rB,C\n1,2\n")
+def test_data_matrix_csv_numpy_reader_equals_the_csv_module(text):
+    assert _csv_outcome(DataMatrix.from_csv, text) == _csv_outcome(lambda t: DataMatrix(*_read_csv(t)), text)
+
+
+def test_data_matrix_csv_plain_numeric_text_skips_the_csv_module():
+    data = rng_data(n=50, cols=4, seed=12)
+    quoted = '"' + '","'.join(data.labels) + '"\r\n' + data.to_csv().split("\n", 1)[1].replace("\n", "\r\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader was called")
+
+    with mock.patch("csv.reader", refuse):
+        back = DataMatrix.from_csv(data.to_csv())
+        with pytest.raises(AssertionError, match="csv.reader was called"):
+            DataMatrix.from_csv(quoted)
+    assert back.labels == data.labels
+    assert np.array_equal(back.values, data.values)
+    back = DataMatrix.from_csv(quoted)
+    assert back.labels == data.labels
+    assert np.array_equal(back.values, data.values)
 
 
 def test_data_matrix_csv_drops_one_byte_order_mark():
@@ -1424,8 +1507,11 @@ def test_data_matrix_csv_reader_errors_are_value_errors(text, message):
         DataMatrix.from_csv(text)
 
 
-def test_data_matrix_csv_parse_peak_memory_is_near_the_values():
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "crlf-quoted-header"])
+def test_data_matrix_csv_parse_peak_memory_is_near_the_values(quoted):
     text = DataMatrix(tuple("ABCDEFGH"), np.random.default_rng(5).standard_normal((20000, 8))).to_csv()
+    if quoted:  # read by the csv module
+        text = '"A",' + text[2:].replace("\n", "\r\n")
     tracemalloc.start()
     try:
         data = DataMatrix.from_csv(text)
